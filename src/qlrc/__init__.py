@@ -11,7 +11,6 @@ from .agl import (
     AglSubgroup,
     GoodPolynomial,
     good_polynomial,
-    good_polynomial_power,
     orbits,
     subgroup_from_MB,
     subgroup_from_descriptor,
@@ -24,8 +23,6 @@ from .bounds import (
     css_params,
     degree_bound,
     distance_bruteforce,
-    expander_mixing_check,
-    jacobi_eigenvalues,
     quantum_singleton_rhs,
     schreier_graph,
     second_eigenvalue,
@@ -83,16 +80,13 @@ __all__ = [
     "degree_bound",
     "distance_bruteforce",
     "encode",
-    "expander_mixing_check",
     "exponent_sets",
     "field_from_descriptor",
     "good_polynomial",
-    "good_polynomial_power",
     "instance_from_dump",
     "instance_from_spec",
     "instance_to_dump",
     "interpolate",
-    "jacobi_eigenvalues",
     "orbits",
     "poly_from_lists",
     "quantum_singleton_rhs",

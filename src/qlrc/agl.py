@@ -163,12 +163,6 @@ class OrbitPartition:
 
     orbits: tuple[tuple[FieldElement, ...], ...]
 
-    def index_of(self, x: FieldElement) -> int:
-        for i, orb in enumerate(self.orbits):
-            if x in orb:
-                return i
-        raise InputError(f"{x!r} is not in the partitioned domain")
-
 
 @dataclass(frozen=True)
 class GoodPolynomial:
@@ -308,21 +302,6 @@ def orbits(subgroup: AglSubgroup, domain) -> OrbitPartition:
     return OrbitPartition(tuple(out))
 
 
-def _verify_constant_on(g: Polynomial, blocks) -> tuple[FieldElement, ...]:
-    values = []
-    for orb in blocks:
-        vals = {g(x) for x in orb}
-        if len(vals) != 1:
-            raise ConstructionError(f"polynomial is not constant on the block {orb!r}")
-        values.append(next(iter(vals)))
-    return tuple(values)
-
-
-def _regular_blocks(subgroup: AglSubgroup) -> tuple[tuple[FieldElement, ...], ...]:
-    part = orbits(subgroup, subgroup.field.elements())
-    return tuple(orb for orb in part.orbits if len(orb) == len(subgroup))
-
-
 def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
     """The monic annihilator of a regular orbit, constant on all such orbits.
 
@@ -338,27 +317,16 @@ def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
             f"orbit of {alpha!r} has size {len(orb)}, group has order {len(subgroup)}"
         )
     g = annihilator(field, orb)
-    blocks = _regular_blocks(subgroup)
-    values = _verify_constant_on(g, blocks)
-    return GoodPolynomial(g, OrbitPartition(blocks), values, subgroup, alpha)
-
-
-def good_polynomial_power(subgroup: AglSubgroup) -> GoodPolynomial:
-    """The companion power form x**|M| for a purely multiplicative subgroup.
-
-    For subgroups {a*x : a in M} the orbit of 0 is the singleton {0}, so the
-    annihilator route needs a nonzero base point and yields x**|M| - c.  The
-    shifted form x**|M| is constant on the same orbits and is occasionally
-    the more convenient normal form, so it gets its own constructor instead
-    of a special case inside good_polynomial.
-    """
-    if any(not f.b.is_zero() for f in subgroup):
-        raise InputError("power form requires a purely multiplicative subgroup")
-    field = subgroup.field
-    g = Polynomial.monomial(field, field.one(), len(subgroup))
-    blocks = _regular_blocks(subgroup)
-    values = _verify_constant_on(g, blocks)
-    return GoodPolynomial(g, OrbitPartition(blocks), values, subgroup, None)
+    blocks = tuple(
+        blk for blk in orbits(subgroup, field.elements()).orbits if len(blk) == len(subgroup)
+    )
+    values = []
+    for blk in blocks:
+        vals = {g(x) for x in blk}
+        if len(vals) != 1:
+            raise ConstructionError(f"polynomial is not constant on the block {blk!r}")
+        values.append(next(iter(vals)))
+    return GoodPolynomial(g, OrbitPartition(blocks), tuple(values), subgroup, alpha)
 
 
 def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:

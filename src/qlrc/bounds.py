@@ -29,14 +29,6 @@ class TooLarge(ResourceError):
     """q**k exceeds the enumeration cap."""
 
 
-class NotAglProvenance(InputError):
-    """The instance does not carry the subgroup the spectral bound needs."""
-
-
-class NoConvergence(ConstructionError):
-    """The eigenvalue sweep failed to reach its tolerance."""
-
-
 class NotRegular(InputError):
     """The vertex set is not a single full-size orbit."""
 
@@ -159,16 +151,9 @@ class QlrcParams:
     degree_bound: int
     agl_bound_real: float | None
     agl_bound_int: int | None
-    agl_vacuous: bool | None
     singleton_rhs_at_agl_bound: int | None
     optimal: bool | None
     delta_exact: int | None = None
-
-    def delta_floor(self) -> int:
-        cands = [self.degree_bound]
-        if self.agl_bound_int is not None:
-            cands.append(self.agl_bound_int)
-        return max(cands)
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,13 +176,13 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
     """[[n, 2k-n]] parameters plus every bound this package can certify."""
     n, r, ell = inst.n, inst.r, inst.ell
     p = smallest_prime_factor(r + 1)
-    if inst.eval_set.good.subgroup is not None and ell is not None:
+    if ell is not None:
         bv = agl_bound(n, r, ell, p)
         rhs = quantum_singleton_rhs(n, bv.ceiling, r)
         opt = singleton_optimal(n, inst.kappa, bv.ceiling, r)
-        agl_real, agl_int, vac = bv.real, bv.ceiling, bv.vacuous
+        agl_real, agl_int = bv.real, bv.ceiling
     else:
-        agl_real = agl_int = vac = rhs = opt = None
+        agl_real = agl_int = rhs = opt = None
     return QlrcParams(
         n=n,
         kappa=inst.kappa,
@@ -208,7 +193,6 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
         degree_bound=degree_bound(n, r, ell),
         agl_bound_real=agl_real,
         agl_bound_int=agl_int,
-        agl_vacuous=vac,
         singleton_rhs_at_agl_bound=rhs,
         optimal=opt,
         delta_exact=delta_exact,
@@ -293,7 +277,7 @@ def distance_bruteforce(inst: CodeInstance, cap: int = 1 << 24) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Schreier graphs and the mixing audit
+# Schreier graphs and their spectra
 
 
 @dataclass(frozen=True)
@@ -361,70 +345,36 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
     )
 
 
-def jacobi_eigenvalues(mat, tol: float = 1e-10, max_sweeps: int = 100) -> list[float]:
-    """All eigenvalues of a small dense symmetric matrix, by cyclic Jacobi.
+def _matmul(x, y):
+    size = len(x)
+    return [[sum(x[i][m] * y[m][j] for m in range(size)) for j in range(size)] for i in range(size)]
 
-    Sweeps rotate away off-diagonal entries until their Frobenius norm
-    drops below tol; raises NoConvergence if max_sweeps is exhausted.
+
+def second_eigenvalue(graph: SchreierGraph) -> float:
+    """Largest |eigenvalue| after removing one copy of the top (degree) one.
+
+    With R vertices and t = |Theta| the adjacency matrix A is J minus the
+    cliques on Theta's cosets, so its spectrum is {R - t (simple), -t, 0}.
+    This is certified in integer arithmetic: A symmetric and
+    A(A + tI)(A - (R - t)I) = 0 put every eigenvalue in {R - t, -t, 0};
+    tr A = 0 and tr A^2 = R(R - t) then force R - t to be simple and -t to
+    occur.  The answer is t exactly; any failed identity raises.
     """
-    a = [[float(x) for x in row] for row in mat]
-    size = len(a)
-    if size == 1:
-        return [a[0][0]]
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(a[i][j] ** 2 for i in range(size) for j in range(i + 1, size)) * 2.0)
-        if off < tol:
-            return sorted(a[i][i] for i in range(size))
-        for p_ in range(size - 1):
-            for q_ in range(p_ + 1, size):
-                apq = a[p_][q_]
-                if abs(apq) < tol / (size * size):
-                    continue
-                theta = (a[q_][q_] - a[p_][p_]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p_][p_], a[q_][q_]
-                for i in range(size):
-                    if i == p_ or i == q_:
-                        continue
-                    aip, aiq = a[i][p_], a[i][q_]
-                    a[i][p_] = a[p_][i] = c * aip - s * aiq
-                    a[i][q_] = a[q_][i] = s * aip + c * aiq
-                a[p_][p_] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q_][q_] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p_][q_] = a[q_][p_] = 0.0
-    raise NoConvergence(f"off-diagonal norm still above {tol} after {max_sweeps} sweeps")
-
-
-def second_eigenvalue(graph: SchreierGraph, tol: float = 1e-10, max_sweeps: int = 100) -> float:
-    """Largest |eigenvalue| after removing one copy of the top (degree) one."""
-    eig = jacobi_eigenvalues(graph.adjacency, tol=tol, max_sweeps=max_sweeps)
-    top = max(eig)
-    if abs(top - graph.mu) > 1e-6:
-        raise ConstructionError(f"top eigenvalue {top} is not the degree {graph.mu}")
-    eig.remove(top)
-    return max(abs(e) for e in eig) if eig else 0.0
-
-
-def expander_mixing_check(graph: SchreierGraph, s_idx, t_idx, lam: float | None = None) -> bool:
-    """|e(S,T) - d|S||T|/n| <= lam*sqrt(|S||T|(1-|S|/n)(1-|T|/n)), with slack.
-
-    e(S, T) counts ordered pairs (x, y) with x in S, y in T, x ~ y, so an
-    edge inside S-intersect-T contributes twice, matching the spectral
-    proof's convention.  A 1e-6 additive slack absorbs eigensolver error.
-    """
-    if lam is None:
-        lam = second_eigenvalue(graph)
-    size = len(graph.vertices)
-    s_idx, t_idx = list(s_idx), list(t_idx)
-    e = sum(graph.adjacency[i][j] for i in s_idx for j in t_idx)
-    ns, nt = len(s_idx), len(t_idx)
-    lhs = abs(e - graph.mu * ns * nt / size)
-    rhs = lam * math.sqrt(ns * nt * (1 - ns / size) * (1 - nt / size)) + 1e-6
-    return lhs <= rhs
+    a = graph.adjacency
+    size, t = len(a), graph.theta_order
+    top = size - t
+    if any(a[i][j] != a[j][i] for i in range(size) for j in range(i)):
+        raise ConstructionError("adjacency matrix is not symmetric")
+    a2 = _matmul(a, a)
+    p = [[a2[i][j] + t * a[i][j] for j in range(size)] for i in range(size)]
+    pa = _matmul(p, a)
+    if any(pa[i][j] != top * p[i][j] for i in range(size) for j in range(size)):
+        raise ConstructionError(f"A(A + {t}I)(A - {top}I) is not zero")
+    if sum(a[i][i] for i in range(size)) != 0:
+        raise ConstructionError("adjacency matrix has a nonzero trace")
+    if sum(a2[i][i] for i in range(size)) != size * top:
+        raise ConstructionError(f"tr A^2 != {size} * {top}")
+    return float(t)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +417,6 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     """
     es = inst.eval_set
     sub = es.good.subgroup
-    if sub is None:
-        raise NotAglProvenance("instance carries no acting subgroup")
     if inst.ell is None:
         raise InputError("audit needs a nonempty x^i monomial part")
     fld, n, r, ell = inst.field, inst.n, inst.r, inst.ell

@@ -64,6 +64,19 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p**m, or InputError when q is not a prime power."""
+    p = bounds_mod.smallest_prime_factor(q)
+    m = 0
+    qq = q
+    while qq % p == 0:
+        qq //= p
+        m += 1
+    if qq != 1:
+        raise InputError(f"q = {q} is not a prime power")
+    return p, m
+
+
 def _read_gg_file(path: str) -> dict[int, str]:
     """User-supplied kappa -> bound column, echoed verbatim into the table."""
     table: dict[int, str] = {}
@@ -88,14 +101,7 @@ def _cmd_bounds(args) -> int:
         if args.n is None or args.r is None or args.q is None:
             raise InputError("--sweep-kappa needs --n, --r, and --q")
         n, r, q = args.n, args.r, args.q
-        p = bounds_mod.smallest_prime_factor(q)
-        m = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
-            m += 1
-        if qq != 1:
-            raise InputError(f"q = {q} is not a prime power")
+        _prime_power(q)
         if n > q:
             raise InputError(f"n = {n} exceeds the field size q = {q}")
         gg = _read_gg_file(args.gg_file) if args.gg_file else None
@@ -191,14 +197,7 @@ def _divisors(n: int) -> list[int]:
 
 def _cmd_search(args) -> int:
     q = args.q
-    p = bounds_mod.smallest_prime_factor(q)
-    m = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        m += 1
-    if qq != 1:
-        raise InputError(f"q = {q} is not a prime power")
+    p, m = _prime_power(q)
     modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     fld = Field(p, m, modulus)
     everything = list(fld.elements())

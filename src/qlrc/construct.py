@@ -208,22 +208,16 @@ class ExponentSets:
         return sorted(self.t1 + self.s2, key=self.degree)
 
 
-def exponent_sets(n: int, k: int, r: int, allow_degenerate: bool = False) -> ExponentSets:
+def exponent_sets(n: int, k: int, r: int) -> ExponentSets:
     """Exponent sets for an [n, k] code with locality r.
 
-    Requires (r+1) | n and n/2 < k <= n*r/(r+1).  The degenerate boundary
-    k == n/(r+1) (no x^i monomials at all) is only reachable with
-    allow_degenerate=True; it produces a code equal to its own dual span
-    and is of no use downstream, so it is fenced off by default.
+    Requires (r+1) | n and n/2 < k <= n*r/(r+1).
     """
     if r < 2:
         raise LocalityTooSmall(f"locality {r} < 2")
     if n <= 0 or n % (r + 1) != 0:
         raise BadDimension(f"block size {r + 1} does not divide n = {n}")
     u_count = n // (r + 1)
-    if allow_degenerate and k == u_count:
-        s2 = tuple((0, j) for j in range(u_count))
-        return ExponentSets(n, k, r, (), s2, (), None, None)
     if not (2 * k > n and k * (r + 1) <= n * r):
         raise BadDimension(f"k = {k} outside (n/2, n*r/(r+1)] for n = {n}, r = {r}")
 
@@ -456,6 +450,41 @@ def _monomial_row(es: EvaluationSet, gpow: Polynomial, i: int):
     return tuple(u * f(x) for u, x in zip(es.u, es.points))
 
 
+def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tuple]:
+    """The evaluated row of every S exponent pair; T rows are among them."""
+    gpows = [Polynomial.one(es.field)]
+    for _ in range(max(j for _, j in exps.s_pairs)):
+        gpows.append(gpows[-1] * es.good.g)
+    return {(i, j): _monomial_row(es, gpows[j], i) for i, j in exps.s_pairs}
+
+
+def _generator_problem(matrix_c, matrix_d, k: int, n: int) -> str | None:
+    """G_C is k independent rows of length n; G_D is n - k distinct rows of G_C.
+
+    Distinct rows of a full-rank G_C are independent, so this gives
+    rank(G_D) = n - k and D inside C with a single elimination.
+    """
+    if len(matrix_c) != k or any(len(row) != n for row in matrix_c):
+        return f"big generator is not {k} rows of length {n}"
+    if linalg.rank([list(row) for row in matrix_c]) != k:
+        return f"big generator rank != {k}"
+    rows_d = {tuple(row) for row in matrix_d}
+    if len(matrix_d) != n - k or len(rows_d) != n - k:
+        return f"dual generator is not {n - k} distinct rows"
+    if not rows_d <= {tuple(row) for row in matrix_c}:
+        return "a dual generator row is not a row of the big generator"
+    return None
+
+
+def _orthogonality_problem(matrix_c, matrix_d) -> str | None:
+    """G_D * G_C^T = 0.  With _generator_problem clean this gives D = C-perp."""
+    for j, rd in enumerate(matrix_d):
+        for i, rc in enumerate(matrix_c):
+            if not linalg.dot(list(rd), list(rc)).is_zero():
+                return f"dual row {j} is not orthogonal to big row {i}"
+    return None
+
+
 def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
     """Generator matrices for S and T spans, with all structure checks on.
 
@@ -463,40 +492,24 @@ def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
     not behave; with a correctly solved multiplier vector these indicate an
     upstream bug, not bad input, hence construction errors.
     """
-    n, r = es.n, es.r
-    exps = exponent_sets(n, k, r)
-    fld = es.field
+    exps = exponent_sets(es.n, k, es.r)
+    by_pair = _s_rows(es, exps)
+    rows_s = tuple(by_pair[p] for p in exps.s_pairs)
+    rows_t = tuple(by_pair[p] for p in exps.t_pairs)
 
-    max_j = max(j for _, j in exps.s_pairs)
-    gpows = [Polynomial.one(fld)]
-    for _ in range(max_j):
-        gpows.append(gpows[-1] * es.good.g)
-
-    rows_s = [_monomial_row(es, gpows[j], i) for i, j in exps.s_pairs]
-    rows_t = [_monomial_row(es, gpows[j], i) for i, j in exps.t_pairs]
-
-    if linalg.rank([list(r_) for r_ in rows_s]) != k:
-        raise RankDeficient(f"big span evaluated to rank < {k}")
-    if linalg.rank([list(r_) for r_ in rows_t]) != n - k:
-        raise RankDeficient(f"dual span evaluated to rank < {n - k}")
-    for i, rs in enumerate(rows_s):
-        for j, rt in enumerate(rows_t):
-            if not linalg.dot(list(rs), list(rt)).is_zero():
-                raise OrthogonalityFailure(
-                    f"S row {exps.s_pairs[i]} not orthogonal to T row {exps.t_pairs[j]}"
-                )
-    stacked = [list(r_) for r_ in rows_s] + [list(r_) for r_ in rows_t]
-    if linalg.rank(stacked) != k:
-        raise ConstructionError("dual span escapes the big span")
-    if not set(exps.t_pairs) <= set(exps.s_pairs):
-        raise ConstructionError("T exponents escape S")
+    problem = _generator_problem(rows_s, rows_t, k, es.n)
+    if problem:
+        raise RankDeficient(problem)
+    problem = _orthogonality_problem(rows_s, rows_t)
+    if problem:
+        raise OrthogonalityFailure(problem)
 
     return CodeInstance(
         eval_set=es,
         k=k,
         exps=exps,
-        matrix_c=tuple(rows_s),
-        matrix_d=tuple(rows_t),
+        matrix_c=rows_s,
+        matrix_d=rows_t,
         seed=seed,
     )
 
@@ -679,23 +692,6 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
             return "a multiplier is zero"
         return None
 
-    def chk_ranks():
-        if linalg.rank([list(row) for row in inst.matrix_c]) != k:
-            return f"big generator rank != {k}"
-        if linalg.rank([list(row) for row in inst.matrix_d]) != n - k:
-            return f"dual generator rank != {n - k}"
-        return None
-
-    def chk_dual_containment():
-        for rs in inst.matrix_c:
-            for rt in inst.matrix_d:
-                if not linalg.dot(list(rs), list(rt)).is_zero():
-                    return "a generator row pair is not orthogonal"
-        stacked = [list(row) for row in inst.matrix_c] + [list(row) for row in inst.matrix_d]
-        if linalg.rank(stacked) != k:
-            return "dual rows escape the big code"
-        return None
-
     def chk_constancy():
         g = es.good.g
         if g.degree != r + 1:
@@ -714,14 +710,14 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
             ell = max(exps.degree(p) for p in exps.s1)
             if ell != exps.ell:
                 return "stored ell does not match the exponent list"
-        gpows = [Polynomial.one(fld)]
-        for _ in range(max(j for _, j in exps.s_pairs)):
-            gpows.append(gpows[-1] * es.good.g)
+        if len(inst.matrix_c) != len(exps.s_pairs) or len(inst.matrix_d) != len(exps.t_pairs):
+            return "generator row counts do not match the exponent lists"
+        by_pair = _s_rows(es, exps)
         for pair, row in zip(exps.s_pairs, inst.matrix_c):
-            if _monomial_row(es, gpows[pair[1]], pair[0]) != tuple(row):
+            if by_pair[pair] != tuple(row):
                 return f"S row {pair} does not match its evaluation"
         for pair, row in zip(exps.t_pairs, inst.matrix_d):
-            if _monomial_row(es, gpows[pair[1]], pair[0]) != tuple(row):
+            if by_pair[pair] != tuple(row):
                 return f"T row {pair} does not match its evaluation"
         return None
 
@@ -758,8 +754,8 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
 
     return [
         _check("multiplier-power-sums", chk_power_sums),
-        _check("generator-ranks", chk_ranks),
-        _check("dual-containment", chk_dual_containment),
+        _check("generator-ranks", lambda: _generator_problem(inst.matrix_c, inst.matrix_d, k, n)),
+        _check("dual-containment", lambda: _orthogonality_problem(inst.matrix_c, inst.matrix_d)),
         _check("block-polynomial-constancy", chk_constancy),
         _check("generator-row-consistency", chk_rows_match),
         _check("quotient-ring-closure", chk_ring),

@@ -279,10 +279,8 @@ class Field:
         """A square root of a, or None when a is a non-residue.
 
         In characteristic 2 squaring is a bijection and the root is unique.
-        For odd q the two roots differ by sign and the canonically smaller
-        one is returned.  Small fields (q <= 2**16) use an exhaustive scan;
-        larger ones run Tonelli-Shanks.  The two strategies agree wherever
-        both apply.
+        For odd q the two roots differ by sign; Tonelli-Shanks finds one and
+        the canonically smaller one is returned.
         """
         a = self.element(a)
         if a.is_zero():
@@ -291,17 +289,8 @@ class Field:
             return a ** (self.q // 2)
         if not self.is_quadratic_residue(a):
             return None
-        if self.q <= (1 << 16):
-            r = self._sqrt_exhaustive(a)
-        else:
-            r = self._sqrt_tonelli(a)
+        r = self._sqrt_tonelli(a)
         return min(r, -r, key=lambda e: e.value())
-
-    def _sqrt_exhaustive(self, a: FieldElement) -> FieldElement:
-        for x in self.elements():
-            if x * x == a:
-                return x
-        raise AssertionError("residue with no root")  # unreachable
 
     def _sqrt_tonelli(self, a: FieldElement) -> FieldElement:
         one = self.one()

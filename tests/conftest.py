@@ -4,9 +4,11 @@ Instances are immutable once built, so session scope is safe and keeps the
 suite fast.
 """
 
+import json
+
 import pytest
 
-from qlrc import Field, build_code, build_evaluation_set, subgroup_from_MB
+from qlrc import Field, build_code, build_evaluation_set, instance_to_dump, subgroup_from_MB
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +69,24 @@ def inst9x():
     m4 = {g ** (2 * i) for i in range(4)}
     sub = subgroup_from_MB(f9, 2, m4, {f9.zero()})
     return build_code(build_evaluation_set(sub, domain="orbits", n=8), 5)
+
+
+@pytest.fixture()
+def tampered_dual_dumps(inst8):
+    """[8,5]_8 dumps whose generator_d is cut short, repeats a row, or holds
+    a dual word that is not a row of generator_c, each paired with the
+    verify check that must catch it."""
+    dump = instance_to_dump(inst8)
+    dropped = json.loads(json.dumps(dump))
+    del dropped["generator_d"][-1]
+    repeated = json.loads(json.dumps(dump))
+    repeated["generator_d"][1] = repeated["generator_d"][0]
+    summed = json.loads(json.dumps(dump))
+    f = inst8.field
+    d0, d1 = ([f.element(c) for c in row] for row in summed["generator_d"][:2])
+    summed["generator_d"][0] = [(a + b).to_list() for a, b in zip(d0, d1)]
+    return [
+        (dropped, "generator-row-consistency"),
+        (repeated, "generator-ranks"),
+        (summed, "generator-ranks"),
+    ]

@@ -132,6 +132,15 @@ def test_verify_tampered_g_exits_4(tmp_path, dump8, capsys):
     assert "block-polynomial-constancy: FAIL" in capsys.readouterr().out
 
 
+def test_verify_tampered_dual_rows_exit_4(tmp_path, tampered_dual_dumps, capsys):
+    for i, (d, check) in enumerate(tampered_dual_dumps):
+        bad = tmp_path / f"bad_d{i}.json"
+        bad.write_text(json.dumps(d))
+        rc = main(["verify", "--instance", str(bad), "--trials", "5"])
+        assert rc == 4
+        assert f"{check}: FAIL" in capsys.readouterr().out
+
+
 def test_bounds_report_json(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8)])
     assert rc == 0

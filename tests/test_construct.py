@@ -140,9 +140,7 @@ def test_exponent_sets_window_enforced():
 
 def test_exponent_sets_degenerate_boundary_is_fenced():
     with pytest.raises(BadDimension):
-        exponent_sets(8, 2, 3)
-    ex = exponent_sets(8, 2, 3, allow_degenerate=True)
-    assert ex.s1 == () and ex.ell is None
+        exponent_sets(8, 2, 3)  # k = n/(r+1): no x^i monomials at all
 
 
 def test_exponent_degrees_all_distinct():
@@ -376,6 +374,12 @@ def test_tampered_generator_row_fails(inst8):
     inst = instance_from_dump(bad)
     by_name = {c.name: c for c in verify_instance(inst, trials=5)}
     assert not by_name["generator-row-consistency"].ok
+
+
+def test_tampered_dual_rows_fail(tampered_dual_dumps):
+    for bad, check in tampered_dual_dumps:
+        by_name = {c.name: c for c in verify_instance(instance_from_dump(bad), trials=5)}
+        assert not by_name[check].ok, check
 
 
 def test_malformed_dump_rejected(inst8):
