@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .agl import AglSubgroup, theta_subgroup
-from .construct import CodeInstance
-from .errors import ConstructionError, InputError, ResourceError
+from .construct import CodeInstance, exponent_sets
+from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import FieldElement
 from .poly import Polynomial
 from .rng import Xorshift64Star
@@ -172,9 +172,24 @@ class QlrcParams:
         }
 
 
+_EXPONENT_FIELDS = ("s1", "s2", "t1", "ell", "ell_prime")
+
+
 def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams:
-    """[[n, 2k-n]] parameters plus every bound this package can certify."""
-    n, r, ell = inst.n, inst.r, inst.ell
+    """[[n, 2k-n]] parameters plus every bound this package can certify.
+
+    ell is derived from exponent_sets(n, k, r), never read from the
+    instance; an instance whose stored exponent data disagree with that
+    derivation raises VerificationError.
+    """
+    exps = exponent_sets(inst.n, inst.k, inst.r)
+    wrong = [f for f in _EXPONENT_FIELDS if getattr(inst.exps, f) != getattr(exps, f)]
+    if wrong:
+        raise VerificationError(
+            f"stored {', '.join(wrong)} disagree with the exponent sets of "
+            f"n = {inst.n}, k = {inst.k}, r = {inst.r}"
+        )
+    n, r, ell = inst.n, inst.r, exps.ell
     p = smallest_prime_factor(r + 1)
     if ell is not None:
         bv = agl_bound(n, r, ell, p)
@@ -201,8 +216,6 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
 
 def sweep_rows(n: int, r: int):
     """(kappa, degree_bound, agl_bound_int) for every admissible dimension."""
-    from .construct import exponent_sets  # local to avoid cycle at import time
-
     if n % (r + 1):
         raise InputError(f"block size {r + 1} does not divide n = {n}")
     p = smallest_prime_factor(r + 1)
@@ -315,7 +328,7 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
         if len({f(x) for f in subgroup}) != len(subgroup):
             raise NotRegular(f"action is not free at {x!r}")
 
-    idx = {x.coeffs: i for i, x in enumerate(verts)}
+    idx = {x.v: i for i, x in enumerate(verts)}
     size = len(verts)
 
     def adj_from(maps):
@@ -323,9 +336,9 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
         for i, x in enumerate(verts):
             for t in maps:
                 y = t(x)
-                if y.coeffs not in idx:
+                if y.v not in idx:
                     raise NotRegular("generating set walks out of the orbit")
-                mat[i][idx[y.coeffs]] = 1
+                mat[i][idx[y.v]] = 1
         return mat
 
     mat = adj_from(gens)
@@ -486,14 +499,14 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
             failures.append(f"trial {trial}: quotient product degree {gdeg} exceeds its cap")
 
         zero_idx = [i for i, w in enumerate(word) if w.is_zero()]
-        zero_set = {es.points[i].coeffs for i in zero_idx}
+        zero_set = {es.points[i].v for i in zero_idx}
         pair_count = 0
         for i in zero_idx:
             x = es.points[i]
             for t in sub:
                 if t in theta_set:
                     continue
-                if t(x).coeffs in zero_set:
+                if t(x).v in zero_set:
                     pair_count += 1
         root_count = 0
         gg = bigg

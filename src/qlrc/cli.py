@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
@@ -116,8 +117,9 @@ def _cmd_bounds(args) -> int:
     if args.instance is None:
         raise InputError("bounds needs --instance or --sweep-kappa")
     inst = construct_mod.instance_from_dump(_load_json(args.instance))
-    delta = bounds_mod.distance_bruteforce(inst, cap=args.cap) if args.brute_force else None
-    params = bounds_mod.css_params(inst, delta_exact=delta)
+    params = bounds_mod.css_params(inst)  # rejects inconsistent exponent data first
+    if args.brute_force:
+        params = replace(params, delta_exact=bounds_mod.distance_bruteforce(inst, cap=args.cap))
     _emit(json.dumps(params.to_json_dict(), sort_keys=True, indent=2) + "\n", args.output)
     return 0
 

@@ -13,6 +13,7 @@ a repair group of size r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .agl import (
@@ -80,15 +81,13 @@ class MultiplierSolution:
 def _power_sum_check(u, points, upto: int) -> bool:
     """sum_i u_i^2 * x_i^j == 0 for 0 <= j <= upto, by direct summation."""
     field = points[0].field
-    w = [ui * ui for ui in u]
-    pw = [field.one()] * len(points)
+    xs = field.ints(points)
+    w = [field.mul(ui, ui) for ui in field.ints(u)]
+    pw = [1] * len(xs)
     for _ in range(upto + 1):
-        acc = field.zero()
-        for wi, pi in zip(w, pw):
-            acc = acc + wi * pi
-        if not acc.is_zero():
+        if field.dot(w, pw):
             return False
-        pw = [p * x for p, x in zip(pw, points)]
+        pw = [field.mul(p, x) for p, x in zip(pw, xs)]
     return True
 
 
@@ -107,7 +106,7 @@ def solve_multipliers(points) -> MultiplierSolution:
         raise InputError("need at least two evaluation points")
     fld = points[0].field
     points = [fld.element(x) for x in points]
-    if len({x.coeffs for x in points}) != len(points):
+    if len({x.v for x in points}) != len(points):
         raise DegenerateSet("evaluation points repeat")
 
     v = []
@@ -354,8 +353,8 @@ def build_evaluation_set(
             raise InputError("explicit domain is not a union of full-size orbits")
 
     points = sorted({x for b in chosen for x in b}, key=lambda e: e.value())
-    index = {x.coeffs: i for i, x in enumerate(points)}
-    blocks = tuple(tuple(sorted(index[x.coeffs] for x in b)) for b in chosen)
+    index = {x.v: i for i, x in enumerate(points)}
+    blocks = tuple(tuple(sorted(index[x.v] for x in b)) for b in chosen)
     blocks = tuple(sorted(blocks, key=lambda b: b[0]))
 
     sol = solve_multipliers(points)
@@ -425,6 +424,11 @@ class CodeInstance:
     def field(self) -> Field:
         return self.eval_set.field
 
+    @cached_property
+    def _rows_c_ints(self) -> tuple[list[int], ...]:
+        """The rows of matrix_c as integer encodings, for encode."""
+        return tuple(self.field.ints(row) for row in self.matrix_c)
+
     @property
     def kappa(self) -> int:
         return 2 * self.k - self.n
@@ -446,8 +450,11 @@ class CodeInstance:
 
 
 def _monomial_row(es: EvaluationSet, gpow: Polynomial, i: int):
-    f = gpow.shift(i)
-    return tuple(u * f(x) for u, x in zip(es.u, es.points))
+    """u_z * x^i * gpow(x) at every point z, by integer Horner."""
+    f = es.field
+    coeffs = [0] * i + [c.v for c in gpow.coeffs]
+    vals = [f.mul(u, f.horner(coeffs, x)) for u, x in zip(f.ints(es.u), f.ints(es.points))]
+    return tuple(f.from_ints(vals))
 
 
 def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tuple]:
@@ -519,13 +526,11 @@ def encode(inst: CodeInstance, message) -> list[FieldElement]:
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
     fld = inst.field
-    msg = [fld.element(c) for c in message]
-    out = [fld.zero()] * inst.n
-    for m, row in zip(msg, inst.matrix_c):
-        if m.is_zero():
-            continue
-        out = [acc + m * c for acc, c in zip(out, row)]
-    return out
+    out = [0] * inst.n
+    for m, row in zip(fld.ints(message), inst._rows_c_ints):
+        if m:
+            out = fld.axpy(out, m, row)
+    return fld.from_ints(out)
 
 
 def repair(inst: CodeInstance, received, z: int) -> FieldElement:

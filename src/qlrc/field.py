@@ -1,20 +1,30 @@
 """Exact arithmetic in small finite fields GF(p^m).
 
-Elements are dense coefficient vectors over GF(p) in the polynomial basis of
-a fixed monic irreducible modulus, so every operation is exact integer
-arithmetic.  Field orders are capped at 2**20 because everything downstream
-(orbit enumeration, codeword scans, root counting) iterates over field
-elements.
+An element is stored as its integer encoding sum(c_i * p**i), where c_i are
+its coefficients in the polynomial basis of a fixed monic irreducible
+modulus.  Multiplication, inversion and powers go through exp/log tables of
+a primitive element; addition is XOR in characteristic 2 and goes through a
+Zech logarithm table (log(1 + g^i)) for odd p.  The tables are built on the
+first arithmetic use of a field, by integer shift-and-reduce, and shared by
+every Field with the same (p, m, modulus).  Field orders are capped at 2**20
+because everything downstream (orbit enumeration, codeword scans, root
+counting) iterates over field elements.
+
+Hot loops elsewhere in the package work on lists of these integers through
+the Field's integer operations (add, mul, axpy, dot, horner, ...), and wrap
+the results back into FieldElement objects at their boundaries.
 
 One canonical total order is used everywhere an element has to be "the
 smallest" (default moduli, primitive elements, square-root tie-breaks,
-evaluation-point ordering): elements compare by their integer encoding
-sum(c_i * p**i), i.e. coefficient vectors compared from the highest degree
-down.  The same encoding orders polynomials over GF(p) when a default
-modulus is selected.
+evaluation-point ordering): elements compare by their integer encoding,
+i.e. coefficient vectors compared from the highest degree down.  The same
+encoding orders polynomials over GF(p) when a default modulus is selected.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 from .errors import InputError, ResourceError
 
@@ -52,8 +62,37 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def _digits(v: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of v, least significant first."""
+    out = []
+    for _ in range(m):
+        v, c = divmod(v, p)
+        out.append(c)
+    return out
+
+
+def _value(digits, p: int) -> int:
+    v = 0
+    for c in reversed(digits):
+        v = v * p + c
+    return v
+
+
 # ---------------------------------------------------------------------------
-# dense int-list polynomials over GF(p), used only for modulus handling
+# dense int-list polynomials over GF(p), for modulus handling and table builds
 
 
 def _ptrim(c: list[int]) -> list[int]:
@@ -92,11 +131,7 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
     deg = len(mod) - 1
     for d in range(1, deg // 2 + 1):
         for v in range(p**d):
-            div, t = [0] * d + [1], v
-            for i in range(d):
-                div[i] = t % p
-                t //= p
-            if not _pmod(mod, div, p):
+            if not _pmod(mod, _digits(v, p, d) + [1], p):
                 return False
     return True
 
@@ -104,13 +139,116 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
 def _default_modulus(p: int, m: int) -> list[int]:
     """Smallest (by integer encoding) monic irreducible of degree m."""
     for v in range(p**m):
-        cand, t = [0] * m + [1], v
-        for i in range(m):
-            cand[i] = t % p
-            t //= p
+        cand = _digits(v, p, m) + [1]
         if _is_irreducible(cand, p):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+# ---------------------------------------------------------------------------
+# exp / log / Zech tables
+
+
+def _int_mul(p: int, m: int, modulus: tuple[int, ...]):
+    """Product of two encodings by schoolbook multiplication and reduction;
+    slow, used only to find a generator before the tables exist."""
+    mod = list(modulus)
+
+    def mul(a: int, b: int) -> int:
+        return _value(_pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), mod, p), p)
+
+    return mul
+
+
+def _int_pow(mul, a: int, e: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        e >>= 1
+    return r
+
+
+def _times_x_walk(p: int, m: int, modulus: tuple[int, ...], start: int, count: int) -> list[int]:
+    """Encodings of start * x^j for 0 <= j < count, by shift-and-reduce."""
+    out = [start]
+    if p == 2:
+        red, top, v = _value(modulus, 2), 1 << m, start
+        for _ in range(count - 1):
+            v <<= 1
+            if v & top:
+                v ^= red
+            out.append(v)
+        return out
+    # odd p: shift the digits up and fold the top one back through the modulus
+    negmod = [(-a) % p for a in modulus[:-1]]
+    place = [p**j for j in range(m)]
+    digits = _digits(start, p, m)
+    for _ in range(count - 1):
+        top = digits[-1]
+        digits = [(s + top * r) % p for s, r in zip([0] + digits[:-1], negmod)]
+        out.append(sum(map(operator.mul, digits, place)))
+    return out
+
+
+def _build_tables(p: int, m: int, modulus: tuple[int, ...]):
+    """(exp, log, zech, g) for GF(p^m) with g the canonically smallest
+    primitive element.
+
+    With n = q - 1: exp[i] = g^i for 0 <= i < 2n, followed by 2n + 1 zeros;
+    log[0] = 2n, so exp[log[a] + log[b]] is a * b for every pair, zero
+    included.  For odd p, zech[i] = log(1 + g^i) (log[0] where that sum is
+    zero), stored twice over so that any index in (-2n, 2n) reads it mod n.
+
+    For m > 1 the powers come from shift-and-reduce walks: x generates the
+    subgroup of order d = ord(x) and index e = n / d, which also contains
+    g^e = x^j0.  The coset g^r <x> (r < e) is walked from g^r by
+    multiplying by x, and g^(r + e*k) = g^r * x^(j0*k mod d).  Only the e
+    coset leaders and the search for g use full multiplication.
+    """
+    q = p**m
+    n = q - 1
+    mul = _int_mul(p, m, modulus)
+    factors = _prime_factors(n)
+    g = next(
+        v for v in range(1, q) if all(_int_pow(mul, v, n // f) != 1 for f in factors)
+    )
+    if m == 1:
+        powers = [1] * n
+        for i in range(1, n):
+            powers[i] = powers[i - 1] * g % p
+    else:
+        d = n  # the order of x
+        for f in factors:
+            while d % f == 0 and _int_pow(mul, p, d // f) == 1:
+                d //= f
+        e = n // d
+        subgroup = _times_x_walk(p, m, modulus, 1, d)
+        j0 = subgroup.index(_int_pow(mul, g, e))
+        powers = [0] * n
+        leader = 1
+        for r in range(e):
+            walk = subgroup if r == 0 else _times_x_walk(p, m, modulus, leader, d)
+            powers[r::e] = walk if j0 == 1 else [walk[j0 * k % d] for k in range(d)]
+            leader = mul(leader, g)
+    log = [2 * n] * q
+    for i, v in enumerate(powers):
+        log[v] = i
+    exp = powers + powers
+    exp.extend(itertools.repeat(0, 2 * n + 1))
+    zech = None
+    if p != 2:
+        # 1 + g^i only changes the lowest digit of g^i
+        zech = [log[v + 1 if v % p != p - 1 else v - (p - 1)] for v in powers]
+        zech += zech
+    return exp, log, zech, g
+
+
+# (p, m, modulus) -> _build_tables(p, m, modulus), shared by every Field with
+# that descriptor; the tables are never written after they are built.
+_TABLES: dict[tuple, tuple] = {}
+_TABLE_ATTRS = ("_exp", "_log", "_zech", "_g")
 
 
 class Field:
@@ -119,6 +257,11 @@ class Field:
     Instances are immutable in use; two Field objects compare equal when
     they have the same (p, m, modulus) descriptor, so elements may flow
     between independently constructed copies of the same field.
+
+    Besides the FieldElement API, a Field offers arithmetic directly on
+    integer encodings (add, sub, neg, mul, inv and the list kernels axpy,
+    dot, horner) for loops that would otherwise allocate an element per
+    operation.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -141,24 +284,23 @@ class Field:
             if not _is_irreducible(modulus, p):
                 raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
-        # reduction table: coefficients of x^t mod modulus for t = m .. 2m-2
-        self._xpow: list[tuple[int, ...]] = []
-        cur = [(-c) % p for c in modulus[:-1]]  # x^m
-        for _ in range(max(m - 1, 0)):
-            self._xpow.append(tuple(cur))
-            lead = cur[-1]
-            nxt = [0] + cur[:-1]
-            if lead:
-                for i in range(m):
-                    nxt[i] = (nxt[i] - lead * modulus[i]) % p
-            cur = nxt
-        self._prim: FieldElement | None = None
         self._tables: tuple[list[list[int]], list[list[int]]] | None = None
+
+    def __getattr__(self, name):
+        # Only reached for attributes not set yet: the exp/log tables are
+        # fetched (or built) on first arithmetic use, not at construction.
+        if name in _TABLE_ATTRS:
+            key = (self.p, self.m, self.modulus)
+            if key not in _TABLES:
+                _TABLES[key] = _build_tables(*key)
+            self._exp, self._log, self._zech, self._g = _TABLES[key]
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Field)
             and self.p == other.p
             and self.m == other.m
@@ -176,7 +318,7 @@ class Field:
     def element(self, v) -> FieldElement:
         """Coerce an int encoding, a coefficient list, or an element."""
         if isinstance(v, FieldElement):
-            if v.field != self:
+            if v.field is not self and v.field != self:
                 raise FieldMismatch(f"element of {v.field!r} used in {self!r}")
             return v
         if isinstance(v, int):
@@ -184,77 +326,135 @@ class Field:
         coeffs = [int(c) % self.p for c in v]
         if len(coeffs) > self.m:
             raise InputError(f"coefficient vector longer than {self.m}")
-        coeffs += [0] * (self.m - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, _value(coeffs, self.p))
 
     def from_value(self, v: int) -> FieldElement:
         if not 0 <= v < self.q:
             raise InputError(f"value {v} outside [0, {self.q})")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(v % self.p)
-            v //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, v)
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.m)
+        return FieldElement(self, 0)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
+        return FieldElement(self, 1)
 
     def gen(self) -> FieldElement:
         """The polynomial generator x (equals 1 when m == 1)."""
-        if self.m == 1:
-            return self.one()
-        return FieldElement(self, (0, 1) + (0,) * (self.m - 2))
+        return FieldElement(self, 1 if self.m == 1 else self.p)
 
     def elements(self):
         """All field elements in canonical ascending order."""
         for v in range(self.q):
-            yield self.from_value(v)
+            yield FieldElement(self, v)
+
+    def ints(self, els) -> list[int]:
+        """Integer encodings of the given values, each coerced as element() does."""
+        return [
+            e.v if e.__class__ is FieldElement and e.field is self else self.element(e).v
+            for e in els
+        ]
+
+    def from_ints(self, values) -> list[FieldElement]:
+        """Elements for integer encodings already known to lie in [0, q)."""
+        return [FieldElement(self, v) for v in values]
+
+    # -- arithmetic on integer encodings -------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
+
+    def neg(self, a: int) -> int:
+        # -1 = g^((q-1)/2) for odd p; log[0] sends zero to zero
+        if self.p == 2:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroInverse(f"zero has no inverse in {self!r}")
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def power(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise ZeroInverse(f"zero has no inverse in {self!r}")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    def axpy(self, y: list[int], c: int, x: list[int]) -> list[int]:
+        """[y_i + c * x_i] over two equally long lists of encodings."""
+        exp, log = self._exp, self._log
+        lc = log[c]
+        if self.p == 2:
+            return [yi ^ exp[lc + log[xi]] for yi, xi in zip(y, x)]
+        zech, n2 = self._zech, 2 * (self.q - 1)
+        out = []
+        for yi, xi in zip(y, x):
+            t = lc + log[xi]  # log of c * x_i; n2 or more when that is zero
+            if not yi:
+                out.append(exp[t])
+            elif t >= n2:
+                out.append(yi)
+            else:
+                ly = log[yi]
+                out.append(exp[ly + zech[t - ly]])
+        return out
+
+    def dot(self, u: list[int], v: list[int]) -> int:
+        """sum_i u_i * v_i over two equally long lists of encodings."""
+        exp, log = self._exp, self._log
+        acc = 0
+        if self.p == 2:
+            for a, b in zip(u, v):
+                acc ^= exp[log[a] + log[b]]
+            return acc
+        add = self.add
+        for a, b in zip(u, v):
+            acc = add(acc, exp[log[a] + log[b]])
+        return acc
+
+    def horner(self, coeffs: list[int], x: int) -> int:
+        """The polynomial with ascending coefficients coeffs, evaluated at x."""
+        exp, log = self._exp, self._log
+        lx = log[x]
+        acc = 0
+        if self.p == 2:
+            for c in reversed(coeffs):
+                acc = exp[log[acc] + lx] ^ c
+            return acc
+        add = self.add
+        for c in reversed(coeffs):
+            acc = add(exp[log[acc] + lx], c)
+        return acc
 
     # -- derived structure ---------------------------------------------------
 
     def primitive_element(self) -> FieldElement:
         """Canonically smallest element of multiplicative order q-1."""
-        if self._prim is not None:
-            return self._prim
-        n = self.q - 1
-        if n == 1:
-            self._prim = self.one()
-            return self._prim
-        factors = []
-        t, d = n, 2
-        while d * d <= t:
-            if t % d == 0:
-                factors.append(d)
-                while t % d == 0:
-                    t //= d
-            d += 1
-        if t > 1:
-            factors.append(t)
-        one = self.one()
-        for v in range(1, self.q):
-            g = self.from_value(v)
-            if all(g ** (n // f) != one for f in factors):
-                self._prim = g
-                return g
-        raise AssertionError("multiplicative group has no generator")  # unreachable
+        return FieldElement(self, self._g)
 
     def subfield_elements(self, d: int) -> list[FieldElement]:
         """Elements of the unique subfield of order p**d (requires d | m)."""
         if self.m % d != 0:
             raise InputError(f"GF({self.p}^{d}) is not a subfield of {self!r}")
-        if d == self.m:
-            return list(self.elements())
         t = (self.q - 1) // (self.p**d - 1)
-        g = self.primitive_element() ** t
-        els = {self.zero(), self.one()}
-        x = g
-        while x != self.one():
-            els.add(x)
-            x = x * g
-        return sorted(els, key=lambda e: e.value())
+        exp = self._exp
+        return self.from_ints(sorted({0} | {exp[t * i] for i in range(self.p**d - 1)}))
 
     def extend(self) -> tuple[Field, Embedding]:
         """The quadratic extension GF(q^2) plus the embedding into it.
@@ -271,53 +471,34 @@ class Field:
     def is_quadratic_residue(self, a: FieldElement) -> bool:
         """Whether a is a square in this field.  Zero counts as a square."""
         a = self.element(a)
-        if self.p == 2 or a.is_zero():
-            return True
-        return a ** ((self.q - 1) // 2) == self.one()
+        return self.p == 2 or a.is_zero() or self._log[a.v] % 2 == 0
 
     def sqrt(self, a: FieldElement) -> FieldElement | None:
         """A square root of a, or None when a is a non-residue.
 
-        In characteristic 2 squaring is a bijection and the root is unique.
-        For odd q the two roots differ by sign; Tonelli-Shanks finds one and
-        the canonically smaller one is returned.
+        In characteristic 2 squaring is a bijection and the root a^(q/2) is
+        unique.  For odd q, a = g^k is a square exactly when k is even; its
+        roots are +-g^(k/2) and the canonically smaller one is returned.
         """
         a = self.element(a)
         if a.is_zero():
             return a
         if self.p == 2:
-            return a ** (self.q // 2)
-        if not self.is_quadratic_residue(a):
+            return FieldElement(self, self.power(a.v, self.q // 2))
+        k = self._log[a.v]
+        if k % 2:
             return None
-        r = self._sqrt_tonelli(a)
-        return min(r, -r, key=lambda e: e.value())
-
-    def _sqrt_tonelli(self, a: FieldElement) -> FieldElement:
-        one = self.one()
-        s, e = self.q - 1, 0
-        while s % 2 == 0:
-            s //= 2
-            e += 1
-        z = next(x for x in self.elements() if not x.is_zero() and not self.is_quadratic_residue(x))
-        m_, c, t, r = e, z**s, a**s, a ** ((s + 1) // 2)
-        while t != one:
-            i, t2 = 0, t
-            while t2 != one:
-                t2 = t2 * t2
-                i += 1
-            b = c ** (1 << (m_ - i - 1))
-            m_, c = i, b * b
-            t, r = t * c, r * b
-        return r
+        r = self._exp[k // 2]
+        return FieldElement(self, min(r, self.neg(r)))
 
     # -- integer-encoded op tables (internal, for codeword scans) -----------
 
     def tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """(add, mul) tables over integer encodings; built lazily."""
         if self._tables is None:
-            els = list(self.elements())
-            add = [[(a + b).value() for b in els] for a in els]
-            mul = [[(a * b).value() for b in els] for a in els]
+            q = self.q
+            add = [[self.add(a, b) for b in range(q)] for a in range(q)]
+            mul = [[self.mul(a, b) for b in range(q)] for a in range(q)]
             self._tables = (add, mul)
         return self._tables
 
@@ -340,27 +521,17 @@ class Embedding:
             raise InputError("embedding target must be the quadratic extension")
         self.src = src
         self.dst = dst
-        roots = []
-        for s in dst.subfield_elements(src.m):
-            acc = dst.zero()
-            for c in reversed(src.modulus):
-                acc = acc * s + dst.from_value(c)
-            if acc.is_zero():
-                roots.append(s)
+        # prime-field coefficients c < p encode as c in either field
+        modulus = list(src.modulus)
+        roots = [s.v for s in dst.subfield_elements(src.m) if not dst.horner(modulus, s.v)]
         if len(roots) != src.m:
             raise AssertionError("modulus does not split in the subfield")  # unreachable
-        beta = min(roots, key=lambda e: e.value())
-        self._pows = [dst.one()]
-        for _ in range(src.m - 1):
-            self._pows.append(self._pows[-1] * beta)
+        beta = min(roots)
+        self._pows = [dst.power(beta, i) for i in range(src.m)]
 
     def __call__(self, el: FieldElement) -> FieldElement:
         el = self.src.element(el)
-        acc = self.dst.zero()
-        for c, pw in zip(el.coeffs, self._pows):
-            if c:
-                acc = acc + pw * self.dst.from_value(c)
-        return acc
+        return FieldElement(self.dst, self.dst.dot(el.to_list(), self._pows))
 
 
 def field_from_descriptor(d: dict) -> Field:
@@ -372,94 +543,83 @@ def field_from_descriptor(d: dict) -> Field:
 
 
 class FieldElement:
-    """An element of a Field; immutable dense coefficient vector."""
+    """An element of a Field, held as its integer encoding v in [0, q)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "v")
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+    def __init__(self, field: Field, v: int):
         self.field = field
-        self.coeffs = coeffs
+        self.v = v
 
     # -- basics ---------------------------------------------------------------
 
     def value(self) -> int:
         """Integer encoding sum(c_i * p**i); defines the canonical order."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
+        return self.v
 
     def to_list(self) -> list[int]:
-        return list(self.coeffs)
+        """Coefficients c_0 .. c_{m-1} in the polynomial basis."""
+        return _digits(self.v, self.field.p, self.field.m)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.v
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.v)
 
     def _check(self, other) -> FieldElement:
         if not isinstance(other, FieldElement):
             raise FieldMismatch(f"cannot combine field element with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"mixing elements of {self.field!r} and {other.field!r}")
         return other
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.v == other.v
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, self.field.modulus, self.coeffs))
+        return hash(self.v)
 
     def __lt__(self, other):
-        return self.value() < self._check(other).value()
+        return self.v < self._check(other).v
 
     def __le__(self, other):
-        return self.value() <= self._check(other).value()
+        return self.v <= self._check(other).v
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._check(other)
+        if f.p == 2:
+            return FieldElement(f, self.v ^ other.v)
+        return FieldElement(f, f.add(self.v, other.v))
 
     def __sub__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._check(other)
+        if f.p == 2:
+            return FieldElement(f, self.v ^ other.v)
+        return FieldElement(f, f.sub(self.v, other.v))
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.field, self.field.neg(self.v))
 
     def __mul__(self, other):
-        other = self._check(other)
         f = self.field
-        p, m = f.p, f.m
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        out = list(prod[:m])
-        for t in range(m, 2 * m - 1):
-            c = prod[t]
-            if c:
-                red = f._xpow[t - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * red[i]) % p
-        return FieldElement(f, tuple(out))
+        if other.__class__ is not FieldElement or other.field is not f:
+            other = self._check(other)
+        log = f._log
+        return FieldElement(f, f._exp[log[self.v] + log[other.v]])
 
     def inv(self) -> FieldElement:
-        if self.is_zero():
-            raise ZeroInverse(f"zero has no inverse in {self.field!r}")
-        return self ** (self.field.q - 2)
+        return FieldElement(self.field, self.field.inv(self.v))
 
     def __truediv__(self, other):
         return self * self._check(other).inv()
@@ -467,27 +627,19 @@ class FieldElement:
     def __pow__(self, e: int) -> FieldElement:
         if not isinstance(e, int):
             raise InputError("exponent must be an integer")
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElement(self.field, self.field.power(self.v, e))
 
     # -- display ------------------------------------------------------------
 
     def __repr__(self):
+        coeffs = self.to_list()
         if self.field.m == 1:
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         if self.is_zero():
             return "0"
         terms = []
         for i in range(self.field.m - 1, -1, -1):
-            c = self.coeffs[i]
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:

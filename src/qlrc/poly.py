@@ -33,6 +33,19 @@ class Polynomial:
         self.field = field
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _from_ints(cls, field: Field, values: list[int]) -> Polynomial:
+        """From integer encodings already in [0, q); trailing zeros dropped."""
+        while values and not values[-1]:
+            values.pop()
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(field.from_ints(values))
+        return poly
+
+    def _ints(self) -> list[int]:
+        return [c.v for c in self.coeffs]
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -88,19 +101,18 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._check(other)
-        a, b = self.coeffs, other.coeffs
+        f = self.field
+        a, b = self._ints(), other._ints()
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.field, out)
+        a[: len(b)] = [f.add(x, y) for x, y in zip(a, b)]
+        return Polynomial._from_ints(f, a)
 
     def __sub__(self, other):
         return self + (-self._check(other))
 
     def __neg__(self):
-        return Polynomial(self.field, tuple(-c for c in self.coeffs))
+        return Polynomial._from_ints(self.field, [self.field.neg(c) for c in self._ints()])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -108,13 +120,14 @@ class Polynomial:
         other = self._check(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return Polynomial(self.field, out)
+        f = self.field
+        a, b = self._ints(), other._ints()
+        nb = len(b)
+        out = [0] * (len(a) + nb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + nb] = f.axpy(out[i : i + nb], x, b)
+        return Polynomial._from_ints(f, out)
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -145,19 +158,21 @@ class Polynomial:
             raise DivisionByZeroPoly("division by the zero polynomial")
         if self.degree < other.degree:
             return Polynomial.zero(self.field), self
-        inv_lead = other.coeffs[-1].inv()
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        quo = [self.field.zero()] * (dq + 1)
+        f = self.field
+        b = other._ints()
+        nb = len(b)
+        inv_lead = f.inv(b[-1])
+        rem = self._ints()
+        dq = len(rem) - nb
+        quo = [0] * (dq + 1)
         for shift in range(dq, -1, -1):
-            c = rem[shift + len(other.coeffs) - 1]
-            if c.is_zero():
+            c = rem[shift + nb - 1]
+            if not c:
                 continue
-            f = c * inv_lead
-            quo[shift] = f
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - f * oc
-        return Polynomial(self.field, quo), Polynomial(self.field, rem)
+            t = f.mul(c, inv_lead)
+            quo[shift] = t
+            rem[shift : shift + nb] = f.axpy(rem[shift : shift + nb], f.neg(t), b)
+        return Polynomial._from_ints(f, quo), Polynomial._from_ints(f, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -168,11 +183,8 @@ class Polynomial:
     # -- evaluation and composition -----------------------------------------
 
     def __call__(self, point: FieldElement) -> FieldElement:
-        point = self.field.element(point)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        f = self.field
+        return FieldElement(f, f.horner(self._ints(), f.element(point).v))
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """self(inner(x)), by Horner's rule over polynomials."""
@@ -224,7 +236,7 @@ def interpolate(points: list[tuple[FieldElement, FieldElement]]) -> Polynomial:
         raise InputError("need at least one interpolation point")
     field = points[0][0].field
     xs = [field.element(x) for x, _ in points]
-    if len({x.coeffs for x in xs}) != len(xs):
+    if len({x.v for x in xs}) != len(xs):
         raise DuplicateNode("repeated interpolation node")
     total = Polynomial.zero(field)
     for i, (xi, yi) in enumerate(points):
@@ -245,7 +257,7 @@ def interpolate(points: list[tuple[FieldElement, FieldElement]]) -> Polynomial:
 def annihilator(field: Field, elements) -> Polynomial:
     """Monic product of (x - a) over the given distinct elements."""
     els = [field.element(a) for a in elements]
-    if len({e.coeffs for e in els}) != len(els):
+    if len({e.v for e in els}) != len(els):
         raise DuplicateNode("annihilator nodes must be distinct")
     out = Polynomial.one(field)
     for a in els:

@@ -4,7 +4,6 @@ import pytest
 
 from qlrc import (
     AglSubgroup,
-    Field,
     Polynomial,
     Xorshift64Star,
     agl_bound,
@@ -16,14 +15,14 @@ from qlrc import (
     second_eigenvalue,
     singleton_optimal,
     smallest_prime_factor,
-    subgroup_from_MB,
     sweep_rows,
     theta_subgroup,
     weight_bound,
     weight_bound_audit,
 )
 from qlrc.bounds import NotRegular, SchreierGraph, TooLarge
-from qlrc.errors import ConstructionError, InputError
+from qlrc.construct import instance_from_dump, instance_to_dump
+from qlrc.errors import ConstructionError, InputError, VerificationError
 
 
 def test_smallest_prime_factor():
@@ -157,6 +156,16 @@ def test_css_params_flagship(inst32):
     }
     p2 = css_params(inst32, delta_exact=5)
     assert p2.delta_exact == 5
+
+
+def test_css_params_derives_ell_and_rejects_a_stored_one(inst8):
+    """A dump whose ell was edited to 1 would give degree_bound 4 > delta 3."""
+    dump = instance_to_dump(inst8)
+    assert css_params(instance_from_dump(dump)).ell == 5
+    for key, value in [("ell", 1), ("ell_prime", None), ("t1", []), ("s2", [[0, 0]])]:
+        bad = dict(dump, **{key: value})
+        with pytest.raises(VerificationError, match=key):
+            css_params(instance_from_dump(bad))
 
 
 def test_sweep_rows_frozen_and_monotone():

@@ -161,6 +161,18 @@ def test_bounds_report_json(dump8, capsys):
     }
 
 
+def test_bounds_rejects_a_stored_ell_that_disagrees(tmp_path, dump8, capsys):
+    d = json.loads(dump8.read_text())
+    d["ell"] = 1  # would certify degree_bound 4 on a distance-3 code
+    bad = tmp_path / "bad_ell.json"
+    bad.write_text(json.dumps(d))
+    for extra in ([], ["--brute-force"]):
+        assert main(["bounds", "--instance", str(bad), *extra]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ell" in captured.err
+
+
 def test_bounds_brute_force_adds_exact_distance(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8), "--brute-force"])
     assert rc == 0

@@ -1,6 +1,7 @@
 """Pipeline behavior: multipliers, exponent sets, code construction, repair,
 dumps, and the named verification checks (including mutation failures)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -215,6 +216,68 @@ def test_dual_rows_orthogonal_to_code_rows(inst32):
     for rd in inst32.matrix_d:
         for rc in inst32.matrix_c:
             assert linalg.dot(list(rd), list(rc)).is_zero()
+
+
+def _rref_elementwise(rows):
+    """Gauss-Jordan on FieldElement objects, one element operation at a time."""
+    mat, pivots, r = [list(row) for row in rows], [], 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = mat[r][c].inv()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c].is_zero():
+                lead = mat[i][c]
+                mat[i] = [x - lead * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def _random_matrix(rng, f, rows, cols):
+    """Random rows, then a few combinations of them and a zero column, so
+    that eliminations also meet dependent rows and missing pivots."""
+    mat = [[rng.element(f) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(2):
+        a, b = rng.element(f), rng.element(f)
+        i, j = rng.below(rows), rng.below(rows)
+        mat.append([a * x + b * y for x, y in zip(mat[i], mat[j])])
+    zero_col = rng.below(cols)
+    for row in mat:
+        row[zero_col] = f.zero()
+    return mat
+
+
+def test_int_kernels_match_elementwise_reference(inst32):
+    """linalg.rref / dot and encode, which run on integer encodings, agree
+    with element-by-element arithmetic on seeded random data."""
+    f27 = Field(3, 3)
+    sub27 = subgroup_from_MB(f27, 1, {f27.one()}, {f27.zero(), f27.one(), f27.one() + f27.one()})
+    inst27 = build_code(build_evaluation_set(sub27), 18)
+    for inst, seed in [(inst32, 5), (inst27, 27)]:
+        f, rng = inst.field, Xorshift64Star(seed)
+        for shape in [(3, 7), (6, 6), (8, 5), (12, 20)]:
+            mat = _random_matrix(rng, f, *shape)
+            assert linalg.rref(mat) == _rref_elementwise(mat)
+            assert linalg.rank(mat) == len(_rref_elementwise(mat)[1])
+            u, v = mat[0], mat[1]
+            ref = f.zero()
+            for a, b in zip(u, v):
+                ref = ref + a * b
+            assert linalg.dot(u, v) == ref
+        gen = _random_matrix(rng, f, inst.k - 2, inst.n)
+        other = dataclasses.replace(inst, matrix_c=tuple(tuple(row) for row in gen))
+        for _ in range(10):
+            msg = [rng.element(f) for _ in range(inst.k)]
+            word = [f.zero()] * inst.n
+            for c, row in zip(msg, gen):
+                word = [w + c * x for w, x in zip(word, row)]
+            assert encode(other, msg) == word
 
 
 def test_kappa_and_summary(inst32, inst9x):

@@ -2,12 +2,19 @@
 
 Prime fields are checked exhaustively against plain modular integers;
 extension fields against polynomial identities (Frobenius, Fermat, order
-counts) that do not reuse the implementation under test.
+counts) that do not reuse the implementation under test, and, by property
+tests, against coefficient-vector arithmetic (schoolbook product reduced by
+the modulus) that shares nothing with the exp/log/Zech tables.
 """
 
-import pytest
+import functools
 
-from qlrc import Field, FieldElement, Xorshift64Star, field_from_descriptor
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlrc import Field, Xorshift64Star, field_from_descriptor
+from qlrc import field as field_mod
 from qlrc.errors import InputError
 from qlrc.field import (
     FieldMismatch,
@@ -257,3 +264,192 @@ def test_rng_below_and_elements():
     seen = {rng.element(f).value() for _ in range(300)}
     assert seen == set(range(16))  # small field gets fully covered
     assert all(rng.nonzero_element(f).value() != 0 for _ in range(100))
+
+
+# --- differential tests against coefficient-vector arithmetic ---------------
+
+
+class _CoefficientOracle:
+    """GF(p^m) on coefficient tuples: schoolbook product, then reduction by
+    the stored x^t mod modulus rows.  The representation the package used
+    before integer encodings, kept here as a reference only."""
+
+    def __init__(self, p, m, modulus):
+        self.p, self.m, self.q = p, m, p**m
+        self.xpow = []  # x^t mod modulus for t = m .. 2m - 2
+        cur = [(-c) % p for c in modulus[:-1]]
+        for _ in range(m - 1):
+            self.xpow.append(tuple(cur))
+            lead = cur[-1]
+            nxt = [0] + cur[:-1]
+            if lead:
+                for i in range(m):
+                    nxt[i] = (nxt[i] - lead * modulus[i]) % p
+            cur = nxt
+        self.one = (1,) + (0,) * (m - 1)
+
+    def vec(self, v):
+        out = []
+        for _ in range(self.m):
+            out.append(v % self.p)
+            v //= self.p
+        return tuple(out)
+
+    def value(self, a):
+        return sum(c * self.p**i for i, c in enumerate(a))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        p, m = self.p, self.m
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] = (prod[i + j] + x * y) % p
+        out = list(prod[:m])
+        for t in range(m, 2 * m - 1):
+            if prod[t]:
+                for i in range(m):
+                    out[i] = (out[i] + prod[t] * self.xpow[t - m][i]) % p
+        return tuple(out)
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.pow(a, self.q - 2), -e)
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+
+DIFFERENTIAL_FIELDS = [(2, 5), (3, 5), (5, 2), (2, 16)]
+ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+values = st.integers(min_value=0, max_value=(1 << 16) - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_and_oracle(p, m):
+    f = Field(p, m)
+    return f, _CoefficientOracle(p, m, f.modulus)
+
+
+def _vec(el):
+    return tuple(el.to_list())
+
+
+@pytest.mark.parametrize("p,m", DIFFERENTIAL_FIELDS)
+@ORACLE_SETTINGS
+@given(a=values, b=values, e=st.integers(min_value=-70000, max_value=70000))
+def test_ring_ops_match_coefficient_oracle(p, m, a, b, e):
+    f, ref = _field_and_oracle(p, m)
+    a, b = a % f.q, b % f.q
+    x, y = f.from_value(a), f.from_value(b)
+    rx, ry = ref.vec(a), ref.vec(b)
+    assert _vec(x + y) == ref.add(rx, ry)
+    assert _vec(x - y) == ref.add(rx, ref.neg(ry))
+    assert _vec(-x) == ref.neg(rx)
+    assert _vec(x * y) == ref.mul(rx, ry)
+    if b:
+        assert _vec(y.inv()) == ref.pow(ry, f.q - 2)
+        assert _vec(x / y) == ref.mul(rx, ref.pow(ry, f.q - 2))
+    else:
+        with pytest.raises(ZeroInverse):
+            y.inv()
+    if a or e >= 0:
+        assert _vec(x**e) == ref.pow(rx, e)
+    else:
+        with pytest.raises(ZeroInverse):
+            x**e
+
+
+@pytest.mark.parametrize("p,m", DIFFERENTIAL_FIELDS)
+@ORACLE_SETTINGS
+@given(a=values)
+def test_sqrt_matches_coefficient_oracle(p, m, a):
+    f, ref = _field_and_oracle(p, m)
+    a %= f.q
+    ra = ref.vec(a)
+    root = f.sqrt(f.from_value(a))
+    is_square = p == 2 or a == 0 or ref.pow(ra, (f.q - 1) // 2) == ref.one
+    assert f.is_quadratic_residue(f.from_value(a)) == is_square
+    if not is_square:
+        assert root is None
+        return
+    assert ref.mul(_vec(root), _vec(root)) == ra
+    if p != 2:  # the canonically smaller of the two roots
+        assert root.value() <= ref.value(ref.neg(_vec(root)))
+
+
+@pytest.mark.parametrize("p,m", DIFFERENTIAL_FIELDS)
+@ORACLE_SETTINGS
+@given(a=values)
+def test_encoding_roundtrips_match_coefficient_oracle(p, m, a):
+    f, ref = _field_and_oracle(p, m)
+    a %= f.q
+    x = f.from_value(a)
+    assert x.value() == a
+    assert tuple(x.to_list()) == ref.vec(a)
+    assert f.element(list(ref.vec(a))) == x
+    assert f.element(a) == x
+    assert ref.value(ref.vec(a)) == a
+
+
+@functools.lru_cache(maxsize=None)
+def _embedding_and_oracle(p, m):
+    f, _ = _field_and_oracle(p, m)
+    big, phi = f.extend()
+    return phi, _CoefficientOracle(p, 2 * m, big.modulus)
+
+
+# GF(2^16) is left out: its quadratic extension exceeds the 2^20 cap.
+@pytest.mark.parametrize("p,m", DIFFERENTIAL_FIELDS[:3])
+@ORACLE_SETTINGS
+@given(a=values, b=values)
+def test_embedding_matches_coefficient_oracle(p, m, a, b):
+    f, _ = _field_and_oracle(p, m)
+    phi, big = _embedding_and_oracle(p, m)
+    beta = _vec(phi(f.gen()))
+    root_check = (0,) * big.m
+    for i, c in enumerate(f.modulus):
+        root_check = big.add(root_check, big.mul(big.vec(c), big.pow(beta, i)))
+    assert root_check == (0,) * big.m  # beta is a root of the source modulus
+    a, b = a % f.q, b % f.q
+    x, y = f.from_value(a), f.from_value(b)
+    image = (0,) * big.m
+    for i, c in enumerate(x.to_list()):
+        image = big.add(image, big.mul(big.vec(c), big.pow(beta, i)))
+    assert _vec(phi(x)) == image
+    assert _vec(phi(x * y)) == big.mul(_vec(phi(x)), _vec(phi(y)))
+    assert _vec(phi(x + y)) == big.add(_vec(phi(x)), _vec(phi(y)))
+
+
+def test_exp_log_tables_consistent_at_the_cap():
+    """GF(2^20): exp and log are inverse bijections between [0, q - 1) and
+    the units, exp has period q - 1, and products agree with the oracle."""
+    f = Field(2, 20)
+    ref = _CoefficientOracle(2, 20, f.modulus)
+    try:
+        x, y = f.from_value(0x12345), f.from_value(0xABCDE)
+        assert _vec(x * y) == ref.mul(ref.vec(0x12345), ref.vec(0xABCDE))  # builds the tables
+        exp, log, n = f._exp, f._log, f.q - 1
+        assert exp[:n] == exp[n : 2 * n]
+        assert not any(exp[2 * n :])
+        assert log[0] == 2 * n
+        assert all(log[exp[i]] == i for i in range(n))
+        assert all(exp[log[v]] == v for v in range(1, f.q))
+        g = ref.vec(f.primitive_element().value())
+        rng = Xorshift64Star(20)
+        for _ in range(200):
+            i = rng.below(n)
+            assert ref.mul(ref.vec(exp[i]), g) == ref.vec(exp[i + 1])
+    finally:
+        field_mod._TABLES.pop((f.p, f.m, f.modulus), None)  # about 100 MB
