@@ -67,10 +67,6 @@ class AffineMap:
         ai = self.a.inv()
         return AffineMap(ai, -(ai * self.b))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.a == self.a.field.one() and self.b.is_zero()
-
     def as_polynomial(self) -> Polynomial:
         return Polynomial(self.a.field, (self.b, self.a))
 
@@ -141,7 +137,7 @@ class AglSubgroup:
         if self.provenance is not None:
             prov = self.provenance
             gen = _cyclic_generator(prov.M)
-            basis = _subspace_basis(self.field, prov.subfield_degree, prov.B)
+            basis = subspace_basis(self.field, prov.subfield_degree, prov.B)
             return {
                 "kind": "MB",
                 "K": {"p": self.field.p, "m_sub": prov.subfield_degree},
@@ -168,14 +164,12 @@ class OrbitPartition:
 class GoodPolynomial:
     """A polynomial constant on each block of a partition into equal orbits.
 
-    `values` lists the constant attained on each block of `partition`.  The
-    generating subgroup is kept around because the spectral distance bounds
-    need it.
+    The generating subgroup is kept around because the spectral distance
+    bounds need it.
     """
 
     g: Polynomial
     partition: OrbitPartition
-    values: tuple[FieldElement, ...]
     subgroup: AglSubgroup
     base_point: FieldElement | None
 
@@ -197,8 +191,8 @@ def _cyclic_generator(M: tuple[FieldElement, ...]) -> FieldElement:
     raise AssertionError("multiplicative subgroup with no generator")  # unreachable
 
 
-def _subspace_basis(field: Field, k_degree: int, B: tuple[FieldElement, ...]):
-    """Greedy K-basis extraction from the subspace B."""
+def subspace_basis(field: Field, k_degree: int, B):
+    """Greedy K-basis of the span of B, taking elements in ascending order."""
     K = field.subfield_elements(k_degree)
     basis: list[FieldElement] = []
     spanned = {field.zero()}
@@ -251,6 +245,22 @@ def subgroup_from_MB(field: Field, k_degree: int, M, B) -> AglSubgroup:
     return AglSubgroup(field, maps, provenance=prov)
 
 
+def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSubgroup:
+    """subgroup_from_MB with M the powers of m_gen and B the K-span of basis."""
+    if m_gen.is_zero():
+        raise NotSubgroup("M generator must be nonzero")
+    M = {field.one()}
+    x = m_gen
+    while x not in M:
+        M.add(x)
+        x = x * m_gen
+    K = field.subfield_elements(k_degree) if field.m % k_degree == 0 else []
+    B = {field.zero()}
+    for v in basis:
+        B = {s + k * v for s in B for k in K}
+    return subgroup_from_MB(field, k_degree, M, B)
+
+
 def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
     try:
         kind = d["kind"]
@@ -262,19 +272,8 @@ def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
             raise InputError("subgroup subfield characteristic differs from the field")
         k_degree = kd["m_sub"]
         gen = field.element(d["M_generator"])
-        if gen.is_zero():
-            raise NotSubgroup("M generator must be nonzero")
-        M = {field.one()}
-        x = gen
-        while x not in M:
-            M.add(x)
-            x = x * gen
         basis = [field.element(b) for b in d.get("B_basis", [])]
-        K = field.subfield_elements(k_degree) if field.m % k_degree == 0 else []
-        B = {field.zero()}
-        for v in basis:
-            B = {s + k * v for s in B for k in K} | B
-        return subgroup_from_MB(field, k_degree, M, B)
+        return subgroup_from_generators(field, k_degree, gen, basis)
     if kind == "explicit":
         maps = [
             AffineMap(field.element(fm["a"]), field.element(fm["b"])) for fm in d["maps"]
@@ -320,13 +319,10 @@ def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
     blocks = tuple(
         blk for blk in orbits(subgroup, field.elements()).orbits if len(blk) == len(subgroup)
     )
-    values = []
     for blk in blocks:
-        vals = {g(x) for x in blk}
-        if len(vals) != 1:
+        if len({g(x) for x in blk}) != 1:
             raise ConstructionError(f"polynomial is not constant on the block {blk!r}")
-        values.append(next(iter(vals)))
-    return GoodPolynomial(g, OrbitPartition(blocks), tuple(values), subgroup, alpha)
+    return GoodPolynomial(g, OrbitPartition(blocks), subgroup, alpha)
 
 
 def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:

@@ -8,17 +8,22 @@ Schreier graph of a block under the symbol-fixing subgroup of each
 codeword, whose second eigenvalue is known exactly, and the expander mixing
 lemma.  Everything numeric is guarded by exact rational arithmetic when an
 integer threshold is extracted.
+
+The exact scan and the audit decide membership in D = C-perp one way, in
+message space: construct.dual_positions certifies D = C-perp and names the
+rows of G_C that span D, and a word lies in D exactly when its message is
+zero on every other row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .agl import AglSubgroup, theta_subgroup
-from .construct import CodeInstance, exponent_sets
+from .construct import CodeInstance, dual_positions, encode, exponent_sets
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import FieldElement
 from .poly import Polynomial
@@ -232,61 +237,52 @@ def sweep_rows(n: int, r: int):
 # exact minimum weight outside the dual span
 
 
-def _scan_lead(tables, rows, q: int, k: int, n: int, lead: int, one: int) -> int:
-    """Stateless worker: minimum weight over codewords whose first nonzero
-    message digit sits at `lead` with value 1, skipping dual members.
-    Ranges for different `lead` values partition the nonzero codewords up
-    to scalar multiples, which preserve both weight and dual membership."""
-    add, mul = tables
-    scaled = [[[mul[s][x] for x in row] for s in range(q)] for row in rows]
-    best = n + 1
+def _words_outside_dual(inst: CodeInstance):
+    """One word of C outside D = C-perp per scalar class, as integer lists.
 
-    def in_dual(word) -> bool:
-        for row in rows:
-            acc = 0
-            for wi, ri in zip(word, row):
-                if wi and ri:
-                    acc = add[acc][mul[wi][ri]]
-            if acc:
-                return False
-        return True
-
-    def rec(t: int, word: list[int]):
-        nonlocal best
-        if t == k:
-            w = sum(1 for x in word if x)
-            if 0 < w < best and not in_dual(word):
-                best = w
-            return
-        rec(t + 1, word)
-        for s in range(1, q):
-            srow = scaled[t][s]
-            rec(t + 1, [add[a][b] for a, b in zip(word, srow)])
-
-    rec(lead + 1, [mul[one][x] for x in rows[lead]])
-    return best
+    dual_positions certifies D = C-perp and says which rows of G_C span D,
+    so a message gives a word of D exactly when it is zero off those rows.
+    For each row outside D in turn, its coefficient is fixed to 1 and those
+    of the earlier rows outside D to 0, while the later rows outside D and
+    the rows of D run through a p-ary modular Gray code over the additive
+    GF(p)-basis 1, x, ..., x^(m-1) of GF(q): step c adds basis row j, where
+    j is the number of trailing zero base-p digits of c.  Every word costs
+    one list addition through the add table; there are
+    (q^k - q^(n-k))/(q - 1) of them.
+    """
+    fld, k = inst.field, inst.k
+    in_d = dual_positions(inst)
+    outside = [i for i in range(k) if i not in in_d]
+    if not outside:
+        raise ConstructionError("no codeword found outside the dual span")
+    add = fld.tables()[0]
+    p, rows = fld.p, [fld.ints(row) for row in inst.matrix_c]
+    digits = [p**d for d in range(fld.m)]
+    for t, lead in enumerate(outside):
+        free = outside[t + 1 :] + sorted(in_d)
+        # basis row j as the add-table rows of its coordinates
+        steps = [[add[fld.mul(b, x)] for x in rows[i]] for i in free for b in digits]
+        word = rows[lead]
+        yield word
+        for c in range(1, p ** len(steps)):
+            j, rest = 0, c
+            while not rest % p:
+                rest //= p
+                j += 1
+            word = list(map(list.__getitem__, steps[j], word))
+            yield word
 
 
 def distance_bruteforce(inst: CodeInstance, cap: int = 1 << 24) -> int:
-    """Exact min weight over codewords outside the dual span, by enumeration.
+    """Exact min weight over the codewords of C outside D = C-perp, by enumeration.
 
-    Walks one representative per projective class (first nonzero message
-    digit normalized to 1), so the work is (q^k - 1)/(q - 1) words of n
-    table lookups each.  Dual members are skipped via orthogonality against
-    every generator row.  The index space is split by leading digit into
-    independent ranges; each range is scanned by a stateless worker and the
-    local minima are reduced at the end.
+    Raises VerificationError when D is not C-perp, and TooLarge when q^k
+    exceeds the cap.  See _words_outside_dual for the walk.
     """
-    q, k, n = inst.field.q, inst.k, inst.n
+    q, k = inst.field.q, inst.k
     if q**k > cap:
         raise TooLarge(f"q^k = {q}^{k} exceeds the cap {cap}")
-    tables = inst.field.tables()
-    rows = [[c.value() for c in row] for row in inst.matrix_c]
-    one = inst.field.one().value()
-    best = min(_scan_lead(tables, rows, q, k, n, lead, one) for lead in range(k))
-    if best > n:
-        raise ConstructionError("no codeword found outside the dual span")
-    return best
+    return inst.n - max(map(list.count, _words_outside_dual(inst), itertools.repeat(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +418,9 @@ class AuditReport:
 def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None = None) -> AuditReport:
     """Sample codewords outside the dual span and audit the spectral bound.
 
+    A sample is a uniform message, redrawn while it is zero at every row
+    outside D (dual_positions certifies D = C-perp first, so those are
+    exactly the messages of words in D), and its word is encode(inst, m).
     For each sample: split off the non-block-constant part gamma, compute
     its exact stabilizer, check the weight against the bound at the actual
     stabilizer order, then build the associated quotient-product polynomial
@@ -447,22 +446,16 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         gpows.append(gpows[-1] * es.good.g)
     monos = [gpows[j].shift(i) for i, j in s_pairs]
     x_poly = Polynomial.x(fld)
-    rows = [list(row) for row in inst.matrix_c]
-
-    def in_dual(word) -> bool:
-        return all(linalg.dot(word, row).is_zero() for row in rows)
+    in_d = dual_positions(inst)
+    outside = [i for i in range(inst.k) if i not in in_d]
 
     out: list[AuditTrial] = []
     failures: list[str] = []
     for trial in range(trials):
-        while True:
+        coeffs = [rng.element(fld) for _ in s_pairs]
+        while all(coeffs[i].is_zero() for i in outside):
             coeffs = [rng.element(fld) for _ in s_pairs]
-            word = [fld.zero()] * n
-            for c, row in zip(coeffs, rows):
-                if not c.is_zero():
-                    word = [acc + c * rc for acc, rc in zip(word, row)]
-            if any(not w.is_zero() for w in word) and not in_dual(word):
-                break
+        word = encode(inst, coeffs)
         gamma = Polynomial.zero(fld)
         for c, pair, mono in zip(coeffs, s_pairs, monos):
             if pair in s1set and not c.is_zero():

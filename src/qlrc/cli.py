@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .agl import orbits, subgroup_from_MB
+from .agl import orbits, subgroup_from_generators, subspace_basis
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import Field
 from .rng import Xorshift64Star
@@ -209,31 +209,15 @@ def _cmd_search(args) -> int:
     seen: set[frozenset] = set()
     for d in _divisors(m):
         qd = p**d
-        K = fld.subfield_elements(d)
-        # canonical greedy K-basis of the field, ascending by encoding
-        basis = []
-        span = {fld.zero()}
-        for x in everything:
-            if x in span:
-                continue
-            basis.append(x)
-            span = {s + c * x for s in span for c in K}
+        basis = subspace_basis(fld, d, everything)  # canonical K-basis of the field
         k_gen = prim ** ((q - 1) // (qd - 1)) if qd > 2 else fld.one()
         for e in _divisors(qd - 1):
             m_gen = k_gen ** ((qd - 1) // e)
-            M = {fld.one()}
-            x = m_gen
-            while x not in M:
-                M.add(x)
-                x = x * m_gen
             for s in range(0, m // d + 1):
                 order = e * qd**s
                 if order < 3 or order > q:
                     continue
-                B = {fld.zero()}
-                for b in basis[:s]:
-                    B = {v + c * b for v in B for c in K}
-                sub = subgroup_from_MB(fld, d, M, B)
+                sub = subgroup_from_generators(fld, d, m_gen, basis[:s])
                 key = frozenset(sub.maps)
                 if key in seen:
                     continue

@@ -25,7 +25,7 @@ from .agl import (
     good_polynomial,
     subgroup_from_descriptor,
 )
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, VerificationError
 from .field import Embedding, Field, FieldElement, field_from_descriptor
 from .poly import Polynomial, annihilator, interpolate, poly_from_lists
 from .rng import Xorshift64Star
@@ -372,17 +372,13 @@ def build_evaluation_set(
     emb, big = sol.embedding, sol.field
     big_sub = _embed_subgroup(good.subgroup, emb, big)
     big_blocks_els = tuple(tuple(sol.points[i] for i in blk) for blk in blocks)
-    big_g = Polynomial(big, [emb(c) for c in good.g.coeffs])
-    values = []
+    big_g = Polynomial(big, [emb(c) for c in fld.from_ints(good.g.coeffs)])
     for blk in big_blocks_els:
-        vals = {big_g(x) for x in blk}
-        if len(vals) != 1:
+        if len({big_g(x) for x in blk}) != 1:
             raise ConstructionError("block constancy lost under embedding")
-        values.append(next(iter(vals)))
     big_good = GoodPolynomial(
         big_g,
         OrbitPartition(big_blocks_els),
-        tuple(values),
         big_sub,
         emb(good.base_point) if good.base_point is not None else None,
     )
@@ -452,7 +448,7 @@ class CodeInstance:
 def _monomial_row(es: EvaluationSet, gpow: Polynomial, i: int):
     """u_z * x^i * gpow(x) at every point z, by integer Horner."""
     f = es.field
-    coeffs = [0] * i + [c.v for c in gpow.coeffs]
+    coeffs = [0] * i + list(gpow.coeffs)
     vals = [f.mul(u, f.horner(coeffs, x)) for u, x in zip(f.ints(es.u), f.ints(es.points))]
     return tuple(f.from_ints(vals))
 
@@ -490,6 +486,22 @@ def _orthogonality_problem(matrix_c, matrix_d) -> str | None:
             if not linalg.dot(list(rd), list(rc)).is_zero():
                 return f"dual row {j} is not orthogonal to big row {i}"
     return None
+
+
+def dual_positions(inst: CodeInstance) -> frozenset[int]:
+    """Positions of D's rows inside matrix_c, once D = C-perp is certified.
+
+    Runs _generator_problem and then _orthogonality_problem and raises
+    VerificationError on the first problem either finds.  When both pass,
+    D = C-perp is spanned by rows of the full-rank G_C, so m . G_C lies in D
+    exactly when m is zero at every position outside the returned set.
+    """
+    mc, md = inst.matrix_c, inst.matrix_d
+    problem = _generator_problem(mc, md, inst.k, inst.n) or _orthogonality_problem(mc, md)
+    if problem:
+        raise VerificationError(problem)
+    index = {tuple(row): i for i, row in enumerate(mc)}
+    return frozenset(index[tuple(row)] for row in md)
 
 
 def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
@@ -645,8 +657,7 @@ def instance_from_dump(d: dict) -> CodeInstance:
     if len(points) != d["n"] or len(u) != d["n"]:
         raise InputError("dump lengths are inconsistent with n")
     block_els = tuple(tuple(points[i] for i in blk) for blk in blocks)
-    values = tuple(g(orb[0]) for orb in block_els)
-    good = GoodPolynomial(g, OrbitPartition(block_els), values, subgroup, alpha)
+    good = GoodPolynomial(g, OrbitPartition(block_els), subgroup, alpha)
     es = EvaluationSet(
         field=fld,
         points=points,
@@ -701,7 +712,17 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
         g = es.good.g
         if g.degree != r + 1:
             return f"block polynomial degree {g.degree} != {r + 1}"
+        if sorted(i for blk in es.blocks for i in blk) != list(range(n)) or any(
+            len(blk) != r + 1 for blk in es.blocks
+        ):
+            return f"blocks do not partition the {n} positions into blocks of size {r + 1}"
+        sub = es.good.subgroup
+        if len(sub) != r + 1:
+            return f"subgroup order {len(sub)} != block size {r + 1}"
         for blk in es.blocks:
+            orbit = sub.orbit(es.points[blk[0]])
+            if [x.v for x in orbit] != sorted(es.points[i].v for i in blk):
+                return f"block {blk} is not a free orbit of the subgroup"
             vals = {g(es.points[i]) for i in blk}
             if len(vals) != 1:
                 return f"block {blk} sees several values of g"

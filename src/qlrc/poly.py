@@ -1,10 +1,15 @@
 """Dense univariate polynomials over a Field.
 
-Coefficients are stored in ascending degree with no trailing zeros; the zero
-polynomial is the empty coefficient vector.  Its degree is the sentinel
-float('-inf'), which keeps degree arithmetic honest (deg(f*g) is the sum of
-degrees for every pair, including zero factors) without smuggling -1 into
-integer formulas.
+Coefficients are stored as integer encodings (see field.py) in ascending
+degree with no trailing zeros; the zero polynomial is the empty coefficient
+vector.  Its degree is the sentinel float('-inf'), which keeps degree
+arithmetic honest (deg(f*g) is the sum of degrees for every pair, including
+zero factors) without smuggling -1 into integer formulas.
+
+Ring operations work on the stored integers through the Field's integer
+operations.  coefficient(), evaluation, repr() and to_lists() wrap integers
+into FieldElement values at the boundary; the constructor coerces and
+validates its coefficients the way Field.element does.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = [field.element(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = field.ints(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -40,11 +45,8 @@ class Polynomial:
             values.pop()
         poly = cls.__new__(cls)
         poly.field = field
-        poly.coeffs = tuple(field.from_ints(values))
+        poly.coeffs = tuple(values)
         return poly
-
-    def _ints(self) -> list[int]:
-        return [c.v for c in self.coeffs]
 
     # -- constructors -------------------------------------------------------
 
@@ -83,7 +85,7 @@ class Polynomial:
         return bool(self.coeffs)
 
     def coefficient(self, i: int) -> FieldElement:
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero()
+        return FieldElement(self.field, self.coeffs[i] if i < len(self.coeffs) else 0)
 
     def __eq__(self, other):
         return (
@@ -102,7 +104,7 @@ class Polynomial:
     def __add__(self, other):
         other = self._check(other)
         f = self.field
-        a, b = self._ints(), other._ints()
+        a, b = list(self.coeffs), list(other.coeffs)
         if len(a) < len(b):
             a, b = b, a
         a[: len(b)] = [f.add(x, y) for x, y in zip(a, b)]
@@ -112,7 +114,7 @@ class Polynomial:
         return self + (-self._check(other))
 
     def __neg__(self):
-        return Polynomial._from_ints(self.field, [self.field.neg(c) for c in self._ints()])
+        return Polynomial._from_ints(self.field, [self.field.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -121,7 +123,7 @@ class Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.field)
         f = self.field
-        a, b = self._ints(), other._ints()
+        a, b = self.coeffs, other.coeffs
         nb = len(b)
         out = [0] * (len(a) + nb - 1)
         for i, x in enumerate(a):
@@ -150,7 +152,7 @@ class Polynomial:
         """Multiply by x**i."""
         if self.is_zero():
             return self
-        return Polynomial(self.field, (self.field.zero(),) * i + self.coeffs)
+        return Polynomial._from_ints(self.field, [0] * i + list(self.coeffs))
 
     def __divmod__(self, other):
         other = self._check(other)
@@ -159,10 +161,10 @@ class Polynomial:
         if self.degree < other.degree:
             return Polynomial.zero(self.field), self
         f = self.field
-        b = other._ints()
+        b = other.coeffs
         nb = len(b)
         inv_lead = f.inv(b[-1])
-        rem = self._ints()
+        rem = list(self.coeffs)
         dq = len(rem) - nb
         quo = [0] * (dq + 1)
         for shift in range(dq, -1, -1):
@@ -184,14 +186,14 @@ class Polynomial:
 
     def __call__(self, point: FieldElement) -> FieldElement:
         f = self.field
-        return FieldElement(f, f.horner(self._ints(), f.element(point).v))
+        return FieldElement(f, f.horner(self.coeffs, f.element(point).v))
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """self(inner(x)), by Horner's rule over polynomials."""
         inner = self._check(inner)
         acc = Polynomial.zero(self.field)
         for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
+            acc = acc * inner + Polynomial._from_ints(self.field, [c])
         return acc
 
     # -- display ----------------------------------------------------------------
@@ -202,9 +204,9 @@ class Polynomial:
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if c.is_zero():
+            if not c:
                 continue
-            cs = repr(c)
+            cs = repr(FieldElement(self.field, c))
             if i == 0:
                 parts.append(f"({cs})" if "+" in cs else cs)
                 continue
@@ -220,11 +222,11 @@ class Polynomial:
     # -- serialization ------------------------------------------------------
 
     def to_lists(self) -> list[list[int]]:
-        return [c.to_list() for c in self.coeffs]
+        return [c.to_list() for c in self.field.from_ints(self.coeffs)]
 
 
 def poly_from_lists(field: Field, lists) -> Polynomial:
-    return Polynomial(field, [field.element(c) for c in lists])
+    return Polynomial(field, lists)
 
 
 def interpolate(points: list[tuple[FieldElement, FieldElement]]) -> Polynomial:

@@ -39,6 +39,3 @@ class Xorshift64Star:
 
     def element(self, field: Field) -> FieldElement:
         return field.from_value(self.below(field.q))
-
-    def nonzero_element(self, field: Field) -> FieldElement:
-        return field.from_value(1 + self.below(field.q - 1))

@@ -35,8 +35,8 @@ def test_affine_compose_matches_pointwise():
     f = Field(2, 4)
     rng = Xorshift64Star(19)
     for _ in range(200):
-        s = AffineMap(rng.nonzero_element(f), rng.element(f))
-        t = AffineMap(rng.nonzero_element(f), rng.element(f))
+        s = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
+        t = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
         st = s * t
         x = rng.element(f)
         assert st(x) == s(t(x))
@@ -46,11 +46,11 @@ def test_affine_inverse_and_identity():
     f = Field(3, 2)
     rng = Xorshift64Star(29)
     ident = AffineMap.identity(f)
-    assert ident.is_identity
+    assert all(ident(x) == x for x in f.elements())
     for _ in range(50):
-        t = AffineMap(rng.nonzero_element(f), rng.element(f))
-        assert (t * t.inverse()).is_identity
-        assert (t.inverse() * t).is_identity
+        t = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
+        assert t * t.inverse() == ident
+        assert t.inverse() * t == ident
 
 
 def test_affine_map_rejects_zero_slope():
@@ -63,7 +63,7 @@ def test_as_polynomial_evaluates_like_the_map():
     f = Field(2, 3)
     rng = Xorshift64Star(37)
     for _ in range(30):
-        t = AffineMap(rng.nonzero_element(f), rng.element(f))
+        t = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
         p = t.as_polynomial()
         for x in f.elements():
             assert p(x) == t(x)
@@ -161,9 +161,8 @@ def test_good_polynomial_constant_on_every_block():
             x for x in sub.field.elements() if len(sub.orbit(x)) == len(sub)
         )
         gp = good_polynomial(sub, alpha)
-        for block, value in zip(gp.partition.orbits, gp.values):
-            for x in block:
-                assert gp.g(x) == value
+        for block in gp.partition.orbits:
+            assert len({gp.g(x) for x in block}) == 1
 
 
 def test_good_polynomial_rejects_short_orbit():

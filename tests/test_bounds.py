@@ -1,12 +1,18 @@
 """Distance bounds: closed forms, exact ceilings, enumeration, spectra, audits."""
 
+import itertools
+
 import pytest
 
 from qlrc import (
+    AffineMap,
     AglSubgroup,
+    Field,
     Polynomial,
     Xorshift64Star,
     agl_bound,
+    build_code,
+    build_evaluation_set,
     css_params,
     degree_bound,
     distance_bruteforce,
@@ -15,12 +21,13 @@ from qlrc import (
     second_eigenvalue,
     singleton_optimal,
     smallest_prime_factor,
+    subgroup_from_MB,
     sweep_rows,
     theta_subgroup,
     weight_bound,
     weight_bound_audit,
 )
-from qlrc.bounds import NotRegular, SchreierGraph, TooLarge
+from qlrc.bounds import NotRegular, SchreierGraph, TooLarge, _words_outside_dual
 from qlrc.construct import instance_from_dump, instance_to_dump
 from qlrc.errors import ConstructionError, InputError, VerificationError
 
@@ -210,6 +217,62 @@ def test_distance_counts_only_words_outside_dual(inst4):
     assert distance_bruteforce(inst4) == 2
 
 
+def _naive_classes(inst) -> set[tuple[int, ...]]:
+    """Every word of C not orthogonal to C, from all q^k messages, scaled so
+    that its first nonzero symbol is 1."""
+    f = inst.field
+    rows = [f.ints(row) for row in inst.matrix_c]
+    out = set()
+    for msg in itertools.product(range(f.q), repeat=inst.k):
+        word = [0] * inst.n
+        for c, row in zip(msg, rows):
+            if c:
+                word = f.axpy(word, c, row)
+        if any(f.dot(word, row) for row in rows):
+            lead = f.inv(next(x for x in word if x))
+            out.add(tuple(f.mul(lead, x) for x in word))
+    return out
+
+
+def _translation_instance(p, m, k):
+    """Translations by GF(p) acting on GF(p^m), all of it evaluated."""
+    f = Field(p, m)
+    sub = subgroup_from_MB(f, 1, {f.one()}, set(f.subfield_elements(1)))
+    es = build_evaluation_set(sub)
+    assert not es.extended
+    return build_code(es, k)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["inst4", "inst7", "inst8", (5, 1, 3), (7, 1, 5), (3, 2, 5)],
+    ids=["inst4", "inst7", "inst8", "gf5_n5_k3", "gf7_n7_k5", "gf9_n9_k5"],
+)
+def test_distance_bruteforce_matches_naive_reference(case, request):
+    """The scan walks one word per scalar class of C outside C-perp, each
+    once, and its minimum weight is the naive one.  GF(9) puts two base-3
+    Gray digits into every message coefficient."""
+    if isinstance(case, str):
+        inst = request.getfixturevalue(case)
+    else:
+        inst = _translation_instance(*case)
+    f, n = inst.field, inst.n
+    naive = _naive_classes(inst)
+    assert distance_bruteforce(inst) == min(n - w.count(0) for w in naive)
+    walked = [tuple(w) for w in _words_outside_dual(inst)]
+    assert len(walked) == len(naive) == (f.q**inst.k - f.q ** (n - inst.k)) // (f.q - 1)
+    assert {tuple(f.mul(f.inv(next(x for x in w if x)), x) for x in w) for w in walked} == naive
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_scan_and_audit_reject_tampered_dual_rows(tampered_dual_dumps, which):
+    inst = instance_from_dump(tampered_dual_dumps[which][0])
+    with pytest.raises(VerificationError):
+        distance_bruteforce(inst)
+    with pytest.raises(VerificationError):
+        weight_bound_audit(inst, trials=3, seed=1)
+
+
 # --- spectra ---------------------------------------------------------------------
 
 
@@ -217,7 +280,7 @@ def test_schreier_graph_trivial_stabilizer(inst32):
     es = inst32.eval_set
     sub = es.good.subgroup
     blk = [es.points[i] for i in es.blocks[0]]
-    triv = AglSubgroup(sub.field, [t for t in sub if t.is_identity])
+    triv = AglSubgroup(sub.field, [AffineMap.identity(sub.field)])
     g = schreier_graph(blk, sub, triv)
     assert g.mu == 3 and g.theta_order == 1
     for row in g.adjacency:
@@ -255,7 +318,7 @@ def test_second_eigenvalue_rejects_tampered_adjacency(inst32):
 def test_schreier_graph_rejects_partial_orbit(inst32):
     es = inst32.eval_set
     sub = es.good.subgroup
-    triv = AglSubgroup(sub.field, [t for t in sub if t.is_identity])
+    triv = AglSubgroup(sub.field, [AffineMap.identity(sub.field)])
     blk = [es.points[i] for i in es.blocks[0]]
     with pytest.raises(NotRegular):
         schreier_graph(blk[:3], sub, triv)
@@ -274,7 +337,7 @@ def test_expander_mixing_edge_count_complete_graph(inst32):
     es = inst32.eval_set
     sub = es.good.subgroup
     blk = [es.points[i] for i in es.blocks[0]]
-    triv = AglSubgroup(sub.field, [t for t in sub if t.is_identity])
+    triv = AglSubgroup(sub.field, [AffineMap.identity(sub.field)])
     g = schreier_graph(blk, sub, triv)
     s_idx, t_idx = [0, 1], [1, 2, 3]
     e = sum(g.adjacency[i][j] for i in s_idx for j in t_idx)
@@ -295,6 +358,21 @@ def test_weight_bound_audit_clean(inst8):
         assert t.weight >= t.bound_int
         assert t.pair_count <= t.root_count <= max(t.g_degree, 0)
         assert t.g_degree <= t.g_degree_cap
+
+
+def test_weight_bound_audit_transcript_frozen(inst8):
+    rep = weight_bound_audit(inst8, trials=40, seed=5)
+    assert [(t.weight, t.theta_order) for t in rep.trials] == [
+        (8, 1), (7, 1), (8, 1), (7, 1), (8, 1), (6, 1), (7, 1), (7, 1), (8, 1), (8, 1),
+        (5, 1), (7, 1), (5, 1), (6, 1), (8, 1), (8, 1), (7, 1), (7, 1), (7, 1), (5, 1),
+        (8, 1), (6, 1), (8, 1), (8, 1), (8, 2), (7, 1), (7, 1), (7, 1), (6, 1), (8, 1),
+        (6, 1), (8, 1), (7, 1), (6, 1), (8, 1), (5, 1), (7, 1), (6, 1), (8, 1), (7, 1),
+    ]
+    # seed 9 draws the message of a dual word once, and that draw is redone
+    rep = weight_bound_audit(inst8, trials=10, seed=9)
+    assert [(t.weight, t.theta_order) for t in rep.trials] == [
+        (8, 1), (6, 1), (6, 1), (6, 1), (8, 1), (5, 1), (6, 1), (8, 1), (7, 1), (8, 1),
+    ]
 
 
 def test_weight_bound_audit_deterministic(inst8):

@@ -141,6 +141,29 @@ def test_verify_tampered_dual_rows_exit_4(tmp_path, tampered_dual_dumps, capsys)
         assert f"{check}: FAIL" in capsys.readouterr().out
 
 
+def test_verify_blocks_that_are_not_orbits_exit_4(tmp_path, dump8, capsys):
+    d = json.loads(dump8.read_text())
+    assert d["subgroup"]["B_basis"] == [[1, 0, 0], [0, 1, 0]]
+    d["subgroup"]["B_basis"] = [[1, 0, 0], [0, 0, 1]]  # {0, 1, a^2, 1 + a^2}
+    bad = tmp_path / "bad_orbits.json"
+    bad.write_text(json.dumps(d))
+    rc = main(["verify", "--instance", str(bad), "--trials", "5"])
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert "block-polynomial-constancy: FAIL (block (0, 1, 2, 3) is not a free orbit" in out
+    assert out.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_bounds_brute_force_tampered_dual_rows_exit_4(tmp_path, tampered_dual_dumps, capsys, which):
+    bad = tmp_path / "bad_d.json"
+    bad.write_text(json.dumps(tampered_dual_dumps[which][0]))
+    assert main(["bounds", "--instance", str(bad), "--brute-force"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dual generator" in captured.err
+
+
 def test_bounds_report_json(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8)])
     assert rc == 0

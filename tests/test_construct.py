@@ -445,6 +445,25 @@ def test_tampered_dual_rows_fail(tampered_dual_dumps):
         assert not by_name[check].ok, check
 
 
+def test_blocks_that_are_not_orbits_fail_constancy(inst8):
+    """Swapping the translation basis {1, a} for {1, a^2} leaves g constant
+    on the dumped blocks, but they are no longer orbits of the subgroup."""
+    bad = json.loads(json.dumps(instance_to_dump(inst8)))
+    bad["subgroup"]["B_basis"] = [[1, 0, 0], [0, 0, 1]]
+    by_name = {c.name: c for c in verify_instance(instance_from_dump(bad), trials=5)}
+    assert [name for name, c in by_name.items() if not c.ok] == ["block-polynomial-constancy"]
+    assert "not a free orbit" in by_name["block-polynomial-constancy"].detail
+
+
+def test_blocks_that_do_not_partition_fail_constancy(inst8):
+    bad = json.loads(json.dumps(instance_to_dump(inst8)))
+    bad["blocks"][1] = bad["blocks"][0]
+    check = {c.name: c for c in verify_instance(instance_from_dump(bad), trials=5)}[
+        "block-polynomial-constancy"
+    ]
+    assert not check.ok and "do not partition" in check.detail
+
+
 def test_malformed_dump_rejected(inst8):
     dump = instance_to_dump(inst8)
     bad = json.loads(json.dumps(dump))
