@@ -1,9 +1,10 @@
 """Subgroups of the affine maps x -> a*x + b over a finite field.
 
-A subgroup acting on the field partitions it into orbits; whenever an orbit
-has size equal to the group order, the monic annihilator of that orbit is
-constant on every orbit (a "good polynomial" in the locally-recoverable-code
-sense), which is what makes these groups useful for block structure.
+A subgroup H acting on the field partitions it into orbits (iter_orbits lists
+them lazily).  The monic annihilator g of a free orbit, one of size |H|, has
+g(h(x)) = a^|H| g(x) = g(x) for every h: x -> a*x + b in H, so g is constant
+on every orbit (a "good polynomial" in the locally-recoverable-code sense),
+which is what makes these groups useful for block structure.
 
 Subgroups are either given by an explicit closed set of maps or generated
 from a pair (M, B): a multiplicative subgroup M of a subfield K and a
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstructionError, InputError
+from .errors import InputError
 from .field import Field, FieldElement
 from .poly import Polynomial, annihilator
 
@@ -162,14 +163,13 @@ class OrbitPartition:
 
 @dataclass(frozen=True)
 class GoodPolynomial:
-    """A polynomial constant on each block of a partition into equal orbits.
+    """The annihilator g of the free orbit of base_point, constant on every orbit.
 
-    The generating subgroup is kept around because the spectral distance
-    bounds need it.
+    The generating subgroup is kept around because the block check and the
+    spectral distance bounds need it.
     """
 
     g: Polynomial
-    partition: OrbitPartition
     subgroup: AglSubgroup
     base_point: FieldElement | None
 
@@ -282,31 +282,37 @@ def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
     raise InputError(f"unknown subgroup kind {kind!r}")
 
 
-def orbits(subgroup: AglSubgroup, domain) -> OrbitPartition:
-    """Partition a closed domain into orbits of the subgroup."""
+def iter_orbits(subgroup: AglSubgroup, domain=None):
+    """The orbits of a closed domain, one at a time, listed by smallest member.
+
+    domain None is the whole field, walked in canonical order without
+    materialising it; any other domain is read once and enumerated over its
+    own elements only.  Raises DomainNotClosed when an orbit leaves it.
+    """
     field = subgroup.field
-    els = sorted({field.element(x) for x in domain}, key=lambda e: e.value())
-    elset = set(els)
-    out = []
+    elset = None if domain is None else {field.element(x) for x in domain}
     seen: set[FieldElement] = set()
-    for x in els:
+    for x in field.elements() if elset is None else sorted(elset, key=lambda e: e.value()):
         if x in seen:
             continue
         orb = subgroup.orbit(x)
-        for y in orb:
-            if y not in elset:
-                raise DomainNotClosed(f"{y!r} = image of {x!r} lies outside the domain")
+        if elset is not None and not elset.issuperset(orb):
+            raise DomainNotClosed(f"the orbit of {x!r} leaves the domain")
         seen.update(orb)
-        out.append(tuple(orb))
-    return OrbitPartition(tuple(out))
+        yield tuple(orb)
+
+
+def orbits(subgroup: AglSubgroup, domain) -> OrbitPartition:
+    """Partition a closed domain into orbits of the subgroup."""
+    return OrbitPartition(tuple(iter_orbits(subgroup, domain)))
 
 
 def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
-    """The monic annihilator of a regular orbit, constant on all such orbits.
+    """The monic annihilator of the orbit of alpha, which must be free.
 
-    alpha must have an orbit of full size len(subgroup); the returned
-    partition lists every full-size orbit in the field, and constancy of g
-    on each of them is verified by evaluation before returning.
+    Raises NotRegularOrbit when the orbit is smaller than the group.  No
+    other orbit is enumerated or evaluated here: constancy on the blocks in
+    use is checked by construct.blocks_problem.
     """
     field = subgroup.field
     alpha = field.element(alpha)
@@ -315,14 +321,7 @@ def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
         raise NotRegularOrbit(
             f"orbit of {alpha!r} has size {len(orb)}, group has order {len(subgroup)}"
         )
-    g = annihilator(field, orb)
-    blocks = tuple(
-        blk for blk in orbits(subgroup, field.elements()).orbits if len(blk) == len(subgroup)
-    )
-    for blk in blocks:
-        if len({g(x) for x in blk}) != 1:
-            raise ConstructionError(f"polynomial is not constant on the block {blk!r}")
-    return GoodPolynomial(g, OrbitPartition(blocks), subgroup, alpha)
+    return GoodPolynomial(annihilator(field, orb), subgroup, alpha)
 
 
 def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agl import AglSubgroup, theta_subgroup
-from .construct import CodeInstance, dual_positions, encode, exponent_sets
+from .construct import CodeInstance, blocks_problem, dual_positions, encode, exponent_sets
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import FieldElement
 from .poly import Polynomial
@@ -184,9 +184,12 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
     """[[n, 2k-n]] parameters plus every bound this package can certify.
 
     ell is derived from exponent_sets(n, k, r), never read from the
-    instance; an instance whose stored exponent data disagree with that
-    derivation raises VerificationError.
+    instance.  An instance that fails blocks_problem, or whose stored
+    exponent data disagree with that derivation, raises VerificationError.
     """
+    problem = blocks_problem(inst.eval_set)
+    if problem:
+        raise VerificationError(problem)
     exps = exponent_sets(inst.n, inst.k, inst.r)
     wrong = [f for f in _EXPONENT_FIELDS if getattr(inst.exps, f) != getattr(exps, f)]
     if wrong:
@@ -255,7 +258,7 @@ def _words_outside_dual(inst: CodeInstance):
     outside = [i for i in range(k) if i not in in_d]
     if not outside:
         raise ConstructionError("no codeword found outside the dual span")
-    add = fld.tables()[0]
+    add = fld.tables()
     p, rows = fld.p, [fld.ints(row) for row in inst.matrix_c]
     digits = [p**d for d in range(fld.m)]
     for t, lead in enumerate(outside):
@@ -425,9 +428,13 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     its exact stabilizer, check the weight against the bound at the actual
     stabilizer order, then build the associated quotient-product polynomial
     explicitly and confirm its degree cap and that its root count in the
-    evaluation set dominates the count of same-orbit zero pairs.
+    evaluation set dominates the count of same-orbit zero pairs.  Raises
+    VerificationError when the instance fails blocks_problem.
     """
     es = inst.eval_set
+    problem = blocks_problem(es)
+    if problem:
+        raise VerificationError(problem)
     sub = es.good.subgroup
     if inst.ell is None:
         raise InputError("audit needs a nonempty x^i monomial part")

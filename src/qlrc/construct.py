@@ -7,11 +7,13 @@ evaluate two nested spans of monomials x^i * g(x)^j through the weighted
 evaluation map f -> (u_1 f(a_1), ..., u_n f(a_n)).  The inner span T is
 orthogonal to the outer span S under the weighting, which makes the big
 code contain its own dual; the block structure of g gives every coordinate
-a repair group of size r.
+a repair group of size r.  blocks_problem decides that structure, for the
+build, for verify_instance and for the bounds alike.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,8 +23,8 @@ from .agl import (
     AglSubgroup,
     GoodPolynomial,
     MBProvenance,
-    OrbitPartition,
     good_polynomial,
+    iter_orbits,
     subgroup_from_descriptor,
 )
 from .errors import ConstructionError, InputError, VerificationError
@@ -310,87 +312,101 @@ def build_evaluation_set(
 
     domain selects the evaluation points: "full_field" uses every field
     element (all orbits must then have full size), "orbits" takes the first
-    n/(r+1) full-size orbits in canonical order, and an explicit element
-    list must be exactly a union of full-size orbits.
+    n/(r+1) full-size orbits in canonical order (all when n is None) and
+    stops there, and an explicit element list, enumerated over its own
+    elements only, must be exactly a union of full-size orbits.
 
     When the multiplier solve has to move to GF(q^2), every ingredient
     (points, blocks, g, subgroup) is embedded and the returned set lives in
-    the extension with `extended` set.
+    the extension with `extended` set.  blocks_problem runs on the returned
+    set either way; a problem raises ConstructionError.
     """
     fld = subgroup.field
     if len(subgroup) < 3:
         raise LocalityTooSmall(f"subgroup order {len(subgroup)} gives locality < 2")
     good = good_polynomial(subgroup, _resolve_alpha(subgroup, alpha))
-    blocks_all = good.partition.orbits
     size = len(subgroup)
 
     if isinstance(domain, str) and domain == "full_field":
-        if sum(len(b) for b in blocks_all) != fld.q:
-            raise InputError("full-size orbits do not cover the field; use domain='orbits'")
-        chosen = list(blocks_all)
         if n is not None and n != fld.q:
             raise InputError(f"full_field implies n = {fld.q}, got {n}")
+        chosen = list(iter_orbits(subgroup))
+        if any(len(orb) != size for orb in chosen):
+            raise InputError("full-size orbits do not cover the field; use domain='orbits'")
     elif isinstance(domain, str) and domain == "orbits":
-        if n is None:
-            n = size * len(blocks_all)
-        if n % size != 0:
+        if n is not None and n % size != 0:
             raise BadDimension(f"n = {n} is not a multiple of the block size {size}")
-        want = n // size
-        if want < 1 or want > len(blocks_all):
+        full = (orb for orb in iter_orbits(subgroup) if len(orb) == size)
+        chosen = list(full if n is None else itertools.islice(full, max(n // size, 0)))
+        want = len(chosen) if n is None else n // size
+        if want < 1 or len(chosen) < want:
+            total = len(chosen) + sum(1 for _ in full)
             raise InputError(
-                f"requested {want} blocks but the subgroup has {len(blocks_all)} full-size orbits"
+                f"requested {want} blocks but the subgroup has {total} full-size orbits"
             )
-        chosen = list(blocks_all[:want])
     elif isinstance(domain, str):
         raise InputError(f"unknown evaluation domain {domain!r}")
     else:
-        els = {fld.element(x) for x in domain}
-        if n is not None and n != len(els):
-            raise InputError("explicit domain size disagrees with n")
-        chosen = [b for b in blocks_all if set(b) <= els]
-        covered = {x for b in chosen for x in b}
-        if covered != els:
+        chosen = list(iter_orbits(subgroup, domain))
+        if any(len(orb) != size for orb in chosen):
             raise InputError("explicit domain is not a union of full-size orbits")
+        if n is not None and n != size * len(chosen):
+            raise InputError("explicit domain size disagrees with n")
 
-    points = sorted({x for b in chosen for x in b}, key=lambda e: e.value())
+    points = sorted((x for b in chosen for x in b), key=lambda e: e.value())
     index = {x.v: i for i, x in enumerate(points)}
-    blocks = tuple(tuple(sorted(index[x.v] for x in b)) for b in chosen)
-    blocks = tuple(sorted(blocks, key=lambda b: b[0]))
+    # orbits come sorted inside and listed by smallest member, and so do the blocks
+    blocks = tuple(tuple(index[x.v] for x in b) for b in chosen)
 
     sol = solve_multipliers(points)
-    if not sol.extended:
-        return EvaluationSet(
-            field=fld,
-            points=tuple(points),
-            blocks=blocks,
-            u=sol.u,
-            good=good,
-            extended=False,
-            base_field=fld,
+    if sol.extended:
+        emb, big = sol.embedding, sol.field
+        good = GoodPolynomial(
+            Polynomial(big, [emb(c) for c in fld.from_ints(good.g.coeffs)]),
+            _embed_subgroup(good.subgroup, emb, big),
+            emb(good.base_point),
         )
-
-    emb, big = sol.embedding, sol.field
-    big_sub = _embed_subgroup(good.subgroup, emb, big)
-    big_blocks_els = tuple(tuple(sol.points[i] for i in blk) for blk in blocks)
-    big_g = Polynomial(big, [emb(c) for c in fld.from_ints(good.g.coeffs)])
-    for blk in big_blocks_els:
-        if len({big_g(x) for x in blk}) != 1:
-            raise ConstructionError("block constancy lost under embedding")
-    big_good = GoodPolynomial(
-        big_g,
-        OrbitPartition(big_blocks_els),
-        big_sub,
-        emb(good.base_point) if good.base_point is not None else None,
-    )
-    return EvaluationSet(
-        field=big,
+    es = EvaluationSet(
+        field=sol.field,
         points=sol.points,
         blocks=blocks,
         u=sol.u,
-        good=big_good,
-        extended=True,
+        good=good,
+        extended=sol.extended,
         base_field=fld,
     )
+    problem = blocks_problem(es)
+    if problem:
+        raise ConstructionError(problem)
+    return es
+
+
+def blocks_problem(es: EvaluationSet) -> str | None:
+    """The block structure that locality rests on, or what is wrong with it.
+
+    g has degree r + 1; the blocks partition range(n) into blocks of size
+    r + 1; the subgroup H has order r + 1; and every block is a free orbit
+    of H on which g is constant.  Everything is recomputed from the points,
+    blocks, g and H of the set, so a reloaded dump is checked as built.
+    """
+    n, r = es.n, es.r
+    g = es.good.g
+    if g.degree != r + 1:
+        return f"block polynomial degree {g.degree} != {r + 1}"
+    if sorted(i for blk in es.blocks for i in blk) != list(range(n)) or any(
+        len(blk) != r + 1 for blk in es.blocks
+    ):
+        return f"blocks do not partition the {n} positions into blocks of size {r + 1}"
+    sub = es.good.subgroup
+    if len(sub) != r + 1:
+        return f"subgroup order {len(sub)} != block size {r + 1}"
+    for blk in es.blocks:
+        orbit = sub.orbit(es.points[blk[0]])
+        if [x.v for x in orbit] != sorted(es.points[i].v for i in blk):
+            return f"block {blk} is not a free orbit of the subgroup"
+        if len({g(es.points[i]) for i in blk}) != 1:
+            return f"block {blk} sees several values of g"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +672,12 @@ def instance_from_dump(d: dict) -> CodeInstance:
         raise InputError(f"malformed instance dump: {e}") from None
     if len(points) != d["n"] or len(u) != d["n"]:
         raise InputError("dump lengths are inconsistent with n")
-    block_els = tuple(tuple(points[i] for i in blk) for blk in blocks)
-    good = GoodPolynomial(g, OrbitPartition(block_els), subgroup, alpha)
     es = EvaluationSet(
         field=fld,
         points=points,
         blocks=blocks,
         u=u,
-        good=good,
+        good=GoodPolynomial(g, subgroup, alpha),
         extended=bool(d["extended"]),
         base_field=base,
     )
@@ -706,26 +720,6 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
             return "weighted power sums do not vanish up to degree n - 2"
         if any(ui.is_zero() for ui in es.u):
             return "a multiplier is zero"
-        return None
-
-    def chk_constancy():
-        g = es.good.g
-        if g.degree != r + 1:
-            return f"block polynomial degree {g.degree} != {r + 1}"
-        if sorted(i for blk in es.blocks for i in blk) != list(range(n)) or any(
-            len(blk) != r + 1 for blk in es.blocks
-        ):
-            return f"blocks do not partition the {n} positions into blocks of size {r + 1}"
-        sub = es.good.subgroup
-        if len(sub) != r + 1:
-            return f"subgroup order {len(sub)} != block size {r + 1}"
-        for blk in es.blocks:
-            orbit = sub.orbit(es.points[blk[0]])
-            if [x.v for x in orbit] != sorted(es.points[i].v for i in blk):
-                return f"block {blk} is not a free orbit of the subgroup"
-            vals = {g(es.points[i]) for i in blk}
-            if len(vals) != 1:
-                return f"block {blk} sees several values of g"
         return None
 
     def chk_rows_match():
@@ -782,7 +776,7 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
         _check("multiplier-power-sums", chk_power_sums),
         _check("generator-ranks", lambda: _generator_problem(inst.matrix_c, inst.matrix_d, k, n)),
         _check("dual-containment", lambda: _orthogonality_problem(inst.matrix_c, inst.matrix_d)),
-        _check("block-polynomial-constancy", chk_constancy),
+        _check("block-polynomial-constancy", lambda: blocks_problem(es)),
         _check("generator-row-consistency", chk_rows_match),
         _check("quotient-ring-closure", chk_ring),
         _check("local-repair", chk_repair),

@@ -284,7 +284,7 @@ class Field:
             if not _is_irreducible(modulus, p):
                 raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
-        self._tables: tuple[list[list[int]], list[list[int]]] | None = None
+        self._add_table: list[list[int]] | None = None
 
     def __getattr__(self, name):
         # Only reached for attributes not set yet: the exp/log tables are
@@ -493,14 +493,12 @@ class Field:
 
     # -- integer-encoded op tables (internal, for codeword scans) -----------
 
-    def tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(add, mul) tables over integer encodings; built lazily."""
-        if self._tables is None:
+    def tables(self) -> list[list[int]]:
+        """The q x q addition table over integer encodings; built on first use."""
+        if self._add_table is None:
             q = self.q
-            add = [[self.add(a, b) for b in range(q)] for a in range(q)]
-            mul = [[self.mul(a, b) for b in range(q)] for a in range(q)]
-            self._tables = (add, mul)
-        return self._tables
+            self._add_table = [[self.add(a, b) for b in range(q)] for a in range(q)]
+        return self._add_table
 
     # -- serialization -------------------------------------------------------
 

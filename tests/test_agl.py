@@ -150,6 +150,8 @@ def test_good_polynomial_multiplicative_frozen():
 
 
 def test_good_polynomial_constant_on_every_block():
+    """g is invariant under the subgroup, so it is constant on every orbit of
+    the field, the free ones and the short ones alike."""
     cases = []
     f16 = Field(2, 4)
     k4 = f16.subfield_elements(2)
@@ -161,7 +163,7 @@ def test_good_polynomial_constant_on_every_block():
             x for x in sub.field.elements() if len(sub.orbit(x)) == len(sub)
         )
         gp = good_polynomial(sub, alpha)
-        for block in gp.partition.orbits:
+        for block in orbits(sub, sub.field.elements()).orbits:
             assert len({gp.g(x) for x in block}) == 1
 
 

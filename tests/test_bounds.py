@@ -1,6 +1,7 @@
 """Distance bounds: closed forms, exact ceilings, enumeration, spectra, audits."""
 
 import itertools
+import json
 
 import pytest
 
@@ -173,6 +174,23 @@ def test_css_params_derives_ell_and_rejects_a_stored_one(inst8):
         bad = dict(dump, **{key: value})
         with pytest.raises(VerificationError, match=key):
             css_params(instance_from_dump(bad))
+
+
+def test_css_params_and_audit_reject_blocks_that_are_not_orbits(inst8):
+    """The [8,5]_8 dump with translation basis {1, a^2} in place of {1, a}:
+    its blocks are not orbits, so no spectral bound may be certified for it;
+    with g edited to x^4 the blocks are orbits but g is not constant on them."""
+    dump = instance_to_dump(inst8)
+    moved = json.loads(json.dumps(dump))
+    moved["subgroup"]["B_basis"] = [[1, 0, 0], [0, 0, 1]]
+    x4 = json.loads(json.dumps(dump))
+    x4["g"] = Polynomial.monomial(inst8.field, inst8.field.one(), 4).to_lists()
+    for bad, detail in [(moved, "is not a free orbit"), (x4, "several values of g")]:
+        inst = instance_from_dump(bad)
+        with pytest.raises(VerificationError, match=detail):
+            css_params(inst)
+        with pytest.raises(VerificationError, match=detail):
+            weight_bound_audit(inst, trials=3, seed=1)
 
 
 def test_sweep_rows_frozen_and_monotone():

@@ -196,6 +196,18 @@ def test_bounds_rejects_a_stored_ell_that_disagrees(tmp_path, dump8, capsys):
         assert "ell" in captured.err
 
 
+def test_bounds_blocks_that_are_not_orbits_exit_4(tmp_path, dump8, capsys):
+    d = json.loads(dump8.read_text())
+    d["subgroup"]["B_basis"] = [[1, 0, 0], [0, 0, 1]]  # blocks are no longer orbits
+    bad = tmp_path / "bad_orbits.json"
+    bad.write_text(json.dumps(d))
+    for extra in ([], ["--brute-force"]):
+        assert main(["bounds", "--instance", str(bad), *extra]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block (0, 1, 2, 3) is not a free orbit of the subgroup" in captured.err
+
+
 def test_bounds_brute_force_adds_exact_distance(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8), "--brute-force"])
     assert rc == 0

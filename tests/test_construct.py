@@ -2,7 +2,9 @@
 dumps, and the named verification checks (including mutation failures)."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +19,14 @@ from qlrc import (
     instance_from_dump,
     instance_from_spec,
     instance_to_dump,
+    orbits,
     repair,
     solve_multipliers,
     subgroup_from_MB,
     verify_instance,
 )
-from qlrc import linalg
+from qlrc import construct, linalg
+from qlrc.agl import AglSubgroup, GoodPolynomial
 from qlrc.construct import (
     BadDimension,
     BlockIncomplete,
@@ -30,7 +34,9 @@ from qlrc.construct import (
     LengthMismatch,
     LocalityTooSmall,
 )
-from qlrc.errors import InputError
+from qlrc.errors import ConstructionError, InputError
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # --- multipliers --------------------------------------------------------------
@@ -199,6 +205,124 @@ def test_evaluation_set_n_mismatch():
     sub = subgroup_from_MB(f8, 1, {one}, {f8.zero(), one, a, a + one})
     with pytest.raises(InputError):
         build_evaluation_set(sub, n=12)  # full field has 8 points
+
+
+def _subgroup_cases():
+    """Additive, multiplicative and mixed subgroups, labelled, over
+    GF(8), GF(9), GF(16) and GF(27); GF(8) has no proper subfield to mix."""
+    cases = []
+    for p, m in [(2, 3), (3, 2), (2, 4), (3, 3)]:
+        f = Field(p, m)
+        one, a, g = f.one(), f.gen(), f.primitive_element()
+        prime = set(f.subfield_elements(1))
+        span = {x + c * a for x in prime for c in prime} if m > 2 else prime
+        cases.append((f"GF({f.q}) additive", subgroup_from_MB(f, 1, {one}, span)))
+        order = {8: 7, 9: 4, 16: 5, 27: 13}[f.q]
+        powers = {g ** ((f.q - 1) // order * i) for i in range(order)}
+        cases.append((f"GF({f.q}) multiplicative", subgroup_from_MB(f, m, powers, {f.zero()})))
+        if f.q == 16:
+            k4 = set(f.subfield_elements(2))
+            cases.append(("GF(16) mixed", subgroup_from_MB(f, 2, k4 - {f.zero()}, k4)))
+        elif p == 3:
+            cases.append((f"GF({f.q}) mixed", subgroup_from_MB(f, 1, {one, -one}, prime)))
+    return [pytest.param(sub, id=label) for label, sub in cases]
+
+
+def _eager_selection(es, chosen):
+    """Point values and index blocks for the given orbits, in the base field
+    or, for an extended set, through the same embedding."""
+    base = es.base_field
+    pts = sorted((x for orb in chosen for x in orb), key=lambda e: e.value())
+    blocks = sorted(tuple(sorted(pts.index(x) for x in orb)) for orb in chosen)
+    emb = base.extend()[1] if es.extended else (lambda x: x)
+    return [emb(x).value() for x in pts], tuple(blocks)
+
+
+@pytest.mark.parametrize("sub", _subgroup_cases())
+def test_lazy_block_selection_matches_eager_orbits(sub):
+    """build_evaluation_set picks the same points and blocks as a selection
+    from the eagerly enumerated orbits of the whole field."""
+    f, size = sub.field, len(sub)
+    every = orbits(sub, f.elements()).orbits
+    full = [orb for orb in every if len(orb) == size]
+    assert full
+
+    def check(es, chosen):
+        assert ([x.value() for x in es.points], es.blocks) == _eager_selection(es, chosen)
+
+    if len(full) == len(every):
+        check(build_evaluation_set(sub), full)
+    else:
+        with pytest.raises(InputError, match="do not cover the field"):
+            build_evaluation_set(sub)
+    check(build_evaluation_set(sub, domain="orbits"), full)
+    for want in range(1, len(full) + 1):
+        check(build_evaluation_set(sub, domain="orbits", n=want * size), full[:want])
+    picked = [full[-1], full[0]] if len(full) > 1 else full
+    domain = sorted((x for orb in picked for x in orb), key=lambda e: -e.value())
+    check(build_evaluation_set(sub, domain=domain + domain[:2]), picked)
+
+
+def test_orbits_domain_error_names_the_true_orbit_count():
+    """GF(27) under x -> +-x + b, b in GF(3): one short orbit, four free ones."""
+    f = Field(3, 3)
+    sub = subgroup_from_MB(f, 1, {f.one(), -f.one()}, set(f.subfield_elements(1)))
+    for n in (30, 0):
+        with pytest.raises(InputError, match="the subgroup has 4 full-size orbits"):
+            build_evaluation_set(sub, domain="orbits", n=n)
+    with pytest.raises(BadDimension):
+        build_evaluation_set(sub, domain="orbits", n=9)
+
+
+def test_full_field_rejects_a_fixed_point():
+    """x -> c*x fixes 0, so the multiplicative orbits do not cover GF(8), and
+    an explicit domain holding 0 is not a union of full-size orbits."""
+    f = Field(2, 3)
+    sub = subgroup_from_MB(f, 3, set(f.elements()) - {f.zero()}, {f.zero()})
+    with pytest.raises(InputError, match="do not cover the field"):
+        build_evaluation_set(sub)
+    with pytest.raises(InputError, match="not a union of full-size orbits"):
+        build_evaluation_set(sub, domain=list(f.elements()))
+    assert build_evaluation_set(sub, domain="orbits").n == 7
+
+
+def test_build_runs_the_block_check(monkeypatch):
+    """A g that is not constant on the blocks stops the build, on the base
+    path (GF(8), additive) and on the extended path (GF(9) -> GF(81))."""
+    f8, f9 = Field(2, 3), Field(3, 2)
+    a, g = f8.gen(), f9.primitive_element()
+    additive = subgroup_from_MB(f8, 1, {f8.one()}, {f8.zero(), f8.one(), a, a + f8.one()})
+    mult = subgroup_from_MB(f9, 2, {g ** (2 * i) for i in range(4)}, {f9.zero()})
+    assert not build_evaluation_set(additive).extended
+    assert build_evaluation_set(mult, domain="orbits").extended
+
+    def x4_plus_x(sub, alpha):
+        x = Polynomial.x(sub.field)
+        return GoodPolynomial(x**4 + x, sub, alpha)
+
+    monkeypatch.setattr(construct, "good_polynomial", x4_plus_x)
+    with pytest.raises(ConstructionError, match="several values of g"):
+        build_evaluation_set(additive)
+    with pytest.raises(ConstructionError, match="several values of g"):
+        build_evaluation_set(mult, domain="orbits")
+
+
+def test_wide_field_build_calls_orbit_a_few_times_per_block(monkeypatch):
+    """Building the [32,19] spec over GF(2^16) with domain "orbits" computes
+    a few orbits per block, not one per field element."""
+    spec = json.loads((PERFBENCH / "specs" / "q65536_n32_k19.json").read_text())
+    calls = []
+    orbit = AglSubgroup.orbit
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return orbit(self, alpha)
+
+    monkeypatch.setattr(AglSubgroup, "orbit", counted)
+    inst = instance_from_spec(spec)
+    blocks = inst.n // (inst.r + 1)
+    assert len(inst.eval_set.blocks) == blocks == 8
+    assert len(calls) <= 4 * blocks
 
 
 def test_build_code_shapes_and_ranks(inst32):
@@ -516,3 +640,13 @@ def test_build_code_seed_recorded(sub32):
     inst = build_code(build_evaluation_set(sub32), 19, seed=7)
     assert inst.seed == 7
     assert instance_to_dump(inst)["seed"] == 7
+
+
+@pytest.mark.parametrize("path", sorted((PERFBENCH / "specs").glob("*.json")), ids=lambda p: p.stem)
+def test_spec_dumps_match_benchmark_goldens(path):
+    """Every benchmark spec still builds to the dump whose sha256 the
+    benchmark's goldens record."""
+    golden = json.loads((PERFBENCH / "goldens.json").read_text())["dumps"][path.stem]
+    inst = instance_from_spec(json.loads(path.read_text()))
+    text = json.dumps(instance_to_dump(inst), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
