@@ -211,7 +211,7 @@ def subgroup_from_MB(field: Field, k_degree: int, M, B) -> AglSubgroup:
     K is the subfield of order p**k_degree.  M must be a multiplicative
     subgroup of K*, B a K-subspace of the field; both checks are exhaustive.
     """
-    if field.m % k_degree != 0:
+    if k_degree < 1 or field.m % k_degree != 0:
         raise NotSubfield(f"degree {k_degree} does not divide {field.m}")
     K = set(field.subfield_elements(k_degree))
     M = [field.element(a) for a in M]
@@ -254,7 +254,7 @@ def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSu
     while x not in M:
         M.add(x)
         x = x * m_gen
-    K = field.subfield_elements(k_degree) if field.m % k_degree == 0 else []
+    K = field.subfield_elements(k_degree) if k_degree > 0 and field.m % k_degree == 0 else []
     B = {field.zero()}
     for v in basis:
         B = {s + k * v for s in B for k in K}

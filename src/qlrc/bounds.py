@@ -9,21 +9,22 @@ codeword, whose second eigenvalue is known exactly, and the expander mixing
 lemma.  Everything numeric is guarded by exact rational arithmetic when an
 integer threshold is extracted.
 
-The exact scan and the audit decide membership in D = C-perp one way, in
-message space: construct.dual_positions certifies D = C-perp and names the
-rows of G_C that span D, and a word lies in D exactly when its message is
-zero on every other row.
+Every certified number passes construct.structure_problem, the
+deterministic checks of verify_instance, first: css_params calls it, and the
+scan and the audit reach it through construct.dual_positions, which also
+names the rows of G_C that span D = C-perp.  A word lies in D exactly when
+its message is zero on every other row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .agl import AglSubgroup, theta_subgroup
-from .construct import CodeInstance, blocks_problem, dual_positions, encode, exponent_sets
+from .construct import CodeInstance, dual_positions, encode, exponent_sets, structure_problem
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import FieldElement
 from .poly import Polynomial
@@ -161,51 +162,22 @@ class QlrcParams:
     delta_exact: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kappa": self.kappa,
-            "q": self.q,
-            "r": self.r,
-            "ell": self.ell,
-            "p": self.p,
-            "degree_bound": self.degree_bound,
-            "agl_bound_real": self.agl_bound_real,
-            "agl_bound_int": self.agl_bound_int,
-            "singleton_rhs_at_agl_bound": self.singleton_rhs_at_agl_bound,
-            "optimal": self.optimal,
-            "delta_exact": self.delta_exact,
-        }
-
-
-_EXPONENT_FIELDS = ("s1", "s2", "t1", "ell", "ell_prime")
+        return asdict(self)
 
 
 def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams:
     """[[n, 2k-n]] parameters plus every bound this package can certify.
 
-    ell is derived from exponent_sets(n, k, r), never read from the
-    instance.  An instance that fails blocks_problem, or whose stored
-    exponent data disagree with that derivation, raises VerificationError.
+    An instance that fails structure_problem raises VerificationError, so
+    every number rests on recomputed data; ell, for one, is read only after
+    generator-row-consistency matched it with exponent_sets(n, k, r).
     """
-    problem = blocks_problem(inst.eval_set)
+    problem = structure_problem(inst)
     if problem:
         raise VerificationError(problem)
-    exps = exponent_sets(inst.n, inst.k, inst.r)
-    wrong = [f for f in _EXPONENT_FIELDS if getattr(inst.exps, f) != getattr(exps, f)]
-    if wrong:
-        raise VerificationError(
-            f"stored {', '.join(wrong)} disagree with the exponent sets of "
-            f"n = {inst.n}, k = {inst.k}, r = {inst.r}"
-        )
-    n, r, ell = inst.n, inst.r, exps.ell
+    n, r, ell = inst.n, inst.r, inst.ell
     p = smallest_prime_factor(r + 1)
-    if ell is not None:
-        bv = agl_bound(n, r, ell, p)
-        rhs = quantum_singleton_rhs(n, bv.ceiling, r)
-        opt = singleton_optimal(n, inst.kappa, bv.ceiling, r)
-        agl_real, agl_int = bv.real, bv.ceiling
-    else:
-        agl_real = agl_int = rhs = opt = None
+    bv = agl_bound(n, r, ell, p)
     return QlrcParams(
         n=n,
         kappa=inst.kappa,
@@ -214,10 +186,10 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
         ell=ell,
         p=p,
         degree_bound=degree_bound(n, r, ell),
-        agl_bound_real=agl_real,
-        agl_bound_int=agl_int,
-        singleton_rhs_at_agl_bound=rhs,
-        optimal=opt,
+        agl_bound_real=bv.real,
+        agl_bound_int=bv.ceiling,
+        singleton_rhs_at_agl_bound=quantum_singleton_rhs(n, bv.ceiling, r),
+        optimal=singleton_optimal(n, inst.kappa, bv.ceiling, r),
         delta_exact=delta_exact,
     )
 
@@ -255,9 +227,7 @@ def _words_outside_dual(inst: CodeInstance):
     """
     fld, k = inst.field, inst.k
     in_d = dual_positions(inst)
-    outside = [i for i in range(k) if i not in in_d]
-    if not outside:
-        raise ConstructionError("no codeword found outside the dual span")
+    outside = [i for i in range(k) if i not in in_d]  # k > n - k, so never empty
     add = fld.tables()
     p, rows = fld.p, [fld.ints(row) for row in inst.matrix_c]
     digits = [p**d for d in range(fld.m)]
@@ -429,16 +399,12 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     stabilizer order, then build the associated quotient-product polynomial
     explicitly and confirm its degree cap and that its root count in the
     evaluation set dominates the count of same-orbit zero pairs.  Raises
-    VerificationError when the instance fails blocks_problem.
+    VerificationError, through dual_positions, when the instance fails
+    structure_problem.
     """
-    es = inst.eval_set
-    problem = blocks_problem(es)
-    if problem:
-        raise VerificationError(problem)
+    in_d = dual_positions(inst)
+    es, fld, n, r, ell = inst.eval_set, inst.field, inst.n, inst.r, inst.ell
     sub = es.good.subgroup
-    if inst.ell is None:
-        raise InputError("audit needs a nonempty x^i monomial part")
-    fld, n, r, ell = inst.field, inst.n, inst.r, inst.ell
     rng = Xorshift64Star(inst.seed if seed is None else seed)
     p = smallest_prime_factor(r + 1)
 
@@ -453,7 +419,6 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         gpows.append(gpows[-1] * es.good.g)
     monos = [gpows[j].shift(i) for i, j in s_pairs]
     x_poly = Polynomial.x(fld)
-    in_d = dual_positions(inst)
     outside = [i for i in range(inst.k) if i not in in_d]
 
     out: list[AuditTrial] = []

@@ -117,7 +117,7 @@ def _cmd_bounds(args) -> int:
     if args.instance is None:
         raise InputError("bounds needs --instance or --sweep-kappa")
     inst = construct_mod.instance_from_dump(_load_json(args.instance))
-    params = bounds_mod.css_params(inst)  # rejects inconsistent exponent data first
+    params = bounds_mod.css_params(inst)  # exit 4 unless verify's deterministic checks pass
     if args.brute_force:
         params = replace(params, delta_exact=bounds_mod.distance_bruteforce(inst, cap=args.cap))
     _emit(json.dumps(params.to_json_dict(), sort_keys=True, indent=2) + "\n", args.output)

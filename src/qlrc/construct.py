@@ -7,14 +7,15 @@ evaluate two nested spans of monomials x^i * g(x)^j through the weighted
 evaluation map f -> (u_1 f(a_1), ..., u_n f(a_n)).  The inner span T is
 orthogonal to the outer span S under the weighting, which makes the big
 code contain its own dual; the block structure of g gives every coordinate
-a repair group of size r.  blocks_problem decides that structure, for the
-build, for verify_instance and for the bounds alike.
+a repair group of size r.  blocks_problem decides that structure for the
+build; structure_problem runs every deterministic check of verify_instance,
+and bounds certifies nothing it rejects.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from . import linalg
@@ -29,7 +30,8 @@ from .agl import (
 )
 from .errors import ConstructionError, InputError, VerificationError
 from .field import Embedding, Field, FieldElement, field_from_descriptor
-from .poly import Polynomial, annihilator, interpolate, poly_from_lists
+# annihilator is unused here, but perfbench/spans.py wraps qlrc.construct.annihilator
+from .poly import Polynomial, annihilator, interpolate, poly_from_lists  # noqa: F401
 from .rng import Xorshift64Star
 
 
@@ -497,27 +499,31 @@ def _generator_problem(matrix_c, matrix_d, k: int, n: int) -> str | None:
 
 def _orthogonality_problem(matrix_c, matrix_d) -> str | None:
     """G_D * G_C^T = 0.  With _generator_problem clean this gives D = C-perp."""
+    fld = next((x.field for row in (*matrix_c, *matrix_d) for x in row), None)
+    if fld is None:
+        return None
+    rows_c = [fld.ints(row) for row in matrix_c]
     for j, rd in enumerate(matrix_d):
-        for i, rc in enumerate(matrix_c):
-            if not linalg.dot(list(rd), list(rc)).is_zero():
+        rd = fld.ints(rd)
+        for i, rc in enumerate(rows_c):
+            if len(rd) != len(rc) or fld.dot(rd, rc):
                 return f"dual row {j} is not orthogonal to big row {i}"
     return None
 
 
 def dual_positions(inst: CodeInstance) -> frozenset[int]:
-    """Positions of D's rows inside matrix_c, once D = C-perp is certified.
+    """Positions of D's rows inside matrix_c, once the instance is certified.
 
-    Runs _generator_problem and then _orthogonality_problem and raises
-    VerificationError on the first problem either finds.  When both pass,
-    D = C-perp is spanned by rows of the full-rank G_C, so m . G_C lies in D
-    exactly when m is zero at every position outside the returned set.
+    Raises VerificationError on the first problem structure_problem finds.
+    When none is found, generator-ranks and dual-containment make D = C-perp
+    the span of rows of the full-rank G_C, so m . G_C lies in D exactly when
+    m is zero at every position outside the returned set.
     """
-    mc, md = inst.matrix_c, inst.matrix_d
-    problem = _generator_problem(mc, md, inst.k, inst.n) or _orthogonality_problem(mc, md)
+    problem = structure_problem(inst)
     if problem:
         raise VerificationError(problem)
-    index = {tuple(row): i for i, row in enumerate(mc)}
-    return frozenset(index[tuple(row)] for row in md)
+    index = {tuple(row): i for i, row in enumerate(inst.matrix_c)}
+    return frozenset(index[tuple(row)] for row in inst.matrix_d)
 
 
 def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
@@ -656,20 +662,14 @@ def instance_from_dump(d: dict) -> CodeInstance:
         g = poly_from_lists(fld, d["g"])
         subgroup = subgroup_from_descriptor(fld, d["subgroup"])
         alpha = fld.element(d["alpha"]) if d["alpha"] is not None else None
-        exps = ExponentSets(
-            n=d["n"],
-            k=d["k"],
-            r=d["r"],
-            s1=tuple((int(i), int(j)) for i, j in d["s1"]),
-            s2=tuple((int(i), int(j)) for i, j in d["s2"]),
-            t1=tuple((int(i), int(j)) for i, j in d["t1"]),
-            ell=d["ell"],
-            ell_prime=d["ell_prime"],
-        )
+        pairs = {key: tuple((int(i), int(j)) for i, j in d[key]) for key in ("s1", "s2", "t1")}
+        exps = ExponentSets(d["n"], d["k"], d["r"], **pairs, ell=d["ell"], ell_prime=d["ell_prime"])
         mc = tuple(tuple(fld.element(c) for c in row) for row in d["generator_c"])
         md = tuple(tuple(fld.element(c) for c in row) for row in d["generator_d"])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed instance dump: {e}") from None
+    if not blocks or not all(blocks):
+        raise InputError("dump has no blocks or an empty block")
     if len(points) != d["n"] or len(u) != d["n"]:
         raise InputError("dump lengths are inconsistent with n")
     es = EvaluationSet(
@@ -703,33 +703,32 @@ def _check(name: str, fn) -> CheckResult:
     return CheckResult(name, True)
 
 
-def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = None):
-    """Re-derive every structural property of a (possibly reloaded) instance.
-
-    Returns a list of CheckResult in a fixed order; each check re-computes
-    its property from the raw instance data rather than trusting stored
-    derived values.
-    """
-    es = inst.eval_set
-    fld = inst.field
-    n, k, r = inst.n, inst.k, inst.r
-    rng = Xorshift64Star(inst.seed if seed is None else seed)
+def _structure_checks(inst: CodeInstance) -> list:
+    """(name, check) for verify_instance's checks but local-repair, in order,
+    for verify_instance and structure_problem; a check returns its problem."""
+    es, exps, fld, n = inst.eval_set, inst.exps, inst.field, inst.n
 
     def chk_power_sums():
+        # the multiplier solve decides the extension, so the flag is checked here
         if not _power_sum_check(list(es.u), list(es.points), n - 2):
             return "weighted power sums do not vanish up to degree n - 2"
         if any(ui.is_zero() for ui in es.u):
             return "a multiplier is zero"
+        if es.extended != (fld != es.base_field):
+            return f"extended is {es.extended} but field and base_field disagree with that"
+        if es.extended:
+            big, emb = es.base_field.extend()
+            if fld != big:
+                return "field is not the quadratic extension of base_field"
+            if not set(fld.ints(es.points)) <= {emb(x).v for x in es.base_field.elements()}:
+                return "a point lies outside the embedded base field"
         return None
 
     def chk_rows_match():
-        exps = inst.exps
-        if not set(exps.t1) <= set(exps.s1):
-            return "T1 exponents escape S1"
-        if exps.s1:
-            ell = max(exps.degree(p) for p in exps.s1)
-            if ell != exps.ell:
-                return "stored ell does not match the exponent list"
+        want = exponent_sets(n, inst.k, inst.r)  # r as the blocks say
+        wrong = [f.name for f in fields(exps) if getattr(exps, f.name) != getattr(want, f.name)]
+        if wrong:
+            return f"stored {', '.join(wrong)} disagree with exponent_sets({n}, {inst.k}, {inst.r})"
         if len(inst.matrix_c) != len(exps.s_pairs) or len(inst.matrix_d) != len(exps.t_pairs):
             return "generator row counts do not match the exponent lists"
         by_pair = _s_rows(es, exps)
@@ -742,24 +741,52 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
         return None
 
     def chk_ring():
-        u_count = len(es.blocks)
-        h = annihilator(fld, es.points)
-        basis_polys = [Polynomial.one(fld)]
-        for _ in range(u_count - 1):
-            basis_polys.append(basis_polys[-1] * es.good.g)
-        basis_polys = [bp % h for bp in basis_polys]
-        vecs = [[bp.coefficient(i) for i in range(n)] for bp in basis_polys]
-        if linalg.rank(vecs) != u_count:
-            return "power basis of the block-constant ring is dependent"
-        pairs = [(i, j) for i in range(u_count) for j in range(i, u_count)]
-        if len(pairs) > 45:
-            pairs = [pairs[rng.below(len(pairs))] for _ in range(45)]
-        for i, j in pairs:
-            prod = (basis_polys[i] * basis_polys[j]) % h
-            target = [prod.coefficient(t) for t in range(n)]
-            if linalg.solve_in_span(vecs, target) is None:
-                return f"g^{i} * g^{j} mod h leaves the power-basis span"
+        """g^0 .. g^(u-1) span a subring of F[x]/(h), h = prod (x - a) over the
+        points, u the block count: exactly when the points are distinct and
+        u = 1 or g takes u values on them.  F[x]/(h) is then the ring of
+        functions on the points and g^i is a -> g(a)^i; on v values of g the
+        powers span dimension min(u, v) (Vandermonde): v < u is dependent,
+        v = u is every function of g(a), a ring, and v > u leaves g^u out.
+        u = 1 spans the constants.  Block constancy forces v = u: blocks
+        sharing a value c would give g - c 2(r + 1) roots."""
+        xs = fld.ints(es.points)
+        if len(set(xs)) != n:
+            return "evaluation points repeat"
+        values = len({fld.horner(es.good.g.coeffs, x) for x in xs})
+        if len(es.blocks) != 1 and values != len(es.blocks):
+            return f"g takes {values} values on the points, not one per block ({len(es.blocks)})"
         return None
+
+    return [
+        ("multiplier-power-sums", chk_power_sums),
+        ("generator-ranks", lambda: _generator_problem(inst.matrix_c, inst.matrix_d, inst.k, n)),
+        ("dual-containment", lambda: _orthogonality_problem(inst.matrix_c, inst.matrix_d)),
+        ("block-polynomial-constancy", lambda: blocks_problem(es)),
+        ("generator-row-consistency", chk_rows_match),
+        ("quotient-ring-closure", chk_ring),
+    ]
+
+
+def structure_problem(inst: CodeInstance) -> str | None:
+    """"<check-name>: <detail>" for the first check of _structure_checks that
+    fails, or None.  The gate in front of every certified number: bounds
+    accepts an instance exactly when verify's deterministic checks do."""
+    for name, fn in _structure_checks(inst):
+        result = _check(name, fn)
+        if not result.ok:
+            return f"{name}: {result.detail}"
+    return None
+
+
+def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = None):
+    """Re-derive every structural property of a (possibly reloaded) instance.
+
+    Returns a list of CheckResult in a fixed order, _structure_checks then
+    local-repair; each check re-computes its property from the raw instance
+    data rather than trusting stored derived values.
+    """
+    fld, n, k = inst.field, inst.n, inst.k
+    rng = Xorshift64Star(inst.seed if seed is None else seed)
 
     def chk_repair():
         for _ in range(trials):
@@ -772,12 +799,11 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
                 return f"repair mismatch at position {z}"
         return None
 
-    return [
-        _check("multiplier-power-sums", chk_power_sums),
-        _check("generator-ranks", lambda: _generator_problem(inst.matrix_c, inst.matrix_d, k, n)),
-        _check("dual-containment", lambda: _orthogonality_problem(inst.matrix_c, inst.matrix_d)),
-        _check("block-polynomial-constancy", lambda: blocks_problem(es)),
-        _check("generator-row-consistency", chk_rows_match),
-        _check("quotient-ring-closure", chk_ring),
-        _check("local-repair", chk_repair),
-    ]
+    results = [_check(name, fn) for name, fn in _structure_checks(inst)]
+    # transcript contract: quotient-ring-closure once drew 45 of its u(u+1)/2
+    # product pairs from rng, so local-repair still sees the stream after them
+    u_count = len(inst.eval_set.blocks)
+    pairs = u_count * (u_count + 1) // 2
+    for _ in range(45 if pairs > 45 else 0):
+        rng.below(pairs)
+    return [*results, _check("local-repair", chk_repair)]

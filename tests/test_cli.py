@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from qlrc import Field, instance_to_dump, subgroup_from_MB
 from qlrc.cli import main
+
+SHIPPED = Path(__file__).resolve().parent.parent / "perfbench" / "dumps"
 
 
 @pytest.fixture()
@@ -206,6 +209,57 @@ def test_bounds_blocks_that_are_not_orbits_exit_4(tmp_path, dump8, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "block (0, 1, 2, 3) is not a free orbit of the subgroup" in captured.err
+
+
+def _edited_dump(tmp_path, stem, **edits):
+    d = json.loads((SHIPPED / f"{stem}.json").read_text())
+    for key, edit in edits.items():
+        d[key] = edit(d[key])
+    path = tmp_path / f"{stem}_edited.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("ell_prime", lambda v: v + 1),
+        ("ell_prime", lambda v: v - 1),
+        ("s1", lambda v: [v[1], v[0], *v[2:]]),
+        ("s2", lambda v: [v[1], v[0], *v[2:]]),
+    ],
+    ids=["ell_prime+1", "ell_prime-1", "s1-swapped", "s2-swapped"],
+)
+def test_verify_rejects_stored_exponent_data_that_disagree(tmp_path, capsys, key, edit):
+    bad = _edited_dump(tmp_path, "q8_n8_k5", **{key: edit})
+    assert main(["verify", "--instance", str(bad), "--trials", "5"]) == 4
+    out = capsys.readouterr().out
+    assert f"generator-row-consistency: FAIL (stored {key} disagree" in out
+    assert out.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("blocks", [[], [[0, 1, 2, 3], []]], ids=["no-blocks", "empty-block"])
+def test_dump_without_blocks_exits_2(tmp_path, capsys, blocks):
+    bad = _edited_dump(tmp_path, "q8_n8_k5", blocks=lambda _: blocks)
+    for argv in (["verify"], ["bounds", "--brute-force"], ["repair", "--erase", "all"]):
+        assert main([*argv, "--instance", str(bad)]) == 2, argv
+        assert "block" in capsys.readouterr().err
+
+
+def test_flipped_extended_flag_exits_4(tmp_path, capsys):
+    bad = _edited_dump(tmp_path, "q8_n7_k6", extended=lambda v: not v)
+    assert main(["verify", "--instance", str(bad), "--trials", "5"]) == 4
+    assert "multiplier-power-sums: FAIL (extended is True" in capsys.readouterr().out
+    assert main(["bounds", "--instance", str(bad), "--brute-force"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: multiplier-power-sums: extended is True" in captured.err
+
+
+def test_bounds_exits_4_where_exponent_sets_raise(tmp_path, capsys):
+    bad = _edited_dump(tmp_path, "q8_n8_k5", k=lambda _: 4)  # outside (n/2, n*r/(r+1)]
+    assert main(["bounds", "--instance", str(bad)]) == 4
+    assert "error: generator-ranks: big generator is not 4 rows" in capsys.readouterr().err
 
 
 def test_bounds_brute_force_adds_exact_distance(dump8, capsys):

@@ -25,7 +25,7 @@ from qlrc import (
     subgroup_from_MB,
     verify_instance,
 )
-from qlrc import construct, linalg
+from qlrc import construct, linalg, poly
 from qlrc.agl import AglSubgroup, GoodPolynomial
 from qlrc.construct import (
     BadDimension,
@@ -586,6 +586,184 @@ def test_blocks_that_do_not_partition_fail_constancy(inst8):
         "block-polynomial-constancy"
     ]
     assert not check.ok and "do not partition" in check.detail
+
+
+def _old_ring_closure_ok(inst) -> bool:
+    """The former quotient-ring-closure algorithm, kept here as a reference:
+    g^0 .. g^(u-1) mod h, a rank test, then every product g^i * g^j mod h
+    solved in their span.  An exception counts as a failure, as in verify."""
+    fld, es = inst.field, inst.eval_set
+    u_count = len(es.blocks)
+    try:
+        h = poly.annihilator(fld, es.points)
+    except InputError:
+        return False
+    basis = [Polynomial.one(fld)]
+    for _ in range(u_count - 1):
+        basis.append(basis[-1] * es.good.g)
+    basis = [b % h for b in basis]
+    vecs = [[b.coefficient(i) for i in range(inst.n)] for b in basis]
+    if linalg.rank(vecs) != u_count:
+        return False
+    for i in range(u_count):
+        for j in range(i, u_count):
+            prod = (basis[i] * basis[j]) % h
+            if linalg.solve_in_span(vecs, [prod.coefficient(t) for t in range(inst.n)]) is None:
+                return False
+    return True
+
+
+def _ring_check(inst):
+    return {c.name: c for c in verify_instance(inst, trials=0)}["quotient-ring-closure"]
+
+
+def _ring_mutants(inst7, inst8, inst32):
+    """Dumps on which the ring check has something to decide."""
+    out = []
+    d = json.loads(json.dumps(instance_to_dump(inst7)))  # u = 1: any g passes
+    d["g"] = Polynomial.monomial(inst7.field, inst7.field.one(), 3).to_lists()
+    out.append(("inst7 g = x^3", d))
+    d = json.loads(json.dumps(instance_to_dump(inst8)))
+    d["points"][1] = d["points"][0]
+    out.append(("inst8 duplicated point", d))
+    d = json.loads(json.dumps(instance_to_dump(inst8)))
+    # a degree-4 g takes each value at most 4 times, so on whole blocks it
+    # takes at least u values; splitting a block raises u to 3 instead
+    d["blocks"] = [[0, 1], [2, 3], [4, 5, 6, 7]]
+    out.append(("inst8 fewer values than blocks", d))
+    d = json.loads(json.dumps(instance_to_dump(inst8)))
+    d["g"] = Polynomial.monomial(inst8.field, inst8.field.one(), 4).to_lists()  # 8 values
+    out.append(("inst8 g = x^4", d))
+    d = json.loads(json.dumps(instance_to_dump(inst32)))
+    g = inst32.eval_set.good.g + Polynomial.one(inst32.field)  # still one value per block
+    d["g"] = g.to_lists()
+    out.append(("inst32 g + 1", d))
+    return out
+
+
+def test_ring_closure_matches_the_quotient_ring_algorithm(inst32, inst8, inst7, inst4, inst9x):
+    fixtures = (inst32, inst8, inst7, inst4, inst9x)
+    cases = list(zip(("inst32", "inst8", "inst7", "inst4", "inst9x"), fixtures))
+    cases += [(label, instance_from_dump(d)) for label, d in _ring_mutants(inst7, inst8, inst32)]
+    verdicts = {}
+    for label, inst in cases:
+        verdicts[label] = _ring_check(inst).ok
+        assert verdicts[label] == _old_ring_closure_ok(inst), label
+    assert [label for label, ok in verdicts.items() if not ok] == [
+        "inst8 duplicated point",
+        "inst8 fewer values than blocks",
+        "inst8 g = x^4",
+    ]
+
+
+def test_ring_closure_no_longer_reduces_mod_h(inst32, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("annihilator called")
+
+    monkeypatch.setattr(construct, "annihilator", refuse)
+    monkeypatch.setattr(linalg, "solve_in_span", refuse)
+    assert _ring_check(inst32).ok
+
+
+def test_verify_transcript_keeps_the_ring_draws():
+    """q64_n64_k40 has u = 16 blocks, so the former ring check drew 45
+    product pairs from the verify generator before local-repair; the draws
+    are still made, and the stream is the one recorded before the check
+    became exact."""
+    spec = json.loads((PERFBENCH / "specs" / "q64_n64_k40.json").read_text())
+    inst = instance_from_spec(spec)
+    assert len(inst.eval_set.blocks) == 16
+    calls = []
+    real = Xorshift64Star.next_u64
+
+    def record(self):
+        calls.append(real(self))
+        return calls[-1]
+
+    Xorshift64Star.next_u64 = record
+    try:
+        checks = verify_instance(inst, trials=5, seed=7)
+    finally:
+        Xorshift64Star.next_u64 = real
+    assert all(c.ok for c in checks)
+    assert len(calls) == 250
+    assert calls[-1] == 5733095210688385060
+
+
+def test_structure_problem_names_the_first_failing_check(inst8, inst32):
+    assert construct.structure_problem(inst32) is None
+    bad = json.loads(json.dumps(instance_to_dump(inst8)))
+    bad["ell_prime"] = 2
+    bad["g"] = Polynomial.monomial(inst8.field, inst8.field.one(), 4).to_lists()
+    problem = construct.structure_problem(instance_from_dump(bad))
+    assert problem.startswith("block-polynomial-constancy: ")
+    bad["g"] = instance_to_dump(inst8)["g"]
+    problem = construct.structure_problem(instance_from_dump(bad))
+    assert problem == (
+        "generator-row-consistency: stored ell_prime disagree with exponent_sets(8, 5, 3)"
+    )
+
+
+def test_structure_problem_reports_an_exception(inst8):
+    bad = json.loads(json.dumps(instance_to_dump(inst8)))
+    bad["k"] = 4  # exponent_sets raises BadDimension inside generator-row-consistency
+    inst = instance_from_dump(bad)
+    by_name = {c.name: c for c in verify_instance(inst, trials=0)}
+    assert by_name["generator-row-consistency"].detail.startswith("BadDimension: ")
+    assert construct.structure_problem(inst).startswith("generator-ranks: ")
+
+
+def test_row_consistency_compares_all_exponent_data(inst8):
+    dump = instance_to_dump(inst8)
+    edits = [
+        ({"r": 4}, "r"),
+        ({"ell": 4}, "ell"),
+        ({"ell_prime": 2}, "ell_prime"),
+        ({"s1": [[2, 0], [1, 0], [1, 1]]}, "s1"),
+        ({"s2": [[0, 1], [0, 0]]}, "s2"),
+        ({"t1": [[2, 0]]}, "t1"),
+        ({"t1": [[2, 0]], "ell_prime": 2}, "t1, ell_prime"),
+    ]
+    for edit, named in edits:
+        checks = verify_instance(instance_from_dump({**dump, **edit}), trials=0)
+        check = {c.name: c for c in checks}["generator-row-consistency"]
+        assert check.detail == f"stored {named} disagree with exponent_sets(8, 5, 3)", edit
+
+
+def test_power_sum_check_rejects_a_flipped_extended_flag(inst8, inst9x):
+    for inst in (inst8, inst9x):
+        bad = dict(instance_to_dump(inst), extended=not inst.eval_set.extended)
+        check = verify_instance(instance_from_dump(bad), trials=0)[0]
+        assert check.name == "multiplier-power-sums" and not check.ok
+        assert "extended" in check.detail
+
+
+def test_power_sum_check_rejects_a_field_that_is_not_the_extension(inst9x):
+    bad = dict(instance_to_dump(inst9x), base_field=Field(3, 3).descriptor())
+    check = verify_instance(instance_from_dump(bad), trials=0)[0]
+    assert check.detail == "field is not the quadratic extension of base_field"
+
+
+def test_power_sum_check_rejects_points_outside_the_embedded_base_field():
+    """A valid GF(81) instance relabelled as extended from GF(9): every
+    other check passes, but its points are not all in the subfield GF(9)."""
+    f = Field(3, 4)
+    one = f.one()
+    sub = subgroup_from_MB(f, 1, {one}, {f.zero(), one, one + one})
+    inst = build_code(build_evaluation_set(sub, domain="orbits", n=9), 6)
+    dump = instance_to_dump(inst)
+    assert not dump["extended"]
+    bad = dict(dump, extended=True, base_field=Field(3, 2).descriptor())
+    checks = verify_instance(instance_from_dump(bad), trials=3)
+    assert [c.name for c in checks if not c.ok] == ["multiplier-power-sums"]
+    assert checks[0].detail == "a point lies outside the embedded base field"
+
+
+def test_dump_without_blocks_is_rejected(inst8):
+    dump = instance_to_dump(inst8)
+    for blocks in ([], [[0, 1, 2, 3], []]):
+        with pytest.raises(InputError, match="block"):
+            instance_from_dump(dict(dump, blocks=blocks))
 
 
 def test_malformed_dump_rejected(inst8):
