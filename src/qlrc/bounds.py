@@ -24,7 +24,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .agl import AglSubgroup, theta_subgroup
-from .construct import CodeInstance, dual_positions, encode, exponent_sets, structure_problem
+from .construct import (
+    CodeInstance,
+    dual_positions,
+    encode,
+    exponent_sets,
+    g_powers,
+    structure_problem,
+)
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import FieldElement
 from .poly import Polynomial
@@ -414,9 +421,7 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
 
     s_pairs = inst.exps.s_pairs
     s1set = set(inst.exps.s1)
-    gpows = [Polynomial.one(fld)]
-    for _ in range(max(j for _, j in s_pairs)):
-        gpows.append(gpows[-1] * es.good.g)
+    gpows = g_powers(es.good.g, max(j for _, j in s_pairs))
     monos = [gpows[j].shift(i) for i, j in s_pairs]
     x_poly = Polynomial.x(fld)
     outside = [i for i in range(inst.k) if i not in in_d]

@@ -30,7 +30,8 @@ from .agl import (
 )
 from .errors import ConstructionError, InputError, VerificationError
 from .field import Embedding, Field, FieldElement, field_from_descriptor
-# annihilator is unused here, but perfbench/spans.py wraps qlrc.construct.annihilator
+# annihilator and interpolate are unused here, but perfbench/spans.py wraps
+# qlrc.construct.annihilator and qlrc.construct.interpolate
 from .poly import Polynomial, annihilator, interpolate, poly_from_lists  # noqa: F401
 from .rng import Xorshift64Star
 
@@ -95,6 +96,26 @@ def _power_sum_check(u, points, upto: int) -> bool:
     return True
 
 
+def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
+    """prod_{j != i} (x_i - x_j)^-1 for every node x_i, on integer encodings.
+
+    These are the Lagrange denominators over the nodes: solve_multipliers
+    takes square roots of them over all points, and the repair weights use
+    them over a block's survivors.  Raises DegenerateSet when nodes repeat.
+    """
+    if len(set(xs)) != len(xs):
+        raise DegenerateSet("evaluation points repeat")
+    mul, sub = fld.mul, fld.sub
+    out = []
+    for i, xi in enumerate(xs):
+        prod = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                prod = mul(prod, sub(xi, xj))
+        out.append(fld.inv(prod))
+    return out
+
+
 def solve_multipliers(points) -> MultiplierSolution:
     """A nowhere-zero u with sum u_i^2 * a_i^j = 0 for all j <= n - 2.
 
@@ -110,16 +131,7 @@ def solve_multipliers(points) -> MultiplierSolution:
         raise InputError("need at least two evaluation points")
     fld = points[0].field
     points = [fld.element(x) for x in points]
-    if len({x.v for x in points}) != len(points):
-        raise DegenerateSet("evaluation points repeat")
-
-    v = []
-    for i, x in enumerate(points):
-        prod = fld.one()
-        for j, y in enumerate(points):
-            if j != i:
-                prod = prod * (x - y)
-        v.append(prod.inv())
+    v = fld.from_ints(_lagrange_denominators(fld, fld.ints(points)))
 
     embedding = None
     out_field = fld
@@ -274,11 +286,20 @@ class EvaluationSet:
     def r(self) -> int:
         return len(self.blocks[0]) - 1
 
-    def block_of(self, z: int) -> tuple[int, ...]:
+    @cached_property
+    def _block_table(self) -> dict[int, tuple[int, ...]]:
+        """Position -> the first block that lists it."""
+        table: dict[int, tuple[int, ...]] = {}
         for blk in self.blocks:
-            if z in blk:
-                return blk
-        raise InputError(f"position {z} is not covered by any block")
+            for i in blk:
+                table.setdefault(i, blk)
+        return table
+
+    def block_of(self, z: int) -> tuple[int, ...]:
+        blk = self._block_table.get(z)
+        if blk is None:
+            raise InputError(f"position {z} is not covered by any block")
+        return blk
 
 
 def _resolve_alpha(subgroup: AglSubgroup, alpha):
@@ -388,8 +409,10 @@ def blocks_problem(es: EvaluationSet) -> str | None:
 
     g has degree r + 1; the blocks partition range(n) into blocks of size
     r + 1; the subgroup H has order r + 1; and every block is a free orbit
-    of H on which g is constant.  Everything is recomputed from the points,
-    blocks, g and H of the set, so a reloaded dump is checked as built.
+    of H on which g is constant.  Last, alpha has a free orbit and g is its
+    monic annihilator, which is what good_polynomial builds from alpha.
+    Everything is recomputed from the points, blocks, g, H and alpha of the
+    set, so a reloaded dump is checked as built.
     """
     n, r = es.n, es.r
     g = es.good.g
@@ -408,6 +431,12 @@ def blocks_problem(es: EvaluationSet) -> str | None:
             return f"block {blk} is not a free orbit of the subgroup"
         if len({g(es.points[i]) for i in blk}) != 1:
             return f"block {blk} sees several values of g"
+    alpha = es.good.base_point
+    orbit = sub.orbit(alpha) if alpha is not None else []
+    if len(orbit) != r + 1:
+        return f"alpha {alpha!r} does not have a free orbit"
+    if g.coeffs[-1] != 1 or any(g(x) for x in orbit):
+        return f"g is not the monic annihilator of the orbit of alpha {alpha!r}"
     return None
 
 
@@ -443,6 +472,12 @@ class CodeInstance:
         """The rows of matrix_c as integer encodings, for encode."""
         return tuple(self.field.ints(row) for row in self.matrix_c)
 
+    @cached_property
+    def _repair_coeffs(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Erased position -> (its block mates, their repair weights), filled
+        by repair on each position's first repair."""
+        return {}
+
     @property
     def kappa(self) -> int:
         return 2 * self.k - self.n
@@ -471,11 +506,17 @@ def _monomial_row(es: EvaluationSet, gpow: Polynomial, i: int):
     return tuple(f.from_ints(vals))
 
 
+def g_powers(g: Polynomial, top: int) -> list[Polynomial]:
+    """[g^0, g^1, ..., g^top], each one multiplication from the last."""
+    out = [Polynomial.one(g.field)]
+    for _ in range(top):
+        out.append(out[-1] * g)
+    return out
+
+
 def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tuple]:
     """The evaluated row of every S exponent pair; T rows are among them."""
-    gpows = [Polynomial.one(es.field)]
-    for _ in range(max(j for _, j in exps.s_pairs)):
-        gpows.append(gpows[-1] * es.good.g)
+    gpows = g_powers(es.good.g, max(j for _, j in exps.s_pairs))
     return {(i, j): _monomial_row(es, gpows[j], i) for i, j in exps.s_pairs}
 
 
@@ -567,30 +608,58 @@ def encode(inst: CodeInstance, message) -> list[FieldElement]:
     return fld.from_ints(out)
 
 
+def _repair_coefficients(es: EvaluationSet, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """z's block mates S and the weights that repair z from them.
+
+    c_i = u_z * u_i^-1 * prod_{j in S - i} (a_z - a_j) / (a_i - a_j), the
+    Lagrange coefficient of node a_i at a_z, scaled by the multipliers.
+    Raises ZeroInverse on a zero multiplier in S and DegenerateSet when S
+    repeats a point, so only the positions whose mates are damaged fail.
+    """
+    fld = es.field
+    mates = tuple(i for i in es.block_of(z) if i != z)
+    if not mates:
+        raise BlockIncomplete(f"position {z} has no block mates")
+    u_inv = [fld.inv(ui) for ui in fld.ints(es.u[i] for i in mates)]
+    xs = fld.ints(es.points[i] for i in mates)
+    xz, uz = fld.ints((es.points[z], es.u[z]))
+    diffs = [fld.sub(xz, x) for x in xs]
+    coeffs = []
+    for i, (w, ui) in enumerate(zip(_lagrange_denominators(fld, xs), u_inv)):
+        c = fld.mul(fld.mul(uz, ui), w)
+        for j, d in enumerate(diffs):
+            if j != i:
+                c = fld.mul(c, d)
+        coeffs.append(c)
+    return mates, tuple(coeffs)
+
+
 def repair(inst: CodeInstance, received, z: int) -> FieldElement:
     """Recover the erased coordinate z from the r survivors in its block.
 
-    The codeword restricted to a block agrees with a polynomial of degree
-    at most r - 1 after dividing out the multipliers, so interpolation
-    through the survivors recovers it.  Exactly the r in-block coordinates
-    are read; the caller guarantees the rest of the word is intact.
+    Divided by its multipliers, the codeword agrees on a block with a
+    polynomial of degree at most r - 1, so the erased symbol is a fixed
+    linear combination of the r survivors.  Its coefficients are computed on
+    z's first repair and cached on the instance per position; a repair then
+    reads exactly the r in-block coordinates and does r multiply-adds.  The
+    caller guarantees the rest of the word is intact.
     """
-    es = inst.eval_set
     if not 0 <= z < inst.n:
         raise InputError(f"position {z} out of range")
     if received[z] is not None:
         raise InputError(f"position {z} holds a symbol; nothing to repair")
-    block = es.block_of(z)
-    pts = []
-    for idx in block:
-        if idx == z:
-            continue
-        sym = received[idx]
+    cache = inst._repair_coeffs
+    if z not in cache:
+        cache[z] = _repair_coefficients(inst.eval_set, z)
+    mates, coeffs = cache[z]
+    syms = []
+    for i in mates:
+        sym = received[i]
         if sym is None:
-            raise BlockIncomplete(f"position {idx} in the repair block is also missing")
-        pts.append((es.points[idx], es.u[idx].inv() * es.field.element(sym)))
-    lam = interpolate(pts)
-    return es.u[z] * lam(es.points[z])
+            raise BlockIncomplete(f"position {i} in the repair block is also missing")
+        syms.append(sym)
+    fld = inst.field
+    return FieldElement(fld, fld.dot(coeffs, fld.ints(syms)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +703,7 @@ def instance_to_dump(inst: CodeInstance) -> dict:
         "blocks": [list(b) for b in es.blocks],
         "u": [x.to_list() for x in es.u],
         "g": es.good.g.to_lists(),
-        "alpha": es.good.base_point.to_list() if es.good.base_point is not None else None,
+        "alpha": es.good.base_point.to_list(),
         "subgroup": es.good.subgroup.descriptor(),
         "s1": [list(p) for p in inst.exps.s1],
         "s2": [list(p) for p in inst.exps.s2],

@@ -278,7 +278,9 @@ class Field:
         if modulus is None:
             modulus = _default_modulus(p, m)
         else:
-            modulus = [int(c) % p for c in modulus]
+            modulus = [int(c) for c in modulus]
+            if not all(0 <= c < p for c in modulus):
+                raise InputError(f"modulus coefficients {modulus} outside [0, {p})")
             if len(_ptrim(list(modulus))) - 1 != m or modulus[-1] != 1:
                 raise InputError(f"modulus must be monic of degree {m}")
             if not _is_irreducible(modulus, p):
@@ -316,17 +318,22 @@ class Field:
     # -- element constructors ----------------------------------------------
 
     def element(self, v) -> FieldElement:
-        """Coerce an int encoding, a coefficient list, or an element."""
+        """Coerce an int encoding, a list of digits in [0, p), or an element."""
         if isinstance(v, FieldElement):
             if v.field is not self and v.field != self:
                 raise FieldMismatch(f"element of {v.field!r} used in {self!r}")
             return v
         if isinstance(v, int):
             return self.from_value(v)
-        coeffs = [int(c) % self.p for c in v]
+        coeffs = list(map(int, v))
         if len(coeffs) > self.m:
             raise InputError(f"coefficient vector longer than {self.m}")
-        return FieldElement(self, _value(coeffs, self.p))
+        p, value = self.p, 0
+        for c in reversed(coeffs):
+            if not 0 <= c < p:
+                raise InputError(f"coefficient {c} of {coeffs} outside [0, {p})")
+            value = value * p + c
+        return FieldElement(self, value)
 
     def from_value(self, v: int) -> FieldElement:
         if not 0 <= v < self.q:

@@ -262,6 +262,52 @@ def test_bounds_exits_4_where_exponent_sets_raise(tmp_path, capsys):
     assert "error: generator-ranks: big generator is not 4 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"points": lambda v: [[2, 0, 0], *v[1:]], "u": lambda v: [[3, 0, 0], *v[1:]]},
+        {"field": lambda v: {**v, "modulus": [3, 3, 2, 3]}},
+    ],
+    ids=["point-and-multiplier", "modulus"],
+)
+def test_digits_outside_the_prime_field_exit_2(tmp_path, capsys, edits):
+    """Each digit reduces mod 2 to the shipped dump, which no longer hides it."""
+    bad = _edited_dump(tmp_path, "q8_n8_k5", **edits)
+    for argv in (["verify"], ["bounds"], ["repair", "--erase", "all"]):
+        assert main([*argv, "--instance", str(bad)]) == 2, argv
+        assert "outside [0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha, rc", [([0, 0, 1], 4), ([1, 1, 0], 0), (None, 4)])
+def test_dumped_alpha_is_checked(tmp_path, capsys, alpha, rc):
+    """Block 0 = {0, 1, a, 1 + a} is the orbit g annihilates; a^2 lies in block 1."""
+    bad = _edited_dump(tmp_path, "q8_n8_k5", alpha=lambda _: alpha)
+    assert main(["verify", "--instance", str(bad), "--trials", "5"]) == rc
+    out = capsys.readouterr().out
+    assert ("block-polynomial-constancy: FAIL (" in out) == bool(rc)
+    assert main(["bounds", "--instance", str(bad)]) == rc
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, edit, codes",
+    [
+        ("points", lambda v: [v[1], *v[1:]], {0: 4, 2: 2, 4: 0}),
+        ("u", lambda v: [[0, 0, 0], *v[1:]], {0: 4, 1: 2, 4: 0}),
+    ],
+    ids=["point0-is-point1", "u0-zero"],
+)
+def test_repair_fails_only_where_the_damage_is_read(tmp_path, capsys, key, edit, codes):
+    """Block 0 is [0, 1, 2, 3].  Erasing 0 repairs through the block's other
+    points to the wrong symbol; erasing a mate reads the damage and cannot
+    solve; the other block is untouched."""
+    bad = _edited_dump(tmp_path, "q8_n8_k5", **{key: edit})
+    for z, rc in codes.items():
+        assert main(["repair", "--instance", str(bad), "--erase", str(z)]) == rc, z
+        captured = capsys.readouterr()
+        assert ("MISMATCH" in captured.out) == (rc == 4)
+
+
 def test_bounds_brute_force_adds_exact_distance(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8), "--brute-force"])
     assert rc == 0

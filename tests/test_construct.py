@@ -491,6 +491,84 @@ def test_repair_on_extended_instance(inst9x):
         assert repair(inst9x, rec, z) == word[z]
 
 
+def _interpolated_repair(inst, word, z):
+    """u_z * lambda(a_z), lambda interpolating the survivors divided by their
+    multipliers: the Lagrange repair, kept here as the reference."""
+    es = inst.eval_set
+    mates = [i for i in es.block_of(z) if i != z]
+    lam = poly.interpolate([(es.points[i], word[i] / es.u[i]) for i in mates])
+    return es.u[z] * lam(es.points[z])
+
+
+def test_repair_matches_interpolation_at_every_position(inst32, inst8, inst7, inst4, inst9x):
+    rng = Xorshift64Star(71)
+    for inst in (inst32, inst8, inst7, inst4, inst9x):
+        f = inst.field
+        for z in range(inst.n):
+            word = encode(inst, [rng.element(f) for _ in range(inst.k)])
+            rec = list(word)
+            rec[z] = None
+            got = repair(inst, rec, z)
+            assert got == _interpolated_repair(inst, word, z) == word[z]
+
+
+def test_repair_needs_no_polynomial_arithmetic(inst32, monkeypatch):
+    """Every position of a fresh copy repairs exactly with interpolation and
+    polynomial products disabled, and again from the cached coefficients
+    with field inversion disabled as well."""
+    fresh = dataclasses.replace(inst32)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("repair must not reach this")
+
+    monkeypatch.setattr(construct, "interpolate", boom)
+    monkeypatch.setattr(Polynomial, "__mul__", boom)
+    f = fresh.field
+    rng = Xorshift64Star(73)
+    words = [encode(fresh, [rng.element(f) for _ in range(fresh.k)]) for _ in range(2)]
+    for word in words:
+        for z in range(fresh.n):
+            rec = list(word)
+            rec[z] = None
+            assert repair(fresh, rec, z) == word[z]
+        monkeypatch.setattr(type(f), "inv", boom)
+        monkeypatch.setattr(type(f.one()), "inv", boom)
+
+
+def test_repair_coefficients_are_cached_per_position(inst8):
+    fresh = dataclasses.replace(inst8)
+    word = encode(fresh, [fresh.field.one()] * fresh.k)
+    for z in (5, 0, 5):
+        rec = list(word)
+        rec[z] = None
+        assert repair(fresh, rec, z) == word[z]
+    assert sorted(fresh._repair_coeffs) == [0, 5]
+    mates, coeffs = fresh._repair_coeffs[0]
+    assert mates == (1, 2, 3) and len(coeffs) == 3
+
+
+def test_block_of_reads_the_first_block_listing_a_position(inst8):
+    es = dataclasses.replace(inst8.eval_set, blocks=((0, 1, 2, 3), (3, 4, 5, 6)))
+    assert es.block_of(3) == (0, 1, 2, 3)
+    assert es.block_of(6) == (3, 4, 5, 6)
+    with pytest.raises(InputError, match="not covered"):
+        es.block_of(7)
+
+
+def test_lagrange_denominators_serve_the_multiplier_solve():
+    f = Field(3, 2)
+    pts = list(f.elements())[1:6]
+    dens = construct._lagrange_denominators(f, f.ints(pts))
+    for x, w in zip(pts, dens):
+        prod = f.one()
+        for y in pts:
+            if y != x:
+                prod = prod * (x - y)
+        assert f.from_value(w) * prod == f.one()
+    with pytest.raises(DegenerateSet):
+        construct._lagrange_denominators(f, [1, 2, 1])
+
+
 # --- verification and dumps -----------------------------------------------------
 
 
@@ -586,6 +664,42 @@ def test_blocks_that_do_not_partition_fail_constancy(inst8):
         "block-polynomial-constancy"
     ]
     assert not check.ok and "do not partition" in check.detail
+
+
+@pytest.mark.parametrize(
+    "alpha, detail",
+    [
+        (None, "alpha None does not have a free orbit"),
+        ([0, 0, 1], "g is not the monic annihilator of the orbit of alpha"),
+    ],
+    ids=["null", "other-block"],
+)
+def test_alpha_whose_orbit_g_does_not_annihilate_fails_constancy(inst8, alpha, detail):
+    bad = json.loads(json.dumps(instance_to_dump(inst8)))
+    bad["alpha"] = alpha
+    checks = verify_instance(instance_from_dump(bad), trials=5)
+    assert [c.name for c in checks if not c.ok] == ["block-polynomial-constancy"]
+    assert detail in {c.name: c for c in checks}["block-polynomial-constancy"].detail
+
+
+def test_alpha_anywhere_in_the_orbit_passes(inst8):
+    dump = json.loads(json.dumps(instance_to_dump(inst8)))
+    assert dump["alpha"] == [0, 0, 0]
+    dump["alpha"] = [1, 1, 0]  # 1 + a, in the orbit of 0
+    assert all(c.ok for c in verify_instance(instance_from_dump(dump), trials=5))
+
+
+def test_g_must_be_monic():
+    """Over GF(9), 2g is constant on the same blocks and vanishes on the
+    orbit of alpha, but it is not what good_polynomial builds."""
+    f9 = Field(3, 2)
+    sub = subgroup_from_MB(f9, 1, {f9.one()}, {f9.zero(), f9.one(), f9.from_value(2)})
+    es = build_evaluation_set(sub)
+    two = f9.from_value(2)
+    scaled = dataclasses.replace(es.good, g=es.good.g * two)
+    bad = dataclasses.replace(es, good=scaled)
+    assert construct.blocks_problem(es) is None
+    assert "not the monic annihilator" in construct.blocks_problem(bad)
 
 
 def _old_ring_closure_ok(inst) -> bool:

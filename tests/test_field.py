@@ -50,6 +50,19 @@ def test_modulus_is_verified_irreducible():
     Field(2, 5, [1, 0, 0, 1, 0, 1])  # x^5 + x^3 + 1: a valid alternative
 
 
+def test_digits_outside_the_prime_field_are_rejected():
+    """A digit is not reduced mod p: [2, 0, 0] is not an encoding of 0 in GF(8)."""
+    f = Field(2, 3)
+    for digits in ([2, 0, 0], [1, 0, 3], [-1], [0, 0, 2]):
+        with pytest.raises(InputError, match=r"outside \[0, 2\)"):
+            f.element(digits)
+    assert Field(3, 2).element([2, 2]).value() == 8
+    with pytest.raises(InputError, match=r"outside \[0, 2\)"):
+        Field(2, 3, [3, 3, 2, 3])  # x^3 + x + 1 once reduced mod 2
+    with pytest.raises(InputError, match=r"outside \[0, 3\)"):
+        Field(3, 2, [-1, 2, 1])
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(NotPrime):
         Field(6, 1)

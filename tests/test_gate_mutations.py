@@ -1,5 +1,6 @@
 """Seeded single-field mutations of the shipped dumps: `qlrc bounds` certifies
-exactly the dumps that `qlrc verify` accepts, and neither command crashes.
+exactly the dumps that `qlrc verify` accepts, and neither they nor
+`qlrc repair --erase all` crash.
 
 Each mutant changes one thing: a list entry is dropped, emptied, swapped or
 duplicated, a scalar moves by one, one digit of a field element flips, a bool
@@ -132,10 +133,11 @@ def test_bounds_certifies_exactly_what_verify_accepts(tmp_path, capsys, path):
         target.write_text(json.dumps(mutant))
         verify = _exit_code(["verify", "--instance", str(target), "--trials", "5"])
         bounds = _exit_code(["bounds", "--instance", str(target), "--brute-force", "--cap", CAP])
+        repair = _exit_code(["repair", "--instance", str(target), "--erase", "all"])
         capsys.readouterr()
         wrong += verify != 0
         expected = base if verify == 0 else verify
-        if verify not in (0, 2, 4) or bounds != expected:
-            disagreements.append(f"{name}: verify {verify}, bounds {bounds}")
+        if verify not in (0, 2, 4) or bounds != expected or repair == 1:
+            disagreements.append(f"{name}: verify {verify}, bounds {bounds}, repair {repair}")
     assert not disagreements
     assert seen > 50 and wrong > seen // 2
