@@ -3,7 +3,8 @@
 The package builds evaluation codes whose coordinates split into repair
 blocks of size r + 1, chooses multipliers so the big code contains its own
 dual, derives the [[n, 2k - n]] quantum parameters, and certifies distance
-lower bounds both in closed form and by exact enumeration at desk scale.
+lower bounds in closed form, and the exact distance from a witness at the
+degree bound or by enumeration at desk scale.
 """
 
 from .agl import (
@@ -23,6 +24,8 @@ from .bounds import (
     css_params,
     degree_bound,
     distance_bruteforce,
+    exact_distance,
+    low_weight_witness,
     quantum_singleton_rhs,
     schreier_graph,
     second_eigenvalue,
@@ -80,6 +83,7 @@ __all__ = [
     "degree_bound",
     "distance_bruteforce",
     "encode",
+    "exact_distance",
     "exponent_sets",
     "field_from_descriptor",
     "good_polynomial",
@@ -87,6 +91,7 @@ __all__ = [
     "instance_from_spec",
     "instance_to_dump",
     "interpolate",
+    "low_weight_witness",
     "orbits",
     "poly_from_lists",
     "quantum_singleton_rhs",

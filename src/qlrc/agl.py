@@ -261,7 +261,10 @@ def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSu
     return subgroup_from_MB(field, k_degree, M, B)
 
 
-def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
+def subgroup_from_descriptor(field: Field, d: dict, element=None) -> AglSubgroup:
+    """The subgroup a descriptor names; element decodes its field elements
+    (field.element by default, which also takes short digit lists)."""
+    element = element or field.element
     try:
         kind = d["kind"]
     except (KeyError, TypeError):
@@ -271,13 +274,11 @@ def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
         if "p" in kd and kd["p"] != field.p:
             raise InputError("subgroup subfield characteristic differs from the field")
         k_degree = kd["m_sub"]
-        gen = field.element(d["M_generator"])
-        basis = [field.element(b) for b in d.get("B_basis", [])]
+        gen = element(d["M_generator"])
+        basis = [element(b) for b in d.get("B_basis", [])]
         return subgroup_from_generators(field, k_degree, gen, basis)
     if kind == "explicit":
-        maps = [
-            AffineMap(field.element(fm["a"]), field.element(fm["b"])) for fm in d["maps"]
-        ]
+        maps = [AffineMap(element(fm["a"]), element(fm["b"])) for fm in d["maps"]]
         return AglSubgroup(field, maps)
     raise InputError(f"unknown subgroup kind {kind!r}")
 

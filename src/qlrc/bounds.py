@@ -1,4 +1,4 @@
-"""Distance bounds, spectral audits, and exact codeword enumeration.
+"""Distance bounds, spectral audits, and the exact distance.
 
 Two lower bounds on the weight of codewords outside the dual span are
 computed: a degree bound min(r+1, n-ell) that only uses the largest
@@ -14,6 +14,14 @@ deterministic checks of verify_instance, first: css_params calls it, and the
 scan and the audit reach it through construct.dual_positions, which also
 names the rows of G_C that span D = C-perp.  A word lies in D exactly when
 its message is zero on every other row.
+
+The exact distance, the least weight of a word of C outside D, comes from a
+witness where one is good enough: an information-set search finds a light
+word outside D, and when its weight, recounted from encode, equals the
+degree bound, nothing lighter exists.  Only where a gap remains does
+exact_distance enumerate C outside D, under a cap on q^k.  The spectral bound
+never sets the exact distance, since it rests on the paper's theorem and is
+not recomputed.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .construct import (
 )
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import FieldElement
+from .linalg import _rref_ints
 from .poly import Polynomial
 from .rng import Xorshift64Star
 
@@ -216,7 +225,16 @@ def sweep_rows(n: int, r: int):
 
 
 # ---------------------------------------------------------------------------
-# exact minimum weight outside the dual span
+# exact minimum weight outside the dual span: enumeration, and a witness
+
+
+def _trailing_zeros(c: int, p: int) -> int:
+    """The number of trailing zero base-p digits of c > 0."""
+    j = 0
+    while not c % p:
+        c //= p
+        j += 1
+    return j
 
 
 def _words_outside_dual(inst: CodeInstance):
@@ -228,8 +246,9 @@ def _words_outside_dual(inst: CodeInstance):
     of the earlier rows outside D to 0, while the later rows outside D and
     the rows of D run through a p-ary modular Gray code over the additive
     GF(p)-basis 1, x, ..., x^(m-1) of GF(q): step c adds basis row j, where
-    j is the number of trailing zero base-p digits of c.  Every word costs
-    one list addition through the add table; there are
+    j is the number of trailing zero base-p digits of c.  The steps for the
+    lowest digits, up to 1024 counts, repeat and are read from a table.
+    Every word costs one list addition through the add table; there are
     (q^k - q^(n-k))/(q - 1) of them.
     """
     fld, k = inst.field, inst.k
@@ -244,13 +263,18 @@ def _words_outside_dual(inst: CodeInstance):
         steps = [[add[fld.mul(b, x)] for x in rows[i]] for i in free for b in digits]
         word = rows[lead]
         yield word
-        for c in range(1, p ** len(steps)):
-            j, rest = 0, c
-            while not rest % p:
-                rest //= p
-                j += 1
-            word = list(map(list.__getitem__, steps[j], word))
-            yield word
+        # count c = hi * p^low + lo steps by row j(lo) when lo > 0, else by low + j(hi)
+        low = 0
+        while low < len(steps) and p ** (low + 1) <= 1024:
+            low += 1
+        low_steps = [steps[_trailing_zeros(lo, p)] for lo in range(1, p**low)]
+        for hi in range(p ** (len(steps) - low)):
+            if hi:
+                word = list(map(list.__getitem__, steps[low + _trailing_zeros(hi, p)], word))
+                yield word
+            for step in low_steps:
+                word = list(map(list.__getitem__, step, word))
+                yield word
 
 
 def distance_bruteforce(inst: CodeInstance, cap: int = 1 << 24) -> int:
@@ -263,6 +287,110 @@ def distance_bruteforce(inst: CodeInstance, cap: int = 1 << 24) -> int:
     if q**k > cap:
         raise TooLarge(f"q^k = {q}^{k} exceeds the cap {cap}")
     return inst.n - max(map(list.count, _words_outside_dual(inst), itertools.repeat(0)))
+
+
+# Information sets low_weight_witness tries before it gives up (about 4 ms
+# each on the [32,19]_32 flagship), and the seed `qlrc bounds` searches with.
+WITNESS_SETS = 4
+WITNESS_SEED = 1
+
+
+@dataclass(frozen=True)
+class Witness:
+    """A message and its word m . G_C, a word of C outside D."""
+
+    message: tuple[FieldElement, ...]
+    word: tuple[FieldElement, ...]
+
+
+def low_weight_witness(inst: CodeInstance, seed: int = WITNESS_SEED) -> Witness:
+    """The lightest word of C outside D that a Lee-Brickell search finds.
+
+    Each of WITNESS_SETS rounds draws a column permutation from
+    Xorshift64Star(seed) and row-reduces [G_C | I_k] with the permuted code
+    columns first.  Every reduced row is then a word with one nonzero among
+    the k pivot columns, next to the message that encodes it.  The candidates
+    are each row and each combination row_i + c row_j (Lee-Brickell with
+    p = 2); a combination's weight is 2 plus its nonzeros off the pivots,
+    where the best c for a pair is the one cancelling the most of them.  A
+    candidate whose message is zero at every row outside dual_positions(inst)
+    lies in D and is skipped.  The search stops early at degree_bound, which
+    no word of C outside D undercuts.  Only the chosen word is formed.
+    Raises VerificationError, through dual_positions, when the instance
+    fails structure_problem.
+    """
+    in_d = dual_positions(inst)
+    fld, n, k = inst.field, inst.n, inst.k
+    add, mul, neg = fld.add, fld.mul, fld.neg
+    outside = [n + i for i in range(k) if i not in in_d]  # message columns off D
+    target = degree_bound(n, inst.r, inst.ell)
+    rng = Xorshift64Star(seed)
+    best_weight, best = n + 1, None  # (row_i, c, row_j, perm); c = 0 for row_i alone
+    for _ in range(WITNESS_SETS):
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        rows = [
+            [row[c] for c in perm] + [int(i == j) for j in range(k)]
+            for i, row in enumerate(inst._rows_c_ints)
+        ]
+        pivots = set(_rref_ints(fld, rows))
+        support = [{t for t in range(n) if row[t] and t not in pivots} for row in rows]
+        for i, row in enumerate(rows):
+            if 1 + len(support[i]) < best_weight and any(row[t] for t in outside):
+                best_weight, best = 1 + len(support[i]), (row, 0, row, perm)
+        if best_weight == target:
+            break
+        # inverses of each row's entries off the pivots, for the ratios below
+        invs = [{t: fld.inv(row[t]) for t in sup} for row, sup in zip(rows, support)]
+        for i, j in itertools.combinations(range(k), 2):
+            if best_weight == target:
+                break
+            common = support[i] & support[j]
+            # weight of row_i + c row_j before cancellation at common columns
+            base = 2 + len(support[i]) + len(support[j]) - len(common)
+            if base - len(common) >= best_weight:
+                continue
+            ri, rj, inv_j = rows[i], rows[j], invs[j]
+            counts: dict[int, int] = {}  # ri[t] / rj[t] -> columns; c = -ratio cancels them
+            for t in common:
+                ratio = mul(ri[t], inv_j[t])
+                counts[ratio] = counts.get(ratio, 0) + 1
+            for ratio, cancelled in sorted(counts.items(), key=lambda kv: -kv[1]):
+                if base - cancelled >= best_weight:
+                    break
+                c = neg(ratio)
+                if any(add(ri[t], mul(c, rj[t])) for t in outside):
+                    best_weight, best = base - cancelled, (ri, c, rj, perm)
+                    break
+        if best_weight == target:
+            break
+    ri, c, rj, perm = best  # never None: k > n - k, so some reduced row lies outside D
+    combined = fld.axpy(ri, c, rj)
+    word = [0] * n
+    for t, col in enumerate(perm):
+        word[col] = combined[t]
+    return Witness(message=tuple(fld.from_ints(combined[n:])), word=tuple(fld.from_ints(word)))
+
+
+def exact_distance(inst: CodeInstance, cap: int = 1 << 24) -> int:
+    """Exact min weight over C outside D: a witness at the degree bound, else enumeration.
+
+    The witness of low_weight_witness at WITNESS_SEED counts only after its
+    word is recomputed by encode from its message alone, that message is
+    nonzero at a row outside D, and the recomputed weight equals
+    degree_bound(n, r, ell); then no lighter word of C outside D exists.
+    The spectral bound is never used here.  Otherwise distance_bruteforce
+    decides, and raises TooLarge when q^k exceeds the cap.
+    """
+    wit = low_weight_witness(inst, WITNESS_SEED)
+    weight = sum(1 for x in encode(inst, wit.message) if x)
+    if weight == degree_bound(inst.n, inst.r, inst.ell):
+        in_d = dual_positions(inst)
+        if any(x for i, x in enumerate(wit.message) if i not in in_d):
+            return weight
+    return distance_bruteforce(inst, cap)
 
 
 # ---------------------------------------------------------------------------

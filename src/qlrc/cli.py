@@ -119,7 +119,7 @@ def _cmd_bounds(args) -> int:
     inst = construct_mod.instance_from_dump(_load_json(args.instance))
     params = bounds_mod.css_params(inst)  # exit 4 unless verify's deterministic checks pass
     if args.brute_force:
-        params = replace(params, delta_exact=bounds_mod.distance_bruteforce(inst, cap=args.cap))
+        params = replace(params, delta_exact=bounds_mod.exact_distance(inst, cap=args.cap))
     _emit(json.dumps(params.to_json_dict(), sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
@@ -256,8 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="distance bounds for an instance or a kappa sweep")
     b.add_argument("--instance", help="path to an instance dump JSON")
-    b.add_argument("--brute-force", action="store_true", help="add the exact distance")
-    b.add_argument("--cap", type=int, default=1 << 24, help="enumeration cap on q^k")
+    b.add_argument(
+        "--brute-force",
+        action="store_true",
+        help="add the exact distance: a witness at the degree bound, else enumeration",
+    )
+    b.add_argument("--cap", type=int, default=1 << 24, help="cap on q^k when enumeration is needed")
     b.add_argument("--sweep-kappa", action="store_true", help="emit a kappa/bounds CSV")
     b.add_argument("--n", type=int, help="block length for the sweep")
     b.add_argument("--r", type=int, help="locality for the sweep")

@@ -473,6 +473,16 @@ class CodeInstance:
         return tuple(self.field.ints(row) for row in self.matrix_c)
 
     @cached_property
+    def _structure_problem(self) -> str | None:
+        """structure_problem's answer, found once: the instance is immutable,
+        and css_params, the witness search and the scan all ask for it."""
+        for name, fn in _structure_checks(self):
+            result = _check(name, fn)
+            if not result.ok:
+                return f"{name}: {result.detail}"
+        return None
+
+    @cached_property
     def _repair_coeffs(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
         """Erased position -> (its block mates, their repair weights), filled
         by repair on each position's first repair."""
@@ -715,26 +725,46 @@ def instance_to_dump(inst: CodeInstance) -> dict:
     }
 
 
+def _dumped_element(fld: Field):
+    """Decoder for the field elements of a dump: a list of exactly m int
+    digits, each in [0, p), lowest degree first.  Field.element would pad a
+    short list with zeros, and so hide a digit cut from the dump."""
+    p, m = fld.p, fld.m
+
+    def element(digits) -> FieldElement:
+        if digits.__class__ is not list or len(digits) != m:
+            raise InputError(f"element {digits!r} is not a list of {m} digits")
+        value = 0
+        for c in reversed(digits):
+            if c.__class__ is not int or not 0 <= c < p:
+                raise InputError(f"coefficient {c!r} of {digits} outside [0, {p})")
+            value = value * p + c
+        return FieldElement(fld, value)
+
+    return element
+
+
 def instance_from_dump(d: dict) -> CodeInstance:
     """Rebuild an instance from its dump with shape checks only.
 
-    Semantic integrity is deliberately not re-derived here; that is what
-    verify_instance is for, so that a tampered dump loads and then fails
-    the right check.
+    Every field element goes through _dumped_element.  Semantic integrity
+    is deliberately not re-derived here; that is what verify_instance is
+    for, so that a tampered dump loads and then fails the right check.
     """
     try:
         fld = field_from_descriptor(d["field"])
         base = field_from_descriptor(d["base_field"])
-        points = tuple(fld.element(x) for x in d["points"])
+        element = _dumped_element(fld)
+        points = tuple(map(element, d["points"]))
         blocks = tuple(tuple(int(i) for i in b) for b in d["blocks"])
-        u = tuple(fld.element(x) for x in d["u"])
-        g = poly_from_lists(fld, d["g"])
-        subgroup = subgroup_from_descriptor(fld, d["subgroup"])
-        alpha = fld.element(d["alpha"]) if d["alpha"] is not None else None
+        u = tuple(map(element, d["u"]))
+        g = poly_from_lists(fld, list(map(element, d["g"])))
+        subgroup = subgroup_from_descriptor(fld, d["subgroup"], element)
+        alpha = element(d["alpha"]) if d["alpha"] is not None else None
         pairs = {key: tuple((int(i), int(j)) for i, j in d[key]) for key in ("s1", "s2", "t1")}
         exps = ExponentSets(d["n"], d["k"], d["r"], **pairs, ell=d["ell"], ell_prime=d["ell_prime"])
-        mc = tuple(tuple(fld.element(c) for c in row) for row in d["generator_c"])
-        md = tuple(tuple(fld.element(c) for c in row) for row in d["generator_d"])
+        mc = tuple(tuple(map(element, row)) for row in d["generator_c"])
+        md = tuple(tuple(map(element, row)) for row in d["generator_d"])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed instance dump: {e}") from None
     if not blocks or not all(blocks):
@@ -840,11 +870,7 @@ def structure_problem(inst: CodeInstance) -> str | None:
     """"<check-name>: <detail>" for the first check of _structure_checks that
     fails, or None.  The gate in front of every certified number: bounds
     accepts an instance exactly when verify's deterministic checks do."""
-    for name, fn in _structure_checks(inst):
-        result = _check(name, fn)
-        if not result.ok:
-            return f"{name}: {result.detail}"
-    return None
+    return inst._structure_problem
 
 
 def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = None):

@@ -4,6 +4,7 @@ Instances are immutable once built, so session scope is safe and keeps the
 suite fast.
 """
 
+import functools
 import json
 
 import pytest
@@ -69,6 +70,22 @@ def inst9x():
     m4 = {g ** (2 * i) for i in range(4)}
     sub = subgroup_from_MB(f9, 2, m4, {f9.zero()})
     return build_code(build_evaluation_set(sub, domain="orbits", n=8), 5)
+
+
+@pytest.fixture(scope="session")
+def translation_instance():
+    """Factory: the [p^m, k] code of the translations by GF(p) acting on
+    GF(p^m), all of it evaluated; each shape is built once."""
+
+    @functools.cache
+    def make(p, m, k):
+        f = Field(p, m)
+        sub = subgroup_from_MB(f, 1, {f.one()}, set(f.subfield_elements(1)))
+        es = build_evaluation_set(sub)
+        assert not es.extended
+        return build_code(es, k)
+
+    return make
 
 
 @pytest.fixture()

@@ -2,34 +2,35 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 from qlrc import (
     AffineMap,
     AglSubgroup,
-    Field,
     Polynomial,
     Xorshift64Star,
     agl_bound,
-    build_code,
-    build_evaluation_set,
     css_params,
     degree_bound,
     distance_bruteforce,
+    encode,
+    exact_distance,
+    low_weight_witness,
     quantum_singleton_rhs,
     schreier_graph,
     second_eigenvalue,
     singleton_optimal,
     smallest_prime_factor,
-    subgroup_from_MB,
     sweep_rows,
     theta_subgroup,
     weight_bound,
     weight_bound_audit,
 )
-from qlrc.bounds import NotRegular, SchreierGraph, TooLarge, _words_outside_dual
-from qlrc.construct import instance_from_dump, instance_to_dump
+from qlrc import bounds
+from qlrc.bounds import NotRegular, SchreierGraph, TooLarge, Witness, _words_outside_dual
+from qlrc.construct import dual_positions, instance_from_dump, instance_to_dump
 from qlrc.errors import ConstructionError, InputError, VerificationError
 
 
@@ -252,28 +253,19 @@ def _naive_classes(inst) -> set[tuple[int, ...]]:
     return out
 
 
-def _translation_instance(p, m, k):
-    """Translations by GF(p) acting on GF(p^m), all of it evaluated."""
-    f = Field(p, m)
-    sub = subgroup_from_MB(f, 1, {f.one()}, set(f.subfield_elements(1)))
-    es = build_evaluation_set(sub)
-    assert not es.extended
-    return build_code(es, k)
-
-
 @pytest.mark.parametrize(
     "case",
     ["inst4", "inst7", "inst8", (5, 1, 3), (7, 1, 5), (3, 2, 5)],
     ids=["inst4", "inst7", "inst8", "gf5_n5_k3", "gf7_n7_k5", "gf9_n9_k5"],
 )
-def test_distance_bruteforce_matches_naive_reference(case, request):
+def test_distance_bruteforce_matches_naive_reference(case, request, translation_instance):
     """The scan walks one word per scalar class of C outside C-perp, each
     once, and its minimum weight is the naive one.  GF(9) puts two base-3
     Gray digits into every message coefficient."""
     if isinstance(case, str):
         inst = request.getfixturevalue(case)
     else:
-        inst = _translation_instance(*case)
+        inst = translation_instance(*case)
     f, n = inst.field, inst.n
     naive = _naive_classes(inst)
     assert distance_bruteforce(inst) == min(n - w.count(0) for w in naive)
@@ -288,7 +280,97 @@ def test_scan_and_audit_reject_tampered_dual_rows(tampered_dual_dumps, which):
     with pytest.raises(VerificationError):
         distance_bruteforce(inst)
     with pytest.raises(VerificationError):
+        exact_distance(inst)
+    with pytest.raises(VerificationError):
         weight_bound_audit(inst, trials=3, seed=1)
+
+
+# --- exact distance from a witness ----------------------------------------------
+
+SHIPPED = Path(__file__).resolve().parent.parent / "perfbench" / "dumps"
+DIFFERENTIAL = [
+    "inst4",
+    "inst7",
+    "inst8",
+    (5, 1, 3),
+    (7, 1, 5),
+    (3, 2, 5),
+    "q16_n8_k6",
+    "q9_n9_k6",
+    "q8_n7_k6",
+    "q8_n8_k5",
+]
+
+
+def _weight(word) -> int:
+    return sum(1 for x in word if x)
+
+
+def _case_id(case):
+    return "gf{}^{}_k{}".format(*case) if isinstance(case, tuple) else case
+
+
+def _differential_instance(case, request, translation_instance):
+    if isinstance(case, tuple):
+        return translation_instance(*case)
+    if case.startswith("inst"):
+        return request.getfixturevalue(case)
+    return instance_from_dump(json.loads((SHIPPED / f"{case}.json").read_text()))
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL, ids=_case_id)
+def test_exact_distance_matches_bruteforce(case, request, translation_instance):
+    """GF(9) with k = 5 has degree bound 3 and distance 4, so it takes the
+    enumeration fallback; every other case closes at its witness."""
+    inst = _differential_instance(case, request, translation_instance)
+    delta = distance_bruteforce(inst)
+    assert exact_distance(inst) == delta
+    closes = _weight(low_weight_witness(inst).word) == degree_bound(inst.n, inst.r, inst.ell)
+    assert closes == (case != (3, 2, 5))
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL, ids=_case_id)
+def test_witness_is_a_word_outside_the_dual(case, request, translation_instance):
+    inst = _differential_instance(case, request, translation_instance)
+    in_d = dual_positions(inst)
+    for seed in (1, 2, 3):
+        wit = low_weight_witness(inst, seed)
+        assert wit == low_weight_witness(inst, seed)
+        assert any(x for i, x in enumerate(wit.message) if i not in in_d)
+        assert tuple(encode(inst, wit.message)) == wit.word
+        assert _weight(wit.word) >= degree_bound(inst.n, inst.r, inst.ell)
+
+
+def test_exact_distance_recounts_the_witness(monkeypatch, translation_instance):
+    """[9,5]_9 has words of D at weight 3, its degree bound, while the words
+    of C outside D weigh 4 or more.  Neither a word of D nor a light word
+    that its message does not encode may set the distance."""
+    inst = translation_instance(3, 2, 5)
+    f, in_d = inst.field, sorted(dual_positions(inst))
+    for values in itertools.product(f.elements(), repeat=len(in_d)):
+        message = [f.zero()] * inst.k
+        for i, v in zip(in_d, values):
+            message[i] = v
+        in_dual = tuple(encode(inst, message))
+        if sum(1 for x in in_dual if x) == 3:
+            break
+    heavy = low_weight_witness(inst)
+    kept = [i for i, x in enumerate(heavy.word) if x][:3]
+    light = tuple(x if i in kept else f.zero() for i, x in enumerate(heavy.word))
+    for forged in (Witness(tuple(message), in_dual), Witness(heavy.message, light)):
+        assert _weight(forged.word) == degree_bound(inst.n, inst.r, inst.ell)
+        monkeypatch.setattr(bounds, "low_weight_witness", lambda inst, seed, w=forged: w)
+        assert exact_distance(inst) == 4
+
+
+def test_witness_on_the_flagship_leaves_the_gap(inst32):
+    """On [32,19]_32 the search ends at weight 8, above the certified 5, so
+    exact_distance falls back to the enumeration and its cap."""
+    wit = low_weight_witness(inst32, 1)
+    assert _weight(wit.word) == 8
+    assert tuple(encode(inst32, wit.message)) == wit.word
+    with pytest.raises(TooLarge):
+        exact_distance(inst32)
 
 
 # --- spectra ---------------------------------------------------------------------

@@ -278,6 +278,30 @@ def test_digits_outside_the_prime_field_exit_2(tmp_path, capsys, edits):
         assert "outside [0, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("alpha", lambda _: []),
+        ("alpha", lambda v: v[:2]),
+        ("points", lambda v: [[*v[0], 0], *v[1:]]),
+        ("generator_c", lambda v: [[v[0][0][:1], *v[0][1:]], *v[1:]]),
+        ("g", lambda v: [*v[:-1], v[-1][:2]]),
+        ("subgroup", lambda v: {**v, "M_generator": v["M_generator"][:1]}),
+        ("u", lambda v: [[True, 0, 0], *v[1:]]),
+    ],
+    ids=["alpha-empty", "alpha-short", "point-long", "entry-short", "g-short", "M-short", "bool"],
+)
+def test_dumped_elements_are_exactly_m_digits(tmp_path, capsys, key, edit):
+    """A short digit list is not padded with zeros: "alpha": [] once loaded
+    as the built alpha 0 and passed verify."""
+    bad = _edited_dump(tmp_path, "q8_n8_k5", **{key: edit})
+    for argv in (["verify"], ["bounds", "--brute-force"], ["repair", "--erase", "all"]):
+        assert main([*argv, "--instance", str(bad)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "digits" in captured.err or "outside [0, 2)" in captured.err
+
+
 @pytest.mark.parametrize("alpha, rc", [([0, 0, 1], 4), ([1, 1, 0], 0), (None, 4)])
 def test_dumped_alpha_is_checked(tmp_path, capsys, alpha, rc):
     """Block 0 = {0, 1, a, 1 + a} is the orbit g annihilates; a^2 lies in block 1."""
@@ -315,10 +339,24 @@ def test_bounds_brute_force_adds_exact_distance(dump8, capsys):
     assert report["delta_exact"] == 3
 
 
-def test_bounds_cap_exits_5(dump8, capsys):
+def test_bounds_past_the_cap_exits_0_when_the_witness_closes_the_gap(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8), "--brute-force", "--cap", "10"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["delta_exact"] == 3
+
+
+def test_bounds_past_the_cap_exits_5_when_a_gap_remains(tmp_path, translation_instance, capsys):
+    """[9,5]_9 of the translations by GF(3): degree bound 3, distance 4."""
+    path = tmp_path / "gf9_n9_k5.json"
+    path.write_text(json.dumps(instance_to_dump(translation_instance(3, 2, 5))))
+    rc = main(["bounds", "--instance", str(path), "--brute-force", "--cap", "10"])
     assert rc == 5
-    assert "cap" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap" in captured.err
+    assert main(["bounds", "--instance", str(path), "--brute-force"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["degree_bound"], report["delta_exact"]) == (3, 4)
 
 
 def test_bounds_sweep_csv_structure(capsys):
