@@ -325,9 +325,27 @@ def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
     return GoodPolynomial(annihilator(field, orb), subgroup, alpha)
 
 
-def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:
-    """Stabilizer {t : gamma(t(x)) == gamma(x) as polynomials}."""
+def stabilizer_split(
+    subgroup: AglSubgroup, gamma: Polynomial
+) -> tuple[AglSubgroup, list[tuple[AffineMap, Polynomial]]]:
+    """Theta = {t : gamma(t(x)) == gamma(x) as polynomials}, and the nonzero
+    difference gamma(t(x)) - gamma(x) of every other t, in subgroup order.
+
+    gamma is composed with each map once; t lies in Theta exactly when its
+    difference is zero.
+    """
     if gamma.is_zero():
         raise InputError("the stabilizer of the zero polynomial is everything")
-    kept = [t for t in subgroup if gamma.compose(t.as_polynomial()) == gamma]
-    return AglSubgroup(subgroup.field, kept)
+    kept, moved = [], []
+    for t in subgroup:
+        diff = gamma.compose(t.as_polynomial()) - gamma
+        if diff:
+            moved.append((t, diff))
+        else:
+            kept.append(t)
+    return AglSubgroup(subgroup.field, kept), moved
+
+
+def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:
+    """Stabilizer {t : gamma(t(x)) == gamma(x) as polynomials}."""
+    return stabilizer_split(subgroup, gamma)[0]

@@ -31,9 +31,11 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .agl import AglSubgroup, theta_subgroup
+# theta_subgroup stays importable from here: perfbench times bounds.theta_subgroup
+from .agl import AglSubgroup, stabilizer_split, theta_subgroup  # noqa: F401
 from .construct import (
     CodeInstance,
+    check_shape,
     dual_positions,
     encode,
     exponent_sets,
@@ -211,9 +213,11 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
 
 
 def sweep_rows(n: int, r: int):
-    """(kappa, degree_bound, agl_bound_int) for every admissible dimension."""
-    if n % (r + 1):
-        raise InputError(f"block size {r + 1} does not divide n = {n}")
+    """(kappa, degree_bound, agl_bound_int) for every admissible dimension.
+
+    n and r pass the shape checks of exponent_sets first.
+    """
+    check_shape(n, r)
     p = smallest_prime_factor(r + 1)
     rows = []
     for k in range(n // 2 + 1, n * r // (r + 1) + 1):
@@ -529,11 +533,15 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     A sample is a uniform message, redrawn while it is zero at every row
     outside D (dual_positions certifies D = C-perp first, so those are
     exactly the messages of words in D), and its word is encode(inst, m).
-    For each sample: split off the non-block-constant part gamma, compute
-    its exact stabilizer, check the weight against the bound at the actual
-    stabilizer order, then build the associated quotient-product polynomial
-    explicitly and confirm its degree cap and that its root count in the
-    evaluation set dominates the count of same-orbit zero pairs.  Raises
+    For each sample: split off the non-block-constant part gamma and
+    compose it once with each map t of the subgroup (agl.stabilizer_split);
+    the maps with gamma(t(x)) - gamma(x) zero form the exact stabilizer
+    Theta.  Check the weight against the bound at the order of Theta, then
+    divide each other difference by t(x) - x, multiply the quotients into
+    the quotient-product polynomial, and confirm its degree cap and that its
+    root count in the evaluation set dominates the count of same-orbit zero
+    pairs.  The roots are counted by dividing by x - a while the remainder,
+    the value at a, is zero.  Raises
     VerificationError, through dual_positions, when the instance fails
     structure_problem.
     """
@@ -550,8 +558,12 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     s_pairs = inst.exps.s_pairs
     s1set = set(inst.exps.s1)
     gpows = g_powers(es.good.g, max(j for _, j in s_pairs))
-    monos = [gpows[j].shift(i) for i, j in s_pairs]
-    x_poly = Polynomial.x(fld)
+    # (message index, coefficients of x^i g^j) for the x^i part of each word
+    gamma_terms = [
+        (idx, gpows[j].shift(i).coeffs) for idx, (i, j) in enumerate(s_pairs) if (i, j) in s1set
+    ]
+    gamma_size = max((len(mono) for _, mono in gamma_terms), default=0)
+    linear_factors = [Polynomial(fld, (-x, fld.one())) for x in es.points]
     outside = [i for i in range(inst.k) if i not in in_d]
 
     out: list[AuditTrial] = []
@@ -561,14 +573,16 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         while all(coeffs[i].is_zero() for i in outside):
             coeffs = [rng.element(fld) for _ in s_pairs]
         word = encode(inst, coeffs)
-        gamma = Polynomial.zero(fld)
-        for c, pair, mono in zip(coeffs, s_pairs, monos):
-            if pair in s1set and not c.is_zero():
-                gamma = gamma + mono * Polynomial.constant(c)
+        acc = [0] * gamma_size
+        for idx, mono in gamma_terms:
+            c = coeffs[idx].v
+            if c:
+                acc[: len(mono)] = fld.axpy(acc[: len(mono)], c, mono)
+        gamma = Polynomial._from_ints(fld, acc)
         if gamma.is_zero():
             failures.append(f"trial {trial}: sampled word outside dual has no x^i part")
             continue
-        theta = theta_subgroup(sub, gamma)
+        theta, moved = stabilizer_split(sub, gamma)
         t_ord = len(theta)
         mu = len(sub) - t_ord
         bv = weight_bound(n, r, t_ord, ell)
@@ -578,14 +592,9 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
                 f"trial {trial}: weight {weight} below bound {bv.ceiling} at stabilizer {t_ord}"
             )
 
-        theta_set = set(theta.maps)
         bigg = Polynomial.one(fld)
-        for t in sub:
-            if t in theta_set:
-                continue
-            tp = t.as_polynomial()
-            num = gamma.compose(tp) - gamma
-            den = tp - x_poly
+        for t, num in moved:
+            den = Polynomial(fld, (t.b, t.a - fld.one()))  # t(x) - x
             quo, rem = divmod(num, den)
             if not rem.is_zero():
                 failures.append(f"trial {trial}: difference quotient is not a polynomial")
@@ -601,16 +610,18 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         pair_count = 0
         for i in zero_idx:
             x = es.points[i]
-            for t in sub:
-                if t in theta_set:
-                    continue
+            for t, _ in moved:
                 if t(x).v in zero_set:
                     pair_count += 1
         root_count = 0
         gg = bigg
-        for x in es.points:
-            while not gg.is_zero() and gg(x).is_zero():
-                gg = gg // Polynomial(fld, (-x, fld.one()))
+        for factor in linear_factors:
+            # the remainder by x - a is gg(a): divide while it is zero
+            while gg:
+                quo, rem = divmod(gg, factor)
+                if rem:
+                    break
+                gg = quo
                 root_count += 1
         if not pair_count <= root_count <= max(gdeg, 0):
             failures.append(

@@ -223,15 +223,22 @@ class ExponentSets:
         return sorted(self.t1 + self.s2, key=self.degree)
 
 
+def check_shape(n: int, r: int) -> None:
+    """Raise unless the locality r is at least 2 and r + 1 divides n > 0."""
+    if r < 2:
+        raise LocalityTooSmall(f"locality {r} < 2")
+    if n <= 0:
+        raise BadDimension(f"block length n = {n} must be positive")
+    if n % (r + 1) != 0:
+        raise BadDimension(f"block size {r + 1} does not divide n = {n}")
+
+
 def exponent_sets(n: int, k: int, r: int) -> ExponentSets:
     """Exponent sets for an [n, k] code with locality r.
 
     Requires (r+1) | n and n/2 < k <= n*r/(r+1).
     """
-    if r < 2:
-        raise LocalityTooSmall(f"locality {r} < 2")
-    if n <= 0 or n % (r + 1) != 0:
-        raise BadDimension(f"block size {r + 1} does not divide n = {n}")
+    check_shape(n, r)
     u_count = n // (r + 1)
     if not (2 * k > n and k * (r + 1) <= n * r):
         raise BadDimension(f"k = {k} outside (n/2, n*r/(r+1)] for n = {n}, r = {r}")

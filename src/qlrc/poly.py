@@ -7,12 +7,26 @@ arithmetic honest (deg(f*g) is the sum of degrees for every pair, including
 zero factors) without smuggling -1 into integer formulas.
 
 Ring operations work on the stored integers through the Field's integer
-operations.  coefficient(), evaluation, repr() and to_lists() wrap integers
-into FieldElement values at the boundary; the constructor coerces and
-validates its coefficients the way Field.element does.
+operations, with no call per coefficient along the longer operand:
+
+- a * b loops over the shorter factor and adds each of its coefficients
+  times the longer one into the product with one Field.axpy;
+- f.compose(h) runs Horner's rule on lists, acc <- acc * h + c for the
+  coefficients c of f from the top, with one axpy along acc per
+  coefficient of h;
+- divmod(a, b) with d = deg b takes the quotient from the top down by
+  q_s = (a_(s+d) - sum_(j<d) b_j q_(s+d-j)) / b_d, on the field's log/exp
+  tables.  Dividing by x - c then costs one product and one sum per
+  coefficient, and the remainder is the value at c.
+
+coefficient(), evaluation, repr() and to_lists() wrap integers into
+FieldElement values at the boundary; the constructor coerces and validates
+its coefficients the way Field.element does.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import InputError
 from .field import Field, FieldElement
@@ -124,6 +138,8 @@ class Polynomial:
             return Polynomial.zero(self.field)
         f = self.field
         a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
         nb = len(b)
         out = [0] * (len(a) + nb - 1)
         for i, x in enumerate(a):
@@ -161,20 +177,32 @@ class Polynomial:
         if self.degree < other.degree:
             return Polynomial.zero(self.field), self
         f = self.field
-        b = other.coeffs
-        nb = len(b)
+        a, b = self.coeffs, other.coeffs
+        na, d = len(a), len(b) - 1
+        exp, log, zero_log = f._exp, f._log, f._log[0]
+        add = operator.xor if f.p == 2 else f.add
         inv_lead = f.inv(b[-1])
-        rem = list(self.coeffs)
-        dq = len(rem) - nb
-        quo = [0] * (dq + 1)
-        for shift in range(dq, -1, -1):
-            c = rem[shift + nb - 1]
-            if not c:
-                continue
-            t = f.mul(c, inv_lead)
-            quo[shift] = t
-            rem[shift : shift + nb] = f.axpy(rem[shift : shift + nb], f.neg(t), b)
-        return Polynomial._from_ints(f, quo), Polynomial._from_ints(f, rem)
+        # w_i = a_i + sum_j c_j w_(i+d-j) from the top, c_j = -b_j / b_d; then
+        # q_(i-d) = w_i / b_d, the w_i below x^d are the remainder, and they
+        # count as zero in the sums
+        lcs = [log[f.neg(f.mul(x, inv_lead))] for x in b[:-1]]
+        ws = [0] * na
+        if d == 1:  # by (x - c_0) b_1: w_i = a_i + c_0 w_(i+1), w_0 the value at c_0
+            lc, lw = lcs[0], zero_log
+            for i in range(na - 1, -1, -1):
+                ws[i] = t = add(a[i], exp[lc + lw])
+                lw = log[t]
+        else:
+            lws = [zero_log] * (na + d)  # log w_i for i >= d
+            for i in range(na - 1, -1, -1):
+                t = a[i]
+                for j, lc in enumerate(lcs):
+                    t = add(t, exp[lc + lws[i + d - j]])
+                ws[i] = t
+                if i >= d:
+                    lws[i] = log[t]
+        quo = f.axpy([0] * (na - d), inv_lead, ws[d:])
+        return Polynomial._from_ints(f, quo), Polynomial._from_ints(f, ws[:d])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -189,12 +217,23 @@ class Polynomial:
         return FieldElement(f, f.horner(self.coeffs, f.element(point).v))
 
     def compose(self, inner: Polynomial) -> Polynomial:
-        """self(inner(x)), by Horner's rule over polynomials."""
+        """self(inner(x)), by Horner's rule on coefficient lists."""
         inner = self._check(inner)
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial._from_ints(self.field, [c])
-        return acc
+        f, b = self.field, inner.coeffs
+        if len(b) < 2 or not self.coeffs:
+            return Polynomial._from_ints(f, [f.horner(self.coeffs, b[0] if b else 0)])
+        axpy = f.axpy
+        acc = [self.coeffs[-1]]
+        for c in reversed(self.coeffs[:-1]):
+            # acc * inner + c, one axpy along acc per coefficient of inner
+            size = len(acc)
+            nxt = [0] * (size + len(b) - 1)
+            for j, bj in enumerate(b):
+                if bj:
+                    nxt[j : j + size] = axpy(nxt[j : j + size], bj, acc)
+            nxt[0] = f.add(nxt[0], c)
+            acc = nxt
+        return Polynomial._from_ints(f, acc)
 
     # -- display ----------------------------------------------------------------
 

@@ -6,6 +6,7 @@ from qlrc import (
     Field,
     Polynomial,
     Xorshift64Star,
+    annihilator,
     good_polynomial,
     orbits,
     subgroup_from_MB,
@@ -209,6 +210,59 @@ def test_theta_proper_for_low_degree_part():
         if gamma.is_zero():
             continue
         assert len(theta_subgroup(sub, gamma)) < len(sub)
+
+
+def _oracle_groups():
+    """(field, subgroup): additive, multiplicative, and a mixed group in odd
+    characteristic, with subgroups of several orders inside each."""
+    f16 = Field(2, 4)
+    one, a = f16.one(), f16.gen()
+    additive = subgroup_from_MB(f16, 1, {one}, {f16.zero(), one, a, a + one})
+    units = {x for x in f16.elements() if not x.is_zero()}
+    multiplicative = subgroup_from_MB(f16, 4, units, {f16.zero()})
+    f27 = Field(3, 3)
+    gf3 = f27.subfield_elements(1)
+    mixed = subgroup_from_MB(f27, 1, {f27.one(), -f27.one()}, set(gf3))
+    return {
+        "additive": (f16, additive),
+        "multiplicative": (f16, multiplicative),
+        "odd": (f27, mixed),
+    }
+
+
+@pytest.mark.parametrize("case", ["additive", "multiplicative", "odd"])
+def test_theta_subgroup_is_the_pointwise_stabilizer(case):
+    """theta_subgroup(H, gamma) == {t : gamma(t(x)) == gamma(x) at every x},
+    for deg gamma < q, where agreeing on the field means equal polynomials.
+    gamma is a polynomial in the orbit polynomial of H or of a cyclic
+    subgroup <s>, plus in some trials a term that breaks the symmetry."""
+    f, sub = _oracle_groups()[case]
+    q = f.q
+    rng = Xorshift64Star(3)
+    orders = set()
+    for trial in range(24):
+        group = set(sub.maps)
+        if trial % 4:
+            s = sub.maps[rng.below(len(sub))]
+            group, power = {AffineMap.identity(f)}, s
+            while power not in group:
+                group.add(power)
+                power = power * s
+        alpha = rng.element(f)
+        orbit_poly = annihilator(f, {t(alpha) for t in group})
+        gamma = Polynomial.zero(f)
+        for e in range(1, (q - 1) // orbit_poly.degree + 1):
+            gamma = gamma + orbit_poly**e * Polynomial.constant(rng.element(f))
+        if trial % 3 == 0:
+            gamma = gamma + Polynomial.monomial(f, rng.element(f), 1 + rng.below(q - 2))
+        if gamma.is_zero():
+            continue
+        assert gamma.degree < q
+        pointwise = {t for t in sub if all(gamma(t(x)) == gamma(x) for x in f.elements())}
+        theta = theta_subgroup(sub, gamma)
+        assert set(theta.maps) == pointwise
+        orders.add(len(theta))
+    assert len(orders) >= 3  # the trivial group, H, and a group between them
 
 
 def test_theta_rejects_zero_polynomial():

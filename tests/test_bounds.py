@@ -29,7 +29,15 @@ from qlrc import (
     weight_bound_audit,
 )
 from qlrc import bounds
-from qlrc.bounds import NotRegular, SchreierGraph, TooLarge, Witness, _words_outside_dual
+from qlrc.bounds import (
+    AuditReport,
+    AuditTrial,
+    NotRegular,
+    SchreierGraph,
+    TooLarge,
+    Witness,
+    _words_outside_dual,
+)
 from qlrc.construct import dual_positions, instance_from_dump, instance_to_dump
 from qlrc.errors import ConstructionError, InputError, VerificationError
 
@@ -473,6 +481,85 @@ def test_weight_bound_audit_transcript_frozen(inst8):
     assert [(t.weight, t.theta_order) for t in rep.trials] == [
         (8, 1), (6, 1), (6, 1), (6, 1), (8, 1), (5, 1), (6, 1), (8, 1), (7, 1), (8, 1),
     ]
+
+
+# Every AuditTrial field of three audits.  Per theta_order: (bound_real,
+# bound_int, g_degree_cap); per trial: (weight, theta_order, gamma_degree,
+# g_degree, pair_count, root_count).
+AUDIT_RECORDS = {
+    ("inst8", 40, 5): (
+        {1: (2.0, 2, 12), 2: (1.5278640450004204, 2, 8)},
+        [
+            (8, 1, 5, 12, 0, 0), (7, 1, 5, 12, 0, 4), (8, 1, 5, 12, 0, 4), (7, 1, 5, 12, 0, 0),
+            (8, 1, 5, 12, 0, 4), (6, 1, 5, 12, 0, 0), (7, 1, 5, 12, 0, 4), (7, 1, 5, 12, 0, 0),
+            (8, 1, 5, 12, 0, 12), (8, 1, 5, 12, 0, 12), (5, 1, 5, 12, 2, 4), (7, 1, 5, 12, 0, 0),
+            (5, 1, 5, 12, 2, 4), (6, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 4), (8, 1, 5, 12, 0, 4),
+            (7, 1, 5, 12, 0, 12), (7, 1, 5, 12, 0, 4), (7, 1, 5, 12, 0, 4), (5, 1, 5, 12, 2, 4),
+            (8, 1, 5, 12, 0, 4), (6, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 8),
+            (8, 2, 2, 0, 0, 0), (7, 1, 5, 12, 0, 4), (7, 1, 5, 12, 0, 4), (7, 1, 5, 12, 0, 0),
+            (6, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 4), (6, 1, 5, 12, 0, 0), (8, 1, 2, 0, 0, 0),
+            (7, 1, 5, 12, 0, 4), (6, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0), (5, 1, 5, 12, 2, 4),
+            (7, 1, 5, 12, 0, 0), (6, 1, 5, 12, 2, 4), (8, 1, 5, 12, 0, 4), (7, 1, 5, 12, 0, 0),
+        ],
+    ),
+    ("inst9x", 15, 3): (
+        {1: (2.0, 2, 12)},
+        [
+            (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 4), (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0),
+            (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 2), (8, 1, 5, 12, 0, 4),
+            (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0),
+            (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0), (8, 1, 5, 12, 0, 0),
+        ],
+    ),
+    ("inst32", 40, 1): (
+        {1: (5.728942548679914, 6, 60)},
+        [
+            (30, 1, 21, 60, 0, 8), (31, 1, 21, 60, 0, 0), (31, 1, 21, 60, 0, 8),
+            (30, 1, 21, 60, 0, 0), (29, 1, 21, 60, 0, 0), (30, 1, 21, 60, 0, 0),
+            (31, 1, 21, 60, 0, 0), (30, 1, 18, 48, 0, 4), (32, 1, 21, 60, 0, 4),
+            (31, 1, 21, 60, 0, 12), (30, 1, 21, 60, 0, 8), (31, 1, 21, 60, 0, 4),
+            (31, 1, 21, 60, 0, 0), (30, 1, 21, 60, 0, 4), (32, 1, 21, 60, 0, 8),
+            (32, 1, 21, 60, 0, 0), (32, 1, 21, 60, 0, 8), (31, 1, 21, 60, 0, 4),
+            (32, 1, 21, 60, 0, 0), (30, 1, 21, 60, 0, 4), (32, 1, 21, 60, 0, 4),
+            (32, 1, 21, 60, 0, 4), (30, 1, 21, 60, 0, 0), (31, 1, 21, 60, 0, 0),
+            (30, 1, 21, 60, 0, 0), (30, 1, 21, 60, 0, 0), (31, 1, 21, 60, 0, 8),
+            (29, 1, 21, 60, 2, 8), (31, 1, 21, 60, 0, 4), (30, 1, 21, 60, 0, 4),
+            (31, 1, 21, 60, 0, 0), (32, 1, 21, 60, 0, 4), (31, 1, 21, 60, 0, 0),
+            (30, 1, 21, 60, 0, 4), (29, 1, 21, 60, 0, 0), (31, 1, 21, 60, 0, 0),
+            (31, 1, 21, 60, 0, 4), (31, 1, 21, 60, 0, 4), (31, 1, 21, 60, 0, 4),
+            (30, 1, 21, 60, 0, 4),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_RECORDS), ids=lambda c: f"{c[0]}-seed{c[2]}")
+def test_weight_bound_audit_records_frozen(request, case):
+    """Every field of every trial is pinned, so a wrong root count or degree
+    fails here and not only in a slack inequality."""
+    name, trials, seed = case
+    by_theta, rows = AUDIT_RECORDS[case]
+    rep = weight_bound_audit(request.getfixturevalue(name), trials=trials, seed=seed)
+    expected = tuple(
+        AuditTrial(
+            weight=weight,
+            theta_order=theta,
+            bound_real=by_theta[theta][0],
+            bound_int=by_theta[theta][1],
+            gamma_degree=gamma_degree,
+            g_degree=g_degree,
+            g_degree_cap=by_theta[theta][2],
+            pair_count=pairs,
+            root_count=roots,
+        )
+        for weight, theta, gamma_degree, g_degree, pairs, roots in rows
+    )
+    assert rep == AuditReport(
+        trials=expected,
+        min_weight=min(row[0] for row in rows),
+        failures=(),
+        monotone_in_theta=True,
+    )
 
 
 def test_weight_bound_audit_deterministic(inst8):

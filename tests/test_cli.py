@@ -394,6 +394,11 @@ def test_bounds_sweep_argument_validation(capsys):
     assert main(["bounds", "--sweep-kappa", "--n", "65", "--r", "6", "--q", "64"]) == 2
     assert main(["bounds"]) == 2
     capsys.readouterr()
+    # the shape checks of exponent_sets: r >= 2 and n a positive multiple of r + 1
+    for n, r in [("63", "-1"), ("63", "1"), ("0", "6"), ("-4", "6")]:
+        assert main(["bounds", "--sweep-kappa", "--n", n, "--r", r, "--q", "64"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
 
 
 def test_repair_transcript(dump8, capsys):

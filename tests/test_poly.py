@@ -43,20 +43,52 @@ def test_ring_identities_randomized():
         assert a - a == Polynomial.zero(f)
 
 
+# --- the integer-list kernels against independent references ------------------
+
+REFERENCE_FIELDS = [(2, 5), (3, 3), (3, 4)]
+
+
+def _schoolbook(a, b):
+    """a * b by the convolution sum, on FieldElements."""
+    f = a.field
+    out = [f.zero()] * (len(a.coeffs) + len(b.coeffs))
+    for i in range(len(a.coeffs)):
+        for j in range(len(b.coeffs)):
+            out[i + j] = out[i + j] + a.coefficient(i) * b.coefficient(j)
+    return Polynomial(f, out)
+
+
+@pytest.mark.parametrize("p,m", REFERENCE_FIELDS)
+def test_mul_matches_schoolbook(p, m):
+    f = Field(p, m)
+    rng = Xorshift64Star(7 + p + m)
+    for _ in range(40):
+        # lengths on both sides of each other, zero factors included
+        a = _random_poly(rng, f, rng.below(9) - 1)
+        b = _random_poly(rng, f, rng.below(9) - 1)
+        assert a * b == _schoolbook(a, b)
+        assert b * a == _schoolbook(b, a)
+
+
 def test_divmod_roundtrip_randomized():
-    for p, m in [(2, 3), (3, 2)]:
+    """q * b + r == a with deg r < deg b, the product taken by schoolbook,
+    over constant, linear and longer divisors."""
+    for p, m in [(2, 3), (3, 2)] + REFERENCE_FIELDS:
         f = Field(p, m)
         rng = Xorshift64Star(23)
-        for _ in range(80):
-            a = _random_poly(rng, f, 8)
-            b = _random_poly(rng, f, 4)
-            if b.is_zero():
-                continue
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.is_zero() or r.degree < b.degree
-            assert a % b == r
-            assert a // b == q
+        for deg_b in (0, 1, 1, 2, 4):
+            for _ in range(16):
+                a = _random_poly(rng, f, 8)
+                b = _random_poly(rng, f, deg_b)
+                if b.is_zero():
+                    continue
+                q, r = divmod(a, b)
+                assert _schoolbook(q, b) + r == a
+                assert r.is_zero() or r.degree < b.degree
+                assert a % b == r
+                assert a // b == q
+                if b.degree == 1:  # the remainder by x - c is the value at c
+                    assert r == Polynomial(f, [a(-b.coefficient(0) / b.coefficient(1))])
 
 
 def test_division_by_zero_poly():
@@ -78,14 +110,20 @@ def test_eval_horner_matches_term_sum():
 
 
 def test_compose_matches_pointwise():
-    f = Field(2, 4)
-    rng = Xorshift64Star(17)
-    for _ in range(30):
-        outer = _random_poly(rng, f, 4)
-        inner = _random_poly(rng, f, 2)
-        comp = outer.compose(inner)
-        for x in f.elements():
-            assert comp(x) == outer(inner(x))
+    """deg(outer o inner) < q, so its values on all of GF(q) determine it."""
+    for p, m in [(2, 4)] + REFERENCE_FIELDS:
+        f = Field(p, m)
+        rng = Xorshift64Star(17)
+        for _ in range(12):
+            outer = _random_poly(rng, f, rng.below(5))
+            inner = _random_poly(rng, f, rng.below(4 if f.q == 16 else 6))
+            comp = outer.compose(inner)
+            if outer.degree >= 1 and inner.degree >= 1:
+                assert comp.degree == outer.degree * inner.degree
+            else:
+                assert comp.degree <= 0
+            for x in f.elements():
+                assert comp(x) == outer(inner(x))
 
 
 def test_pow_matches_repeated_product():
