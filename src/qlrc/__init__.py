@@ -52,7 +52,7 @@ from .construct import (
 )
 from .errors import ConstructionError, InputError, QlrcError, ResourceError, VerificationError
 from .field import Field, FieldElement, field_from_descriptor
-from .poly import Polynomial, annihilator, interpolate, poly_from_lists
+from .poly import Polynomial, annihilator, interpolate
 from .rng import Xorshift64Star
 
 __version__ = "0.1.0"
@@ -93,7 +93,6 @@ __all__ = [
     "interpolate",
     "low_weight_witness",
     "orbits",
-    "poly_from_lists",
     "quantum_singleton_rhs",
     "repair",
     "schreier_graph",

@@ -259,13 +259,13 @@ def _words_outside_dual(inst: CodeInstance):
     in_d = dual_positions(inst)
     outside = [i for i in range(k) if i not in in_d]  # k > n - k, so never empty
     add = fld.tables()
-    p, rows = fld.p, [fld.ints(row) for row in inst.matrix_c]
+    p, rows = fld.p, inst.matrix_c
     digits = [p**d for d in range(fld.m)]
     for t, lead in enumerate(outside):
         free = outside[t + 1 :] + sorted(in_d)
         # basis row j as the add-table rows of its coordinates
         steps = [[add[fld.mul(b, x)] for x in rows[i]] for i in free for b in digits]
-        word = rows[lead]
+        word = list(rows[lead])  # list.count and list.__getitem__ need a list
         yield word
         # count c = hi * p^low + lo steps by row j(lo) when lo > 0, else by low + j(hi)
         low = 0
@@ -337,7 +337,7 @@ def low_weight_witness(inst: CodeInstance, seed: int = WITNESS_SEED) -> Witness:
             perm[i], perm[j] = perm[j], perm[i]
         rows = [
             [row[c] for c in perm] + [int(i == j) for j in range(k)]
-            for i, row in enumerate(inst._rows_c_ints)
+            for i, row in enumerate(inst.matrix_c)
         ]
         pivots = set(_rref_ints(fld, rows))
         support = [{t for t in range(n) if row[t] and t not in pivots} for row in rows]
@@ -563,7 +563,7 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         (idx, gpows[j].shift(i).coeffs) for idx, (i, j) in enumerate(s_pairs) if (i, j) in s1set
     ]
     gamma_size = max((len(mono) for _, mono in gamma_terms), default=0)
-    linear_factors = [Polynomial(fld, (-x, fld.one())) for x in es.points]
+    linear_factors = [Polynomial._from_ints(fld, [fld.neg(x), 1]) for x in es.points]
     outside = [i for i in range(inst.k) if i not in in_d]
 
     out: list[AuditTrial] = []
@@ -606,12 +606,12 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
             failures.append(f"trial {trial}: quotient product degree {gdeg} exceeds its cap")
 
         zero_idx = [i for i, w in enumerate(word) if w.is_zero()]
-        zero_set = {es.points[i].v for i in zero_idx}
+        zero_set = {es.points[i] for i in zero_idx}
         pair_count = 0
         for i in zero_idx:
             x = es.points[i]
             for t, _ in moved:
-                if t(x).v in zero_set:
+                if fld.add(fld.mul(t.a.v, x), t.b.v) in zero_set:
                     pair_count += 1
         root_count = 0
         gg = bigg

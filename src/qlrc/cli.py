@@ -171,6 +171,8 @@ def _cmd_repair(args) -> int:
         lines.append(f"position {z}: {'OK' if ok else 'MISMATCH'}, {reads} reads")
         noun = "repairs exact"
     else:
+        if args.trials < 1:
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
         for t in range(args.trials):
             z = rng.below(inst.n)
             ok, reads = run_one(z)
@@ -200,7 +202,10 @@ def _divisors(n: int) -> list[int]:
 def _cmd_search(args) -> int:
     q = args.q
     p, m = _prime_power(q)
-    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    try:
+        modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    except ValueError:
+        raise InputError(f"--modulus {args.modulus!r} is not a list of integers") from None
     fld = Field(p, m, modulus)
     everything = list(fld.elements())
     prim = fld.primitive_element() if q > 2 else fld.one()

@@ -10,13 +10,18 @@ code contain its own dual; the block structure of g gives every coordinate
 a repair group of size r.  blocks_problem decides that structure for the
 build; structure_problem runs every deterministic check of verify_instance,
 and bounds certifies nothing it rejects.
+
+An instance holds its points, multipliers and generator rows as integer
+encodings over its field (see field.py), and every check and kernel works
+on those.  A FieldElement is made only where the API hands an element out:
+the word of encode and the symbol of repair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg
 from .agl import (
@@ -29,10 +34,10 @@ from .agl import (
     subgroup_from_descriptor,
 )
 from .errors import ConstructionError, InputError, VerificationError
-from .field import Embedding, Field, FieldElement, field_from_descriptor
+from .field import Embedding, Field, FieldElement, _digits, field_from_descriptor
 # annihilator and interpolate are unused here, but perfbench/spans.py wraps
 # qlrc.construct.annihilator and qlrc.construct.interpolate
-from .poly import Polynomial, annihilator, interpolate, poly_from_lists  # noqa: F401
+from .poly import Polynomial, annihilator, interpolate  # noqa: F401
 from .rng import Xorshift64Star
 
 
@@ -76,18 +81,16 @@ class MultiplierSolution:
     extension and `embedding` maps the original field into it.
     """
 
-    u: tuple[FieldElement, ...]
+    u: tuple[int, ...]
     field: Field
-    points: tuple[FieldElement, ...]
+    points: tuple[int, ...]
     embedding: Embedding | None
     extended: bool
 
 
-def _power_sum_check(u, points, upto: int) -> bool:
+def _power_sum_check(field: Field, u, xs, upto: int) -> bool:
     """sum_i u_i^2 * x_i^j == 0 for 0 <= j <= upto, by direct summation."""
-    field = points[0].field
-    xs = field.ints(points)
-    w = [field.mul(ui, ui) for ui in field.ints(u)]
+    w = [field.mul(ui, ui) for ui in u]
     pw = [1] * len(xs)
     for _ in range(upto + 1):
         if field.dot(w, pw):
@@ -130,12 +133,12 @@ def solve_multipliers(points) -> MultiplierSolution:
     if len(points) < 2:
         raise InputError("need at least two evaluation points")
     fld = points[0].field
-    points = [fld.element(x) for x in points]
-    v = fld.from_ints(_lagrange_denominators(fld, fld.ints(points)))
+    xs = fld.ints(points)
+    v = _lagrange_denominators(fld, xs)
 
     embedding = None
     out_field = fld
-    out_points = points
+    out_points = xs
     if fld.p == 2:
         u = [fld.sqrt(vi) for vi in v]
     else:
@@ -143,18 +146,17 @@ def solve_multipliers(points) -> MultiplierSolution:
         if all(flags):
             u = [fld.sqrt(vi) for vi in v]
         elif not any(flags):
-            c = next(
-                x for x in fld.elements() if not x.is_zero() and not fld.is_quadratic_residue(x)
-            )
-            u = [fld.sqrt(c * vi) for vi in v]
+            c = next(x for x in range(1, fld.q) if not fld.is_quadratic_residue(x))
+            u = [fld.sqrt(fld.mul(c, vi)) for vi in v]
         else:
             out_field, embedding = fld.extend()
-            out_points = [embedding(x) for x in points]
+            out_points = [embedding(x).v for x in xs]
             u = [out_field.sqrt(embedding(vi)) for vi in v]
 
     if any(ui is None or ui.is_zero() for ui in u):
         raise ConstructionError("multiplier solve produced a zero entry")
-    if not _power_sum_check(u, out_points, len(points) - 2):
+    u = [ui.v for ui in u]
+    if not _power_sum_check(out_field, u, out_points, len(points) - 2):
         raise ConstructionError("multiplier power-sum identity failed")
     return MultiplierSolution(
         u=tuple(u),
@@ -271,16 +273,16 @@ def exponent_sets(n: int, k: int, r: int) -> ExponentSets:
 class EvaluationSet:
     """Ordered evaluation points, their block partition, and multipliers.
 
-    Points are in canonical ascending order of the base field (inherited
-    through the embedding when the instance was extended); blocks are index
-    tuples into `points`, each a full-size orbit of the subgroup behind
-    `good`.
+    Points and multipliers are integer encodings over `field`.  Points are
+    in canonical ascending order of the base field (inherited through the
+    embedding when the instance was extended); blocks are index tuples into
+    `points`, each a full-size orbit of the subgroup behind `good`.
     """
 
     field: Field
-    points: tuple[FieldElement, ...]
+    points: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
-    u: tuple[FieldElement, ...]
+    u: tuple[int, ...]
     good: GoodPolynomial
     extended: bool
     base_field: Field
@@ -392,7 +394,7 @@ def build_evaluation_set(
     if sol.extended:
         emb, big = sol.embedding, sol.field
         good = GoodPolynomial(
-            Polynomial(big, [emb(c) for c in fld.from_ints(good.g.coeffs)]),
+            Polynomial._from_ints(big, [emb(c).v for c in good.g.coeffs]),
             _embed_subgroup(good.subgroup, emb, big),
             emb(good.base_point),
         )
@@ -434,9 +436,9 @@ def blocks_problem(es: EvaluationSet) -> str | None:
         return f"subgroup order {len(sub)} != block size {r + 1}"
     for blk in es.blocks:
         orbit = sub.orbit(es.points[blk[0]])
-        if [x.v for x in orbit] != sorted(es.points[i].v for i in blk):
+        if [x.v for x in orbit] != sorted(es.points[i] for i in blk):
             return f"block {blk} is not a free orbit of the subgroup"
-        if len({g(es.points[i]) for i in blk}) != 1:
+        if len({es.field.horner(g.coeffs, es.points[i]) for i in blk}) != 1:
             return f"block {blk} sees several values of g"
     alpha = es.good.base_point
     orbit = sub.orbit(alpha) if alpha is not None else []
@@ -453,13 +455,13 @@ def blocks_problem(es: EvaluationSet) -> str | None:
 
 @dataclass(frozen=True)
 class CodeInstance:
-    """An [n, k] evaluation code C with its dual D = C-perp inside it."""
+    """An [n, k] evaluation code C with its dual D = C-perp inside it; rows hold int encodings."""
 
     eval_set: EvaluationSet
     k: int
     exps: ExponentSets
-    matrix_c: tuple[tuple[FieldElement, ...], ...]
-    matrix_d: tuple[tuple[FieldElement, ...], ...]
+    matrix_c: tuple[tuple[int, ...], ...]
+    matrix_d: tuple[tuple[int, ...], ...]
     seed: int = 1
 
     @property
@@ -473,11 +475,6 @@ class CodeInstance:
     @property
     def field(self) -> Field:
         return self.eval_set.field
-
-    @cached_property
-    def _rows_c_ints(self) -> tuple[list[int], ...]:
-        """The rows of matrix_c as integer encodings, for encode."""
-        return tuple(self.field.ints(row) for row in self.matrix_c)
 
     @cached_property
     def _structure_problem(self) -> str | None:
@@ -519,8 +516,7 @@ def _monomial_row(es: EvaluationSet, gpow: Polynomial, i: int):
     """u_z * x^i * gpow(x) at every point z, by integer Horner."""
     f = es.field
     coeffs = [0] * i + list(gpow.coeffs)
-    vals = [f.mul(u, f.horner(coeffs, x)) for u, x in zip(f.ints(es.u), f.ints(es.points))]
-    return tuple(f.from_ints(vals))
+    return tuple(f.mul(u, f.horner(coeffs, x)) for u, x in zip(es.u, es.points))
 
 
 def g_powers(g: Polynomial, top: int) -> list[Polynomial]:
@@ -537,7 +533,7 @@ def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tupl
     return {(i, j): _monomial_row(es, gpows[j], i) for i, j in exps.s_pairs}
 
 
-def _generator_problem(matrix_c, matrix_d, k: int, n: int) -> str | None:
+def _generator_problem(fld: Field, matrix_c, matrix_d, k: int, n: int) -> str | None:
     """G_C is k independent rows of length n; G_D is n - k distinct rows of G_C.
 
     Distinct rows of a full-rank G_C are independent, so this gives
@@ -545,25 +541,20 @@ def _generator_problem(matrix_c, matrix_d, k: int, n: int) -> str | None:
     """
     if len(matrix_c) != k or any(len(row) != n for row in matrix_c):
         return f"big generator is not {k} rows of length {n}"
-    if linalg.rank([list(row) for row in matrix_c]) != k:
+    if len(linalg._rref_ints(fld, list(matrix_c))) != k:
         return f"big generator rank != {k}"
-    rows_d = {tuple(row) for row in matrix_d}
+    rows_d = set(matrix_d)
     if len(matrix_d) != n - k or len(rows_d) != n - k:
         return f"dual generator is not {n - k} distinct rows"
-    if not rows_d <= {tuple(row) for row in matrix_c}:
+    if not rows_d <= set(matrix_c):
         return "a dual generator row is not a row of the big generator"
     return None
 
 
-def _orthogonality_problem(matrix_c, matrix_d) -> str | None:
+def _orthogonality_problem(fld: Field, matrix_c, matrix_d) -> str | None:
     """G_D * G_C^T = 0.  With _generator_problem clean this gives D = C-perp."""
-    fld = next((x.field for row in (*matrix_c, *matrix_d) for x in row), None)
-    if fld is None:
-        return None
-    rows_c = [fld.ints(row) for row in matrix_c]
     for j, rd in enumerate(matrix_d):
-        rd = fld.ints(rd)
-        for i, rc in enumerate(rows_c):
+        for i, rc in enumerate(matrix_c):
             if len(rd) != len(rc) or fld.dot(rd, rc):
                 return f"dual row {j} is not orthogonal to big row {i}"
     return None
@@ -580,8 +571,8 @@ def dual_positions(inst: CodeInstance) -> frozenset[int]:
     problem = structure_problem(inst)
     if problem:
         raise VerificationError(problem)
-    index = {tuple(row): i for i, row in enumerate(inst.matrix_c)}
-    return frozenset(index[tuple(row)] for row in inst.matrix_d)
+    index = {row: i for i, row in enumerate(inst.matrix_c)}
+    return frozenset(index[row] for row in inst.matrix_d)
 
 
 def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
@@ -596,10 +587,10 @@ def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
     rows_s = tuple(by_pair[p] for p in exps.s_pairs)
     rows_t = tuple(by_pair[p] for p in exps.t_pairs)
 
-    problem = _generator_problem(rows_s, rows_t, k, es.n)
+    problem = _generator_problem(es.field, rows_s, rows_t, k, es.n)
     if problem:
         raise RankDeficient(problem)
-    problem = _orthogonality_problem(rows_s, rows_t)
+    problem = _orthogonality_problem(es.field, rows_s, rows_t)
     if problem:
         raise OrthogonalityFailure(problem)
 
@@ -619,7 +610,7 @@ def encode(inst: CodeInstance, message) -> list[FieldElement]:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
     fld = inst.field
     out = [0] * inst.n
-    for m, row in zip(fld.ints(message), inst._rows_c_ints):
+    for m, row in zip(fld.ints(message), inst.matrix_c):
         if m:
             out = fld.axpy(out, m, row)
     return fld.from_ints(out)
@@ -637,9 +628,9 @@ def _repair_coefficients(es: EvaluationSet, z: int) -> tuple[tuple[int, ...], tu
     mates = tuple(i for i in es.block_of(z) if i != z)
     if not mates:
         raise BlockIncomplete(f"position {z} has no block mates")
-    u_inv = [fld.inv(ui) for ui in fld.ints(es.u[i] for i in mates)]
-    xs = fld.ints(es.points[i] for i in mates)
-    xz, uz = fld.ints((es.points[z], es.u[z]))
+    u_inv = [fld.inv(es.u[i]) for i in mates]
+    xs = [es.points[i] for i in mates]
+    xz, uz = es.points[z], es.u[z]
     diffs = [fld.sub(xz, x) for x in xs]
     coeffs = []
     for i, (w, ui) in enumerate(zip(_lagrange_denominators(fld, xs), u_inv)):
@@ -708,6 +699,7 @@ def instance_from_spec(spec: dict) -> CodeInstance:
 
 def instance_to_dump(inst: CodeInstance) -> dict:
     es = inst.eval_set
+    digits = partial(_digits, p=es.field.p, m=es.field.m)
     return {
         "field": es.field.descriptor(),
         "base_field": es.base_field.descriptor(),
@@ -716,9 +708,9 @@ def instance_to_dump(inst: CodeInstance) -> dict:
         "k": inst.k,
         "r": inst.r,
         "seed": inst.seed,
-        "points": [x.to_list() for x in es.points],
+        "points": [digits(x) for x in es.points],
         "blocks": [list(b) for b in es.blocks],
-        "u": [x.to_list() for x in es.u],
+        "u": [digits(x) for x in es.u],
         "g": es.good.g.to_lists(),
         "alpha": es.good.base_point.to_list(),
         "subgroup": es.good.subgroup.descriptor(),
@@ -727,18 +719,18 @@ def instance_to_dump(inst: CodeInstance) -> dict:
         "t1": [list(p) for p in inst.exps.t1],
         "ell": inst.exps.ell,
         "ell_prime": inst.exps.ell_prime,
-        "generator_c": [[c.to_list() for c in row] for row in inst.matrix_c],
-        "generator_d": [[c.to_list() for c in row] for row in inst.matrix_d],
+        "generator_c": [[digits(c) for c in row] for row in inst.matrix_c],
+        "generator_d": [[digits(c) for c in row] for row in inst.matrix_d],
     }
 
 
 def _dumped_element(fld: Field):
-    """Decoder for the field elements of a dump: a list of exactly m int
-    digits, each in [0, p), lowest degree first.  Field.element would pad a
-    short list with zeros, and so hide a digit cut from the dump."""
+    """Decoder of a dump's field elements to integer encodings: a list of
+    exactly m int digits, each in [0, p), lowest degree first.  Field.element
+    would pad a short list with zeros, and so hide a digit cut from the dump."""
     p, m = fld.p, fld.m
 
-    def element(digits) -> FieldElement:
+    def element(digits) -> int:
         if digits.__class__ is not list or len(digits) != m:
             raise InputError(f"element {digits!r} is not a list of {m} digits")
         value = 0
@@ -746,37 +738,54 @@ def _dumped_element(fld: Field):
             if c.__class__ is not int or not 0 <= c < p:
                 raise InputError(f"coefficient {c!r} of {digits} outside [0, {p})")
             value = value * p + c
-        return FieldElement(fld, value)
+        return value
 
     return element
+
+
+def _dumped_int(value) -> int:
+    """An index, exponent or count of a dump: a JSON integer, not a bool, a
+    float or a string, which int() would truncate or parse."""
+    if value.__class__ is not int:
+        raise InputError(f"dump entry {value!r} is not an integer")
+    return value
 
 
 def instance_from_dump(d: dict) -> CodeInstance:
     """Rebuild an instance from its dump with shape checks only.
 
-    Every field element goes through _dumped_element.  Semantic integrity
-    is deliberately not re-derived here; that is what verify_instance is
-    for, so that a tampered dump loads and then fails the right check.
+    Every field element goes through _dumped_element and every index,
+    exponent and count through _dumped_int.  Semantic integrity is
+    deliberately not re-derived here; that is what verify_instance is for,
+    so that a tampered dump loads and then fails the right check.
     """
     try:
         fld = field_from_descriptor(d["field"])
         base = field_from_descriptor(d["base_field"])
         element = _dumped_element(fld)
         points = tuple(map(element, d["points"]))
-        blocks = tuple(tuple(int(i) for i in b) for b in d["blocks"])
+        blocks = tuple(tuple(map(_dumped_int, b)) for b in d["blocks"])
         u = tuple(map(element, d["u"]))
-        g = poly_from_lists(fld, list(map(element, d["g"])))
-        subgroup = subgroup_from_descriptor(fld, d["subgroup"], element)
-        alpha = element(d["alpha"]) if d["alpha"] is not None else None
-        pairs = {key: tuple((int(i), int(j)) for i, j in d[key]) for key in ("s1", "s2", "t1")}
-        exps = ExponentSets(d["n"], d["k"], d["r"], **pairs, ell=d["ell"], ell_prime=d["ell_prime"])
+        g = Polynomial._from_ints(fld, list(map(element, d["g"])))
+        subgroup = subgroup_from_descriptor(
+            fld, d["subgroup"], lambda digits: FieldElement(fld, element(digits))
+        )
+        alpha = FieldElement(fld, element(d["alpha"])) if d["alpha"] is not None else None
+        pairs = {
+            key: tuple((_dumped_int(i), _dumped_int(j)) for i, j in d[key])
+            for key in ("s1", "s2", "t1")
+        }
+        n, k, r, ell = (_dumped_int(d[key]) for key in ("n", "k", "r", "ell"))
+        ell_prime = None if d["ell_prime"] is None else _dumped_int(d["ell_prime"])
+        exps = ExponentSets(n, k, r, **pairs, ell=ell, ell_prime=ell_prime)
         mc = tuple(tuple(map(element, row)) for row in d["generator_c"])
         md = tuple(tuple(map(element, row)) for row in d["generator_d"])
+        seed = _dumped_int(d.get("seed", 1))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed instance dump: {e}") from None
     if not blocks or not all(blocks):
         raise InputError("dump has no blocks or an empty block")
-    if len(points) != d["n"] or len(u) != d["n"]:
+    if len(points) != n or len(u) != n:
         raise InputError("dump lengths are inconsistent with n")
     es = EvaluationSet(
         field=fld,
@@ -787,9 +796,7 @@ def instance_from_dump(d: dict) -> CodeInstance:
         extended=bool(d["extended"]),
         base_field=base,
     )
-    return CodeInstance(
-        eval_set=es, k=d["k"], exps=exps, matrix_c=mc, matrix_d=md, seed=int(d.get("seed", 1))
-    )
+    return CodeInstance(eval_set=es, k=k, exps=exps, matrix_c=mc, matrix_d=md, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -812,13 +819,13 @@ def _check(name: str, fn) -> CheckResult:
 def _structure_checks(inst: CodeInstance) -> list:
     """(name, check) for verify_instance's checks but local-repair, in order,
     for verify_instance and structure_problem; a check returns its problem."""
-    es, exps, fld, n = inst.eval_set, inst.exps, inst.field, inst.n
+    es, exps, fld, n, k = inst.eval_set, inst.exps, inst.field, inst.n, inst.k
 
     def chk_power_sums():
         # the multiplier solve decides the extension, so the flag is checked here
-        if not _power_sum_check(list(es.u), list(es.points), n - 2):
+        if not _power_sum_check(fld, es.u, es.points, n - 2):
             return "weighted power sums do not vanish up to degree n - 2"
-        if any(ui.is_zero() for ui in es.u):
+        if 0 in es.u:
             return "a multiplier is zero"
         if es.extended != (fld != es.base_field):
             return f"extended is {es.extended} but field and base_field disagree with that"
@@ -826,7 +833,7 @@ def _structure_checks(inst: CodeInstance) -> list:
             big, emb = es.base_field.extend()
             if fld != big:
                 return "field is not the quadratic extension of base_field"
-            if not set(fld.ints(es.points)) <= {emb(x).v for x in es.base_field.elements()}:
+            if not set(es.points) <= {emb(x).v for x in es.base_field.elements()}:
                 return "a point lies outside the embedded base field"
         return None
 
@@ -839,10 +846,10 @@ def _structure_checks(inst: CodeInstance) -> list:
             return "generator row counts do not match the exponent lists"
         by_pair = _s_rows(es, exps)
         for pair, row in zip(exps.s_pairs, inst.matrix_c):
-            if by_pair[pair] != tuple(row):
+            if by_pair[pair] != row:
                 return f"S row {pair} does not match its evaluation"
         for pair, row in zip(exps.t_pairs, inst.matrix_d):
-            if by_pair[pair] != tuple(row):
+            if by_pair[pair] != row:
                 return f"T row {pair} does not match its evaluation"
         return None
 
@@ -855,18 +862,17 @@ def _structure_checks(inst: CodeInstance) -> list:
         v = u is every function of g(a), a ring, and v > u leaves g^u out.
         u = 1 spans the constants.  Block constancy forces v = u: blocks
         sharing a value c would give g - c 2(r + 1) roots."""
-        xs = fld.ints(es.points)
-        if len(set(xs)) != n:
+        if len(set(es.points)) != n:
             return "evaluation points repeat"
-        values = len({fld.horner(es.good.g.coeffs, x) for x in xs})
+        values = len({fld.horner(es.good.g.coeffs, x) for x in es.points})
         if len(es.blocks) != 1 and values != len(es.blocks):
             return f"g takes {values} values on the points, not one per block ({len(es.blocks)})"
         return None
 
     return [
         ("multiplier-power-sums", chk_power_sums),
-        ("generator-ranks", lambda: _generator_problem(inst.matrix_c, inst.matrix_d, inst.k, n)),
-        ("dual-containment", lambda: _orthogonality_problem(inst.matrix_c, inst.matrix_d)),
+        ("generator-ranks", lambda: _generator_problem(fld, inst.matrix_c, inst.matrix_d, k, n)),
+        ("dual-containment", lambda: _orthogonality_problem(fld, inst.matrix_c, inst.matrix_d)),
         ("block-polynomial-constancy", lambda: blocks_problem(es)),
         ("generator-row-consistency", chk_rows_match),
         ("quotient-ring-closure", chk_ring),
@@ -885,8 +891,11 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
 
     Returns a list of CheckResult in a fixed order, _structure_checks then
     local-repair; each check re-computes its property from the raw instance
-    data rather than trusting stored derived values.
+    data rather than trusting stored derived values.  Raises InputError
+    when trials < 1, since local-repair would then pass on no repair.
     """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     fld, n, k = inst.field, inst.n, inst.k
     rng = Xorshift64Star(inst.seed if seed is None else seed)
 

@@ -10,9 +10,9 @@ every Field with the same (p, m, modulus).  Field orders are capped at 2**20
 because everything downstream (orbit enumeration, codeword scans, root
 counting) iterates over field elements.
 
-Hot loops elsewhere in the package work on lists of these integers through
-the Field's integer operations (add, mul, axpy, dot, horner, ...), and wrap
-the results back into FieldElement objects at their boundaries.
+Code instances store their points, multipliers and generator rows as these
+integers and work on them through the Field's integer operations (add, mul,
+axpy, dot, horner, ...); FieldElement objects appear only at the public API.
 
 One canonical total order is used everywhere an element has to be "the
 smallest" (default moduli, primitive elements, square-root tie-breaks,

@@ -1,8 +1,10 @@
 """Exact Gaussian elimination over a Field.
 
-Matrices are plain lists of lists of field elements.  Each function turns
-its rows into lists of integer encodings once, eliminates on those with the
-field's integer operations, and wraps only what it returns.
+_rref_ints row-reduces rows of integer encodings in place with the field's
+integer operations; the generator checks and the witness search run it on
+an instance's rows.  rank, dot and solve_in_span take lists of field
+elements, turn them into integer encodings once, and wrap only what they
+return.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ def dot(u: list[FieldElement], v: list[FieldElement]) -> FieldElement:
     return FieldElement(field, field.dot(field.ints(u), field.ints(v)))
 
 
-def _rref_ints(field, mat: list[list[int]]) -> list[int]:
-    """Row-reduce the integer rows of mat in place; returns the pivot columns."""
+def _rref_ints(field, mat: list) -> list[int]:
+    """Row-reduce the integer rows (lists or tuples) of mat in place, each
+    changed row written as a new list; returns the pivot columns."""
     if not mat:
         return []
     pivots = []
@@ -41,23 +44,8 @@ def _rref_ints(field, mat: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _field_of(rows):
-    """The field of the first entry, or None when the rows hold no entry."""
-    return next((x.field for row in rows for x in row), None)
-
-
-def rref(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
-    """Reduced row echelon form (a copy) and the pivot column indices."""
-    field = _field_of(rows)
-    if field is None:
-        return [list(r) for r in rows], []
-    mat = [field.ints(row) for row in rows]
-    pivots = _rref_ints(field, mat)
-    return [field.from_ints(row) for row in mat], pivots
-
-
 def rank(rows: list[list[FieldElement]]) -> int:
-    field = _field_of(rows)
+    field = next((x.field for row in rows for x in row), None)
     if field is None:
         return 0
     return len(_rref_ints(field, [field.ints(row) for row in rows]))

@@ -264,10 +264,6 @@ class Polynomial:
         return [c.to_list() for c in self.field.from_ints(self.coeffs)]
 
 
-def poly_from_lists(field: Field, lists) -> Polynomial:
-    return Polynomial(field, lists)
-
-
 def interpolate(points: list[tuple[FieldElement, FieldElement]]) -> Polynomial:
     """The unique polynomial of degree < len(points) through the points.
 

@@ -134,8 +134,8 @@ def test_criterion_2_dual_containment_sweep():
                 built += 1
                 flavors_seen.add(flavor)
                 label = f"q={q} {flavor} r={r} k={k}"
-                c_rows = [list(row) for row in inst.matrix_c]
-                d_rows = [list(row) for row in inst.matrix_d]
+                c_rows = [inst.field.from_ints(row) for row in inst.matrix_c]
+                d_rows = [inst.field.from_ints(row) for row in inst.matrix_d]
                 if rank(c_rows + d_rows) != k:
                     failures.append(f"{label}: stacked rank != {k}")
                 if any(not dot(rs, rt).is_zero() for rs in c_rows for rt in d_rows):

@@ -23,7 +23,6 @@ from qlrc.agl import (
     NotSubspace,
 )
 from qlrc.errors import InputError
-from qlrc.poly import poly_from_lists
 
 
 def _additive32(field):
@@ -146,7 +145,7 @@ def test_good_polynomial_multiplicative_frozen():
     m = {f.from_value(v) for v in (1, 2, 4)}
     sub = subgroup_from_MB(f, 1, m, {f.zero()})
     gp = good_polynomial(sub, f.one())
-    expected = poly_from_lists(f, [[6], [0], [0], [1]])  # x^3 + 6 = x^3 - 1
+    expected = Polynomial(f, [[6], [0], [0], [1]])  # x^3 + 6 = x^3 - 1
     assert gp.g == expected
 
 

@@ -302,6 +302,29 @@ def test_dumped_elements_are_exactly_m_digits(tmp_path, capsys, key, edit):
         assert "digits" in captured.err or "outside [0, 2)" in captured.err
 
 
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("blocks", lambda v: [[0, 1.9, 2, 3], *v[1:]]),
+        ("blocks", lambda v: [[0, "1", 2, 3], *v[1:]]),
+        ("s1", lambda v: [[1.5, v[0][1]], *v[1:]]),
+        ("seed", lambda _: "1"),
+        ("n", lambda _: 8.0),
+        ("ell_prime", lambda _: True),
+    ],
+    ids=["block-float", "block-string", "s1-float", "seed-string", "n-float", "ell_prime-bool"],
+)
+def test_dumped_indices_and_exponents_are_json_integers(tmp_path, capsys, key, edit):
+    """int() truncated 1.9 and parsed "1", so these mutants loaded as the
+    shipped dump and passed verify, bounds and repair."""
+    bad = _edited_dump(tmp_path, "q8_n8_k5", **{key: edit})
+    for argv in (["verify"], ["bounds", "--brute-force"], ["repair", "--erase", "all"]):
+        assert main([*argv, "--instance", str(bad)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not an integer" in captured.err
+
+
 @pytest.mark.parametrize("alpha, rc", [([0, 0, 1], 4), ([1, 1, 0], 0), (None, 4)])
 def test_dumped_alpha_is_checked(tmp_path, capsys, alpha, rc):
     """Block 0 = {0, 1, a, 1 + a} is the orbit g annihilates; a^2 lies in block 1."""
@@ -432,6 +455,17 @@ def test_repair_erase_validation(dump8, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_exit_2(dump8, capsys, trials):
+    """No repair tried is no evidence: verify once printed local-repair: PASS
+    and repair "0/0 repairs exact" for these."""
+    for command in ("verify", "repair"):
+        assert main([command, "--instance", str(dump8), "--trials", trials]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "trials" in captured.err
+
+
 def test_search_listing(capsys):
     rc = main(["search", "--q", "16"])
     assert rc == 0
@@ -451,6 +485,12 @@ def test_search_listing(capsys):
 def test_search_rejects_non_prime_power(capsys):
     assert main(["search", "--q", "12"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("modulus", ["1,1", "a,b"], ids=["reducible", "not-integers"])
+def test_search_rejects_a_bad_modulus(capsys, modulus):
+    assert main(["search", "--q", "4", "--modulus", modulus]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_byte_determinism(tmp_path, spec8, capsys):

@@ -44,9 +44,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def _power_sums_vanish(sol):
     n = len(sol.points)
+    us, xs = sol.field.from_ints(sol.u), sol.field.from_ints(sol.points)
     for j in range(n - 1):
         acc = sol.field.zero()
-        for u, x in zip(sol.u, sol.points):
+        for u, x in zip(us, xs):
             acc = acc + u * u * x**j
         assert acc.is_zero(), f"power sum at exponent {j}"
 
@@ -56,7 +57,7 @@ def test_multipliers_char2_full_field_all_one():
         f = Field(2, m)
         sol = solve_multipliers(list(f.elements()))
         assert not sol.extended
-        assert all(u == f.one() for u in sol.u)
+        assert all(u == 1 for u in sol.u)
         _power_sums_vanish(sol)
 
 
@@ -65,7 +66,7 @@ def test_multipliers_odd_full_field_all_equal():
         f = Field(p, m)
         sol = solve_multipliers(list(f.elements()))
         assert not sol.extended
-        assert len({u.value() for u in sol.u}) == 1
+        assert len(set(sol.u)) == 1
         _power_sums_vanish(sol)
 
 
@@ -75,8 +76,8 @@ def test_multipliers_residue_set_squares_to_points():
     pts = [f.from_value(v) for v in (1, 2, 4)]
     sol = solve_multipliers(pts)
     assert not sol.extended
-    assert [u.value() for u in sol.u] == [1, 3, 2]
-    for u, x in zip(sol.u, sol.points):
+    assert list(sol.u) == [1, 3, 2]
+    for u, x in zip(f.from_ints(sol.u), f.from_ints(sol.points)):
         assert u * u == x
     _power_sums_vanish(sol)
 
@@ -163,7 +164,7 @@ def test_exponent_degrees_all_distinct():
 
 def test_evaluation_set_structure(inst32):
     es = inst32.eval_set
-    vals = [x.value() for x in es.points]
+    vals = list(es.points)
     assert vals == sorted(vals)
     assert len(vals) == 32 and len(set(vals)) == 32
     covered = sorted(i for blk in es.blocks for i in blk)
@@ -172,7 +173,7 @@ def test_evaluation_set_structure(inst32):
         assert len(blk) == 4
         for i in blk:
             assert es.block_of(i) == blk
-    assert all(not u.is_zero() for u in es.u)
+    assert all(u != 0 for u in es.u)
 
 
 def test_evaluation_set_orbit_subset():
@@ -248,7 +249,7 @@ def test_lazy_block_selection_matches_eager_orbits(sub):
     assert full
 
     def check(es, chosen):
-        assert ([x.value() for x in es.points], es.blocks) == _eager_selection(es, chosen)
+        assert (list(es.points), es.blocks) == _eager_selection(es, chosen)
 
     if len(full) == len(every):
         check(build_evaluation_set(sub), full)
@@ -329,17 +330,19 @@ def test_build_code_shapes_and_ranks(inst32):
     assert len(inst32.matrix_c) == 19
     assert len(inst32.matrix_d) == 32 - 19
     assert all(len(row) == 32 for row in inst32.matrix_c)
-    rows_c = [list(r) for r in inst32.matrix_c]
-    rows_d = [list(r) for r in inst32.matrix_d]
+    f = inst32.field
+    rows_c = [f.from_ints(r) for r in inst32.matrix_c]
+    rows_d = [f.from_ints(r) for r in inst32.matrix_d]
     assert linalg.rank(rows_c) == 19
     assert linalg.rank(rows_d) == 13
     assert linalg.rank(rows_c + rows_d) == 19  # dual rows inside the big span
 
 
 def test_dual_rows_orthogonal_to_code_rows(inst32):
+    f = inst32.field
     for rd in inst32.matrix_d:
         for rc in inst32.matrix_c:
-            assert linalg.dot(list(rd), list(rc)).is_zero()
+            assert linalg.dot(f.from_ints(rd), f.from_ints(rc)).is_zero()
 
 
 def _rref_elementwise(rows):
@@ -378,7 +381,7 @@ def _random_matrix(rng, f, rows, cols):
 
 
 def test_int_kernels_match_elementwise_reference(inst32):
-    """linalg.rref / dot and encode, which run on integer encodings, agree
+    """linalg._rref_ints / dot and encode, which run on integer encodings, agree
     with element-by-element arithmetic on seeded random data."""
     f27 = Field(3, 3)
     sub27 = subgroup_from_MB(f27, 1, {f27.one()}, {f27.zero(), f27.one(), f27.one() + f27.one()})
@@ -387,7 +390,9 @@ def test_int_kernels_match_elementwise_reference(inst32):
         f, rng = inst.field, Xorshift64Star(seed)
         for shape in [(3, 7), (6, 6), (8, 5), (12, 20)]:
             mat = _random_matrix(rng, f, *shape)
-            assert linalg.rref(mat) == _rref_elementwise(mat)
+            reduced = [f.ints(row) for row in mat]
+            pivots = linalg._rref_ints(f, reduced)
+            assert ([f.from_ints(row) for row in reduced], pivots) == _rref_elementwise(mat)
             assert linalg.rank(mat) == len(_rref_elementwise(mat)[1])
             u, v = mat[0], mat[1]
             ref = f.zero()
@@ -395,7 +400,7 @@ def test_int_kernels_match_elementwise_reference(inst32):
                 ref = ref + a * b
             assert linalg.dot(u, v) == ref
         gen = _random_matrix(rng, f, inst.k - 2, inst.n)
-        other = dataclasses.replace(inst, matrix_c=tuple(tuple(row) for row in gen))
+        other = dataclasses.replace(inst, matrix_c=tuple(tuple(f.ints(row)) for row in gen))
         for _ in range(10):
             msg = [rng.element(f) for _ in range(inst.k)]
             word = [f.zero()] * inst.n
@@ -494,10 +499,11 @@ def test_repair_on_extended_instance(inst9x):
 def _interpolated_repair(inst, word, z):
     """u_z * lambda(a_z), lambda interpolating the survivors divided by their
     multipliers: the Lagrange repair, kept here as the reference."""
-    es = inst.eval_set
+    es, f = inst.eval_set, inst.field
+    points, u = f.from_ints(es.points), f.from_ints(es.u)
     mates = [i for i in es.block_of(z) if i != z]
-    lam = poly.interpolate([(es.points[i], word[i] / es.u[i]) for i in mates])
-    return es.u[z] * lam(es.points[z])
+    lam = poly.interpolate([(points[i], word[i] / u[i]) for i in mates])
+    return u[z] * lam(points[z])
 
 
 def test_repair_matches_interpolation_at_every_position(inst32, inst8, inst7, inst4, inst9x):
@@ -596,6 +602,7 @@ def test_dump_roundtrip_and_determinism(inst32, sub32):
     assert json.dumps(instance_to_dump(again), sort_keys=True, indent=2) == text
 
     back = instance_from_dump(json.loads(text))
+    assert back == inst32
     assert instance_to_dump(back) == dump
     assert back.summary() == inst32.summary()
     assert all(c.ok for c in verify_instance(back, trials=10))
@@ -604,8 +611,33 @@ def test_dump_roundtrip_and_determinism(inst32, sub32):
 def test_dump_roundtrip_extended(inst9x):
     dump = instance_to_dump(inst9x)
     back = instance_from_dump(json.loads(json.dumps(dump)))
+    assert back == inst9x
     assert back.summary() == inst9x.summary()
     assert all(c.ok for c in verify_instance(back, trials=10))
+
+
+def test_instances_hold_integer_encodings(inst32, inst9x):
+    """Points, multipliers and generator rows are ints on the base build, the
+    GF(q^2) extension and a reloaded dump: an element that leaked back in
+    would never equal the int tuples that generator-row-consistency and
+    dual_positions compare."""
+    f8, f3 = Field(2, 3), Field(3, 1)
+    solutions = [solve_multipliers(list(f8.elements())), solve_multipliers([f3.zero(), f3.one()])]
+    assert solutions[1].extended
+    for sol in solutions:
+        assert {type(x) for x in (*sol.points, *sol.u)} == {int}
+    for inst in (inst32, inst9x):
+        for built in (inst, instance_from_dump(json.loads(json.dumps(instance_to_dump(inst))))):
+            es = built.eval_set
+            rows = built.matrix_c + built.matrix_d
+            assert {type(x) for x in (*es.points, *es.u, *(x for row in rows for x in row))} == {int}
+            assert {type(row) for row in rows} == {tuple}
+
+
+def test_verify_rejects_trials_below_one(inst8):
+    for trials in (0, -2):
+        with pytest.raises(InputError, match="trials"):
+            verify_instance(inst8, trials=trials)
 
 
 def test_tampered_multiplier_fails_power_sum_check(inst8):
@@ -728,7 +760,7 @@ def _old_ring_closure_ok(inst) -> bool:
 
 
 def _ring_check(inst):
-    return {c.name: c for c in verify_instance(inst, trials=0)}["quotient-ring-closure"]
+    return {c.name: c for c in verify_instance(inst, trials=1)}["quotient-ring-closure"]
 
 
 def _ring_mutants(inst7, inst8, inst32):
@@ -822,7 +854,7 @@ def test_structure_problem_reports_an_exception(inst8):
     bad = json.loads(json.dumps(instance_to_dump(inst8)))
     bad["k"] = 4  # exponent_sets raises BadDimension inside generator-row-consistency
     inst = instance_from_dump(bad)
-    by_name = {c.name: c for c in verify_instance(inst, trials=0)}
+    by_name = {c.name: c for c in verify_instance(inst, trials=1)}
     assert by_name["generator-row-consistency"].detail.startswith("BadDimension: ")
     assert construct.structure_problem(inst).startswith("generator-ranks: ")
 
@@ -839,7 +871,7 @@ def test_row_consistency_compares_all_exponent_data(inst8):
         ({"t1": [[2, 0]], "ell_prime": 2}, "t1, ell_prime"),
     ]
     for edit, named in edits:
-        checks = verify_instance(instance_from_dump({**dump, **edit}), trials=0)
+        checks = verify_instance(instance_from_dump({**dump, **edit}), trials=1)
         check = {c.name: c for c in checks}["generator-row-consistency"]
         assert check.detail == f"stored {named} disagree with exponent_sets(8, 5, 3)", edit
 
@@ -847,14 +879,14 @@ def test_row_consistency_compares_all_exponent_data(inst8):
 def test_power_sum_check_rejects_a_flipped_extended_flag(inst8, inst9x):
     for inst in (inst8, inst9x):
         bad = dict(instance_to_dump(inst), extended=not inst.eval_set.extended)
-        check = verify_instance(instance_from_dump(bad), trials=0)[0]
+        check = verify_instance(instance_from_dump(bad), trials=1)[0]
         assert check.name == "multiplier-power-sums" and not check.ok
         assert "extended" in check.detail
 
 
 def test_power_sum_check_rejects_a_field_that_is_not_the_extension(inst9x):
     bad = dict(instance_to_dump(inst9x), base_field=Field(3, 3).descriptor())
-    check = verify_instance(instance_from_dump(bad), trials=0)[0]
+    check = verify_instance(instance_from_dump(bad), trials=1)[0]
     assert check.detail == "field is not the quadratic extension of base_field"
 
 

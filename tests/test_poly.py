@@ -2,7 +2,7 @@
 
 import pytest
 
-from qlrc import Field, Polynomial, Xorshift64Star, annihilator, interpolate, poly_from_lists
+from qlrc import Field, Polynomial, Xorshift64Star, annihilator, interpolate
 from qlrc import linalg
 from qlrc.errors import InputError
 from qlrc.poly import NEG_INF, DivisionByZeroPoly, DuplicateNode
@@ -190,7 +190,7 @@ def test_annihilator_vanishes_exactly_on_set():
 
 def test_pretty_printer():
     f = Field(2, 5)
-    g = poly_from_lists(f, [[0], [0, 1, 1], [1, 1, 1], [0], [1]])
+    g = Polynomial(f, [[0], [0, 1, 1], [1, 1, 1], [0], [1]])
     assert repr(g) == "x^4 + (a^2+a+1)x^2 + (a^2+a)x"
     assert repr(Polynomial.zero(f)) == "0"
     assert repr(Polynomial.one(f)) == "1"
@@ -202,7 +202,7 @@ def test_to_lists_roundtrip():
     rng = Xorshift64Star(41)
     for _ in range(20):
         p = _random_poly(rng, f, 5)
-        assert poly_from_lists(f, p.to_lists()) == p
+        assert Polynomial(f, p.to_lists()) == p
 
 
 # --- exact linear algebra ----------------------------------------------------
@@ -219,13 +219,14 @@ def test_rref_reproduces_row_space():
     f = Field(3, 2)
     rng = Xorshift64Star(13)
     rows = [[rng.element(f) for _ in range(5)] for _ in range(3)]
-    reduced, pivots = linalg.rref([row[:] for row in rows])
+    reduced = [f.ints(row) for row in rows]
+    pivots = linalg._rref_ints(f, reduced)
     assert len(pivots) == linalg.rank(rows)
     for j, pj in enumerate(pivots):
-        assert reduced[j][pj] == f.one()
+        assert reduced[j][pj] == 1
         for i in range(len(pivots)):
             if i != j:
-                assert reduced[i][pj].is_zero()
+                assert reduced[i][pj] == 0
 
 
 def test_solve_in_span_recovers_known_combination():
