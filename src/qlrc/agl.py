@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, json_element, json_int
 from .poly import Polynomial, annihilator
 
 
@@ -78,26 +78,20 @@ class AffineMap:
         return f"(x -> {Polynomial(self.a.field, (self.b, self.a))!r})"
 
 
-@dataclass(frozen=True)
-class MBProvenance:
-    """Record of the (K, M, B) data a subgroup was generated from."""
-
-    subfield_degree: int
-    M: tuple[FieldElement, ...]
-    B: tuple[FieldElement, ...]
-
-
 class AglSubgroup:
     """A finite subgroup of the affine maps over one field.
 
     Construction verifies the group axioms exhaustively: identity present,
-    closure under composition, closure under inverse.
+    closure under composition, closure under inverse.  subfield_degree is
+    set when the maps are {a*x + b : a in M, b in B} over the subfield of
+    that degree, as subgroup_from_MB checks; the descriptor then reads M
+    and B back from the maps.
     """
 
-    def __init__(self, field: Field, maps, provenance: MBProvenance | None = None):
+    def __init__(self, field: Field, maps, subfield_degree: int | None = None):
         self.field = field
         self.maps = tuple(sorted(set(maps), key=AffineMap.sort_key))
-        self.provenance = provenance
+        self.subfield_degree = subfield_degree
         if not self.maps:
             raise NotSubgroup("a subgroup cannot be empty")
         mapset = set(self.maps)
@@ -135,13 +129,13 @@ class AglSubgroup:
         return sorted({f(alpha) for f in self.maps}, key=lambda e: e.value())
 
     def descriptor(self) -> dict:
-        if self.provenance is not None:
-            prov = self.provenance
-            gen = _cyclic_generator(prov.M)
-            basis = subspace_basis(self.field, prov.subfield_degree, prov.B)
+        if self.subfield_degree is not None:
+            gen = _cyclic_generator({f.a for f in self.maps})
+            offsets = [f.b for f in self.maps if f.a.v == 1]
+            basis = subspace_basis(self.field, self.subfield_degree, offsets)
             return {
                 "kind": "MB",
-                "K": {"p": self.field.p, "m_sub": prov.subfield_degree},
+                "K": {"p": self.field.p, "m_sub": self.subfield_degree},
                 "M_generator": gen.to_list(),
                 "B_basis": [b.to_list() for b in basis],
             }
@@ -149,16 +143,6 @@ class AglSubgroup:
             "kind": "explicit",
             "maps": [{"a": f.a.to_list(), "b": f.b.to_list()} for f in self.maps],
         }
-
-
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Orbits of a subgroup acting on a closed domain.
-
-    Orbits are canonically sorted inside and listed by smallest member.
-    """
-
-    orbits: tuple[tuple[FieldElement, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -174,10 +158,8 @@ class GoodPolynomial:
     base_point: FieldElement | None
 
 
-def _cyclic_generator(M: tuple[FieldElement, ...]) -> FieldElement:
+def _cyclic_generator(M: set[FieldElement]) -> FieldElement:
     """An element of M whose powers exhaust M."""
-    target = len(M)
-    mset = set(M)
     for g in sorted(M, key=lambda e: e.value()):
         seen = {g}
         x = g
@@ -186,7 +168,7 @@ def _cyclic_generator(M: tuple[FieldElement, ...]) -> FieldElement:
             if x in seen:
                 break
             seen.add(x)
-        if len(seen) == target and seen == mset:
+        if seen == M:
             return g
     raise AssertionError("multiplicative subgroup with no generator")  # unreachable
 
@@ -237,12 +219,7 @@ def subgroup_from_MB(field: Field, k_degree: int, M, B) -> AglSubgroup:
             if k * x not in bset:
                 raise NotSubspace(f"B is not closed under K-scaling: {k!r} * {x!r}")
     maps = [AffineMap(a, b) for a in mset for b in bset]
-    prov = MBProvenance(
-        subfield_degree=k_degree,
-        M=tuple(sorted(mset, key=lambda e: e.value())),
-        B=tuple(sorted(bset, key=lambda e: e.value())),
-    )
-    return AglSubgroup(field, maps, provenance=prov)
+    return AglSubgroup(field, maps, subfield_degree=k_degree)
 
 
 def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSubgroup:
@@ -261,26 +238,31 @@ def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSu
     return subgroup_from_MB(field, k_degree, M, B)
 
 
-def subgroup_from_descriptor(field: Field, d: dict, element=None) -> AglSubgroup:
-    """The subgroup a descriptor names; element decodes its field elements
-    (field.element by default, which also takes short digit lists)."""
-    element = element or field.element
+def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
+    """The subgroup a spec or dump descriptor names: {"kind": "MB", "K":
+    {"p", "m_sub"}, "M_generator", "B_basis"} or {"kind": "explicit",
+    "maps": [{"a", "b"}, ...]}, numbers read by json_int and elements by
+    json_element."""
+    element = json_element(field)
     try:
         kind = d["kind"]
-    except (KeyError, TypeError):
-        raise InputError(f"bad subgroup descriptor: {d!r}") from None
+        if kind == "MB":
+            kd = d["K"]
+            if "p" in kd and json_int(kd["p"]) != field.p:
+                raise InputError("subgroup subfield characteristic differs from the field")
+            k_degree = json_int(kd["m_sub"])
+            gen = element(d["M_generator"])
+            basis = [element(b) for b in d.get("B_basis", [])]
+        elif kind == "explicit":
+            maps = [(element(fm["a"]), element(fm["b"])) for fm in d["maps"]]
+        else:
+            raise InputError(f"unknown subgroup kind {kind!r}")
+    except (KeyError, TypeError) as e:
+        raise InputError(f"bad subgroup descriptor: {e!r}") from None
     if kind == "MB":
-        kd = d["K"]
-        if "p" in kd and kd["p"] != field.p:
-            raise InputError("subgroup subfield characteristic differs from the field")
-        k_degree = kd["m_sub"]
-        gen = element(d["M_generator"])
-        basis = [element(b) for b in d.get("B_basis", [])]
-        return subgroup_from_generators(field, k_degree, gen, basis)
-    if kind == "explicit":
-        maps = [AffineMap(element(fm["a"]), element(fm["b"])) for fm in d["maps"]]
-        return AglSubgroup(field, maps)
-    raise InputError(f"unknown subgroup kind {kind!r}")
+        gen = FieldElement(field, gen)
+        return subgroup_from_generators(field, k_degree, gen, field.from_ints(basis))
+    return AglSubgroup(field, [AffineMap(*field.from_ints(ab)) for ab in maps])
 
 
 def iter_orbits(subgroup: AglSubgroup, domain=None):
@@ -303,9 +285,10 @@ def iter_orbits(subgroup: AglSubgroup, domain=None):
         yield tuple(orb)
 
 
-def orbits(subgroup: AglSubgroup, domain) -> OrbitPartition:
-    """Partition a closed domain into orbits of the subgroup."""
-    return OrbitPartition(tuple(iter_orbits(subgroup, domain)))
+def orbits(subgroup: AglSubgroup, domain) -> tuple[tuple[FieldElement, ...], ...]:
+    """Partition a closed domain into orbits of the subgroup, canonically
+    sorted inside and listed by smallest member."""
+    return tuple(iter_orbits(subgroup, domain))
 
 
 def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:

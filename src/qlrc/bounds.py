@@ -57,10 +57,6 @@ class NotRegular(InputError):
     """The vertex set is not a single full-size orbit."""
 
 
-class NotSymmetricGeneratingSet(InputError):
-    """The generating set is not closed under inverses."""
-
-
 def smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise InputError(f"{n} has no prime factor")
@@ -128,16 +124,14 @@ def weight_bound(n: int, r: int, theta_order: int, ell: int) -> BoundValue:
     return BoundValue(real=real, ceiling=max(t, 1), vacuous=t < 1)
 
 
-def agl_bound(n: int, r: int, ell: int, p: int | None = None) -> BoundValue:
+def agl_bound(n: int, r: int, ell: int) -> BoundValue:
     """Worst-case spectral bound over all codewords of one instance.
 
     The stabilizer of a nontrivial codeword is a proper subgroup, so its
     order is at most (r+1)/p with p the smallest prime factor of r+1, and
     the bound is worst there.
     """
-    if p is None:
-        p = smallest_prime_factor(r + 1)
-    return weight_bound(n, r, (r + 1) // p, ell)
+    return weight_bound(n, r, (r + 1) // smallest_prime_factor(r + 1), ell)
 
 
 def quantum_singleton_rhs(n: int, delta: int, r: int) -> int:
@@ -195,7 +189,7 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
         raise VerificationError(problem)
     n, r, ell = inst.n, inst.r, inst.ell
     p = smallest_prime_factor(r + 1)
-    bv = agl_bound(n, r, ell, p)
+    bv = agl_bound(n, r, ell)
     return QlrcParams(
         n=n,
         kappa=inst.kappa,
@@ -218,13 +212,10 @@ def sweep_rows(n: int, r: int):
     n and r pass the shape checks of exponent_sets first.
     """
     check_shape(n, r)
-    p = smallest_prime_factor(r + 1)
     rows = []
     for k in range(n // 2 + 1, n * r // (r + 1) + 1):
         exps = exponent_sets(n, k, r)
-        rows.append(
-            (2 * k - n, degree_bound(n, r, exps.ell), agl_bound(n, r, exps.ell, p).ceiling)
-        )
+        rows.append((2 * k - n, degree_bound(n, r, exps.ell), agl_bound(n, r, exps.ell).ceiling))
     return rows
 
 
@@ -416,9 +407,10 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
 
     The orbit must be a single full-size (free) orbit of the subgroup and
     theta a proper subgroup of it.  The complement generating set is closed
-    under inverses, so the graph is undirected; freeness rules out both
-    self-loops and repeated edges, and the adjacency matrix is the all-ones
-    matrix minus the corresponding stabilizer graph.
+    under inverses because theta is, as AglSubgroup checks when it is built,
+    so the graph is undirected; freeness rules out both self-loops and
+    repeated edges, and the adjacency matrix is the all-ones matrix minus
+    the corresponding stabilizer graph.
     """
     field = subgroup.field
     verts = sorted({field.element(x) for x in orbit}, key=lambda e: e.value())
@@ -429,9 +421,6 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
     if not theta_set < sub_set:
         raise InputError("theta must be a proper subgroup of the acting subgroup")
     gens = [t for t in subgroup if t not in theta_set]
-    for t in gens:
-        if t.inverse() in theta_set:
-            raise NotSymmetricGeneratingSet(f"inverse of {t!r} fell into the stabilizer")
     for x in verts:
         if len({f(x) for f in subgroup}) != len(subgroup):
             raise NotRegular(f"action is not free at {x!r}")

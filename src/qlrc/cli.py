@@ -227,8 +227,7 @@ def _cmd_search(args) -> int:
                 if key in seen:
                     continue
                 seen.add(key)
-                parts = orbits(sub, everything)
-                n_max = sum(len(o) for o in parts.orbits if len(o) == order)
+                n_max = sum(len(o) for o in orbits(sub, everything) if len(o) == order)
                 if n_max == 0:
                     continue
                 rows.append((order - 1, d, e, qd**s, n_max))

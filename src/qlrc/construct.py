@@ -28,13 +28,20 @@ from .agl import (
     AffineMap,
     AglSubgroup,
     GoodPolynomial,
-    MBProvenance,
     good_polynomial,
     iter_orbits,
     subgroup_from_descriptor,
 )
 from .errors import ConstructionError, InputError, VerificationError
-from .field import Embedding, Field, FieldElement, _digits, field_from_descriptor
+from .field import (
+    Embedding,
+    Field,
+    FieldElement,
+    _digits,
+    field_from_descriptor,
+    json_element,
+    json_int,
+)
 # annihilator and interpolate are unused here, but perfbench/spans.py wraps
 # qlrc.construct.annihilator and qlrc.construct.interpolate
 from .poly import Polynomial, annihilator, interpolate  # noqa: F401
@@ -322,16 +329,8 @@ def _resolve_alpha(subgroup: AglSubgroup, alpha):
 
 
 def _embed_subgroup(subgroup: AglSubgroup, emb: Embedding, big: Field) -> AglSubgroup:
-    prov = subgroup.provenance
-    big_prov = None
-    if prov is not None:
-        big_prov = MBProvenance(
-            subfield_degree=prov.subfield_degree,
-            M=tuple(emb(a) for a in prov.M),
-            B=tuple(emb(b) for b in prov.B),
-        )
     maps = [AffineMap(emb(f.a), emb(f.b)) for f in subgroup]
-    return AglSubgroup(big, maps, provenance=big_prov)
+    return AglSubgroup(big, maps, subfield_degree=subgroup.subfield_degree)
 
 
 def build_evaluation_set(
@@ -675,26 +674,33 @@ def repair(inst: CodeInstance, received, z: int) -> FieldElement:
 
 
 def instance_from_spec(spec: dict) -> CodeInstance:
-    """Build a CodeInstance from a plain-dict instance description."""
+    """Build a CodeInstance from a plain-dict instance description.
+
+    The spec is read by the rules of instance_from_dump: every number by
+    json_int and every element by json_element.  alpha is "auto" or an
+    element; evaluation_domain is a name or a list of elements.
+    """
     try:
         fld = field_from_descriptor(spec["field"])
-        n, r, k = spec["n"], spec["r"], spec["k"]
+        element = json_element(fld)
+        n, r, k = (json_int(spec[key]) for key in ("n", "r", "k"))
+        seed = json_int(spec.get("seed", 1))
         sub_desc = spec["subgroup"]
+        alpha = spec.get("alpha", "auto")
+        if alpha != "auto":
+            alpha = FieldElement(fld, element(alpha))
+        domain = spec.get("evaluation_domain", "full_field")
+        if domain.__class__ is not str:
+            domain = fld.from_ints(map(element, domain))
     except (KeyError, TypeError) as e:
-        raise InputError(f"instance spec is missing a field: {e}") from None
+        raise InputError(f"malformed instance spec: {e!r}") from None
     subgroup = subgroup_from_descriptor(fld, sub_desc)
     if len(subgroup) != r + 1:
         raise InputError(f"subgroup order {len(subgroup)} does not match r + 1 = {r + 1}")
-    alpha = spec.get("alpha", "auto")
-    if isinstance(alpha, list):
-        alpha = fld.element(alpha)
-    domain = spec.get("evaluation_domain", "full_field")
-    if isinstance(domain, list):
-        domain = [fld.element(x) for x in domain]
     es = build_evaluation_set(subgroup, alpha=alpha, domain=domain, n=n)
     if es.n != n:
         raise InputError(f"evaluation domain produced n = {es.n}, spec says {n}")
-    return build_code(es, k, seed=int(spec.get("seed", 1)))
+    return build_code(es, k, seed=seed)
 
 
 def instance_to_dump(inst: CodeInstance) -> dict:
@@ -724,63 +730,38 @@ def instance_to_dump(inst: CodeInstance) -> dict:
     }
 
 
-def _dumped_element(fld: Field):
-    """Decoder of a dump's field elements to integer encodings: a list of
-    exactly m int digits, each in [0, p), lowest degree first.  Field.element
-    would pad a short list with zeros, and so hide a digit cut from the dump."""
-    p, m = fld.p, fld.m
-
-    def element(digits) -> int:
-        if digits.__class__ is not list or len(digits) != m:
-            raise InputError(f"element {digits!r} is not a list of {m} digits")
-        value = 0
-        for c in reversed(digits):
-            if c.__class__ is not int or not 0 <= c < p:
-                raise InputError(f"coefficient {c!r} of {digits} outside [0, {p})")
-            value = value * p + c
-        return value
-
-    return element
-
-
-def _dumped_int(value) -> int:
-    """An index, exponent or count of a dump: a JSON integer, not a bool, a
-    float or a string, which int() would truncate or parse."""
-    if value.__class__ is not int:
-        raise InputError(f"dump entry {value!r} is not an integer")
-    return value
-
-
 def instance_from_dump(d: dict) -> CodeInstance:
     """Rebuild an instance from its dump with shape checks only.
 
-    Every field element goes through _dumped_element and every index,
-    exponent and count through _dumped_int.  Semantic integrity is
-    deliberately not re-derived here; that is what verify_instance is for,
-    so that a tampered dump loads and then fails the right check.
+    Every field element goes through json_element, every index, exponent
+    and count through json_int, and extended must be a JSON bool.  Semantic
+    integrity is deliberately not re-derived here; that is what
+    verify_instance is for, so that a tampered dump loads and then fails
+    the right check.
     """
     try:
         fld = field_from_descriptor(d["field"])
         base = field_from_descriptor(d["base_field"])
-        element = _dumped_element(fld)
+        element = json_element(fld)
         points = tuple(map(element, d["points"]))
-        blocks = tuple(tuple(map(_dumped_int, b)) for b in d["blocks"])
+        blocks = tuple(tuple(map(json_int, b)) for b in d["blocks"])
         u = tuple(map(element, d["u"]))
         g = Polynomial._from_ints(fld, list(map(element, d["g"])))
-        subgroup = subgroup_from_descriptor(
-            fld, d["subgroup"], lambda digits: FieldElement(fld, element(digits))
-        )
+        subgroup = subgroup_from_descriptor(fld, d["subgroup"])
         alpha = FieldElement(fld, element(d["alpha"])) if d["alpha"] is not None else None
         pairs = {
-            key: tuple((_dumped_int(i), _dumped_int(j)) for i, j in d[key])
+            key: tuple((json_int(i), json_int(j)) for i, j in d[key])
             for key in ("s1", "s2", "t1")
         }
-        n, k, r, ell = (_dumped_int(d[key]) for key in ("n", "k", "r", "ell"))
-        ell_prime = None if d["ell_prime"] is None else _dumped_int(d["ell_prime"])
+        n, k, r, ell = (json_int(d[key]) for key in ("n", "k", "r", "ell"))
+        ell_prime = None if d["ell_prime"] is None else json_int(d["ell_prime"])
         exps = ExponentSets(n, k, r, **pairs, ell=ell, ell_prime=ell_prime)
         mc = tuple(tuple(map(element, row)) for row in d["generator_c"])
         md = tuple(tuple(map(element, row)) for row in d["generator_d"])
-        seed = _dumped_int(d.get("seed", 1))
+        seed = json_int(d.get("seed", 1))
+        extended = d["extended"]
+        if extended.__class__ is not bool:
+            raise InputError(f"extended {extended!r} is not a JSON bool")
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed instance dump: {e}") from None
     if not blocks or not all(blocks):
@@ -793,7 +774,7 @@ def instance_from_dump(d: dict) -> CodeInstance:
         blocks=blocks,
         u=u,
         good=GoodPolynomial(g, subgroup, alpha),
-        extended=bool(d["extended"]),
+        extended=extended,
         base_field=base,
     )
     return CodeInstance(eval_set=es, k=k, exps=exps, matrix_c=mc, matrix_d=md, seed=seed)

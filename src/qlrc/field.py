@@ -13,6 +13,8 @@ counting) iterates over field elements.
 Code instances store their points, multipliers and generator rows as these
 integers and work on them through the Field's integer operations (add, mul,
 axpy, dot, horner, ...); FieldElement objects appear only at the public API.
+Specs and dumps carry elements as lists of exactly m digits; json_element
+and json_int are the one reader of their JSON values.
 
 One canonical total order is used everywhere an element has to be "the
 smallest" (default moduli, primitive elements, square-root tie-breaks,
@@ -278,7 +280,7 @@ class Field:
         if modulus is None:
             modulus = _default_modulus(p, m)
         else:
-            modulus = [int(c) for c in modulus]
+            modulus = list(modulus)
             if not all(0 <= c < p for c in modulus):
                 raise InputError(f"modulus coefficients {modulus} outside [0, {p})")
             if len(_ptrim(list(modulus))) - 1 != m or modulus[-1] != 1:
@@ -539,12 +541,48 @@ class Embedding:
         return FieldElement(self.dst, self.dst.dot(el.to_list(), self._pows))
 
 
+# ---------------------------------------------------------------------------
+# the JSON codec of specs and dumps: one set of reading rules for both
+
+
+def json_int(value) -> int:
+    """A count, index, exponent or digit read from JSON: a JSON integer, not
+    a bool, a float or a string, which int() would truncate or parse."""
+    if value.__class__ is not int:
+        raise InputError(f"entry {value!r} is not an integer")
+    return value
+
+
+def json_element(fld: Field):
+    """Decoder of JSON field elements of fld to integer encodings: a list of
+    exactly m int digits, each in [0, p), lowest degree first.  A short list
+    is not padded with zeros, which would hide a digit cut from the input."""
+    p, m = fld.p, fld.m
+
+    def element(digits) -> int:
+        if digits.__class__ is not list or len(digits) != m:
+            raise InputError(f"element {digits!r} is not a list of {m} digits")
+        value = 0  # _value's loop, checking each digit as it goes
+        for c in reversed(digits):
+            if c.__class__ is not int or not 0 <= c < p:
+                raise InputError(f"coefficient {c!r} of {digits} outside [0, {p})")
+            value = value * p + c
+        return value
+
+    return element
+
+
 def field_from_descriptor(d: dict) -> Field:
+    """The field of a spec or dump descriptor {p, m, modulus (optional)},
+    every number read by json_int."""
     try:
-        p, m = d["p"], d["m"]
+        p, m = json_int(d["p"]), json_int(d["m"])
+        modulus = d.get("modulus")
+        if modulus is not None:
+            modulus = [json_int(c) for c in modulus]
     except (KeyError, TypeError):
         raise InputError(f"bad field descriptor: {d!r}") from None
-    return Field(p, m, d.get("modulus"))
+    return Field(p, m, modulus)
 
 
 class FieldElement:

@@ -125,7 +125,7 @@ def test_criterion_2_dual_containment_sweep():
 
         for flavor, sub in subs:
             part = orbits(sub, list(fld.elements()))
-            full = [o for o in part.orbits if len(o) == len(sub)]
+            full = [o for o in part if len(o) == len(sub)]
             n, r = len(full) * len(sub), len(sub) - 1
             kmin, kmax = n // 2 + 1, n * r // (r + 1)
             for k in sorted({kmin, kmax}):
@@ -254,7 +254,7 @@ def test_criterion_5_spectral_gap():
     for sub in roster:
         fld = sub.field
         part = orbits(sub, list(fld.elements()))
-        orbit = next(o for o in part.orbits if len(o) == len(sub))
+        orbit = next(o for o in part if len(o) == len(sub))
 
         gammas = []
         for _ in range(10):

@@ -279,6 +279,72 @@ def test_digits_outside_the_prime_field_exit_2(tmp_path, capsys, edits):
 
 
 @pytest.mark.parametrize(
+    "edits",
+    [
+        {"field": lambda v: {**v, "modulus": [v["modulus"][0], 1.9, *v["modulus"][2:]]}},
+        {"extended": lambda _: 0},
+    ],
+    ids=["modulus-digit-float", "extended-int"],
+)
+def test_dump_entries_of_the_wrong_json_type_exit_2(tmp_path, capsys, edits):
+    """int(1.9) and bool(0) once read these mutants back as the shipped dump,
+    so they passed verify, bounds and repair."""
+    bad = _edited_dump(tmp_path, "q8_n8_k5", **edits)
+    for argv in (["verify"], ["bounds", "--brute-force"], ["repair", "--erase", "all"]):
+        assert main([*argv, "--instance", str(bad)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+_EXPLICIT_MAPS = [[[1, 0, 0], b] for b in ([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0])]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda s: s["subgroup"].update(kind="explicit", maps=_EXPLICIT_MAPS),
+        lambda s: s["subgroup"].pop("K"),
+        lambda s: s.update(evaluation_domain=7),
+        lambda s: s.update(alpha="foo"),
+        lambda s: s["subgroup"]["K"].update(m_sub=1.0),
+        lambda s: s.update(seed=1.7),
+        lambda s: s.update(alpha=[1.9, 0, 0]),
+        lambda s: s["field"].update(m=True),
+        lambda s: s["field"].update(modulus=[1, 1.9, 0, 1]),
+        lambda s: s["subgroup"].update(M_generator=[1, 0]),
+        lambda s: s.update(alpha=[0, 0]),
+        lambda s: s.update(evaluation_domain=list(range(8))),
+    ],
+    ids=[
+        "maps-as-pairs",
+        "MB-without-K",
+        "domain-int",
+        "alpha-string",
+        "m_sub-float",
+        "seed-float",
+        "alpha-digit-float",
+        "m-bool",
+        "modulus-digit-float",
+        "M-short",
+        "alpha-short",
+        "domain-int-encodings",
+    ],
+)
+def test_malformed_specs_exit_2(tmp_path, capsys, edit):
+    """A spec is read by the dump's rules: JSON integers, elements of exactly
+    m digits in [0, p), explicit maps as {"a", "b"} objects."""
+    spec = json.loads((SHIPPED.parent / "specs" / "q8_n8_k5.json").read_text())
+    edit(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["construct", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "key, edit",
     [
         ("alpha", lambda _: []),

@@ -244,7 +244,7 @@ def test_lazy_block_selection_matches_eager_orbits(sub):
     """build_evaluation_set picks the same points and blocks as a selection
     from the eagerly enumerated orbits of the whole field."""
     f, size = sub.field, len(sub)
-    every = orbits(sub, f.elements()).orbits
+    every = orbits(sub, f.elements())
     full = [orb for orb in every if len(orb) == size]
     assert full
 
