@@ -9,14 +9,20 @@ which is what makes these groups useful for block structure.
 Subgroups are either given by an explicit closed set of maps or generated
 from a pair (M, B): a multiplicative subgroup M of a subfield K and a
 K-subspace B of the field, giving {a*x + b : a in M, b in B}.
+
+Maps, orbits and base points are integer encodings (see field.py), worked
+with the field's integer operations; entry points also take FieldElement
+input, through Field.ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .errors import InputError
-from .field import Field, FieldElement, json_element, json_int
+from .field import Field, _digits, json_element, json_int
 from .poly import Polynomial, annihilator
 
 
@@ -40,69 +46,60 @@ class DomainNotClosed(InputError):
     """The requested orbit domain is not closed under the group action."""
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> a*x + b with a != 0."""
+class AffineMap(NamedTuple):
+    """x -> a*x + b, a and b integer encodings with a != 0; maps sort by (a, b)."""
 
-    a: FieldElement
-    b: FieldElement
-
-    def __post_init__(self):
-        if self.a.is_zero():
-            raise InputError("affine map needs an invertible linear part")
-        if self.a.field != self.b.field:
-            raise InputError("affine map coefficients must share a field")
-
-    @classmethod
-    def identity(cls, field: Field) -> AffineMap:
-        return cls(field.one(), field.zero())
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        return self.a * x + self.b
-
-    def __mul__(self, other: AffineMap) -> AffineMap:
-        # composition: self after other
-        return AffineMap(self.a * other.a, self.a * other.b + self.b)
-
-    def inverse(self) -> AffineMap:
-        ai = self.a.inv()
-        return AffineMap(ai, -(ai * self.b))
-
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial(self.a.field, (self.b, self.a))
-
-    def sort_key(self):
-        return (self.a.value(), self.b.value())
-
-    def __repr__(self):
-        return f"(x -> {Polynomial(self.a.field, (self.b, self.a))!r})"
+    a: int
+    b: int
 
 
 class AglSubgroup:
     """A finite subgroup of the affine maps over one field.
 
-    Construction verifies the group axioms exhaustively: identity present,
-    closure under composition, closure under inverse.  subfield_degree is
-    set when the maps are {a*x + b : a in M, b in B} over the subfield of
-    that degree, as subgroup_from_MB checks; the descriptor then reads M
-    and B back from the maps.
+    Construction coerces each map through Field.ints and verifies the group
+    axioms exhaustively: identity present, closure under composition,
+    closure under inverse.  subfield_degree is set when the maps are
+    {a*x + b : a in M, b in B} over the subfield of that degree, as
+    subgroup_from_MB checks; the descriptor then reads M and B back from the
+    maps.  apply, compose and inverse take any map over the field.
     """
 
     def __init__(self, field: Field, maps, subfield_degree: int | None = None):
         self.field = field
-        self.maps = tuple(sorted(set(maps), key=AffineMap.sort_key))
+        mapset = {AffineMap(*field.ints(t)) for t in maps}
+        if any(not t.a for t in mapset):
+            raise InputError("affine map needs an invertible linear part")
+        self.maps = tuple(sorted(mapset))
         self.subfield_degree = subfield_degree
         if not self.maps:
             raise NotSubgroup("a subgroup cannot be empty")
-        mapset = set(self.maps)
-        if AffineMap.identity(field) not in mapset:
+        if (1, 0) not in mapset:
             raise NotSubgroup("identity map missing")
+        poly = self.polynomial
         for f in self.maps:
-            if f.inverse() not in mapset:
-                raise NotSubgroup(f"inverse of {f!r} missing")
+            if self.inverse(f) not in mapset:
+                raise NotSubgroup(f"inverse of (x -> {poly(f)!r}) missing")
             for g in self.maps:
-                if f * g not in mapset:
-                    raise NotSubgroup(f"composition {f!r} * {g!r} escapes the set")
+                if self.compose(f, g) not in mapset:
+                    fg = f"(x -> {poly(f)!r}) * (x -> {poly(g)!r})"
+                    raise NotSubgroup(f"composition {fg} escapes the set")
+
+    def apply(self, t: AffineMap, x: int) -> int:
+        """t(x) = a*x + b."""
+        return self.field.add(self.field.mul(t.a, x), t.b)
+
+    def compose(self, s: AffineMap, t: AffineMap) -> AffineMap:
+        """s after t: x -> s(t(x))."""
+        return AffineMap(self.field.mul(s.a, t.a), self.apply(s, t.b))
+
+    def inverse(self, t: AffineMap) -> AffineMap:
+        fld = self.field
+        ai = fld.inv(t.a)
+        return AffineMap(ai, fld.neg(fld.mul(ai, t.b)))
+
+    def polynomial(self, t: AffineMap) -> Polynomial:
+        """a*x + b as a polynomial over the field."""
+        return Polynomial._from_ints(self.field, [t.b, t.a])
 
     def __len__(self):
         return len(self.maps)
@@ -123,25 +120,26 @@ class AglSubgroup:
     def __repr__(self):
         return f"AglSubgroup(order={len(self.maps)}, field={self.field!r})"
 
-    def orbit(self, alpha: FieldElement) -> list[FieldElement]:
-        """The orbit of alpha, sorted canonically."""
-        alpha = self.field.element(alpha)
-        return sorted({f(alpha) for f in self.maps}, key=lambda e: e.value())
+    def orbit(self, alpha) -> list[int]:
+        """The orbit of alpha (an encoding or an element), ascending."""
+        (x,) = self.field.ints((alpha,))
+        return sorted({self.apply(t, x) for t in self.maps})
 
     def descriptor(self) -> dict:
+        digits = partial(_digits, p=self.field.p, m=self.field.m)
         if self.subfield_degree is not None:
-            gen = _cyclic_generator({f.a for f in self.maps})
-            offsets = [f.b for f in self.maps if f.a.v == 1]
+            gen = _cyclic_generator(self.field, {f.a for f in self.maps})
+            offsets = [f.b for f in self.maps if f.a == 1]
             basis = subspace_basis(self.field, self.subfield_degree, offsets)
             return {
                 "kind": "MB",
                 "K": {"p": self.field.p, "m_sub": self.subfield_degree},
-                "M_generator": gen.to_list(),
-                "B_basis": [b.to_list() for b in basis],
+                "M_generator": digits(gen),
+                "B_basis": [digits(b) for b in basis],
             }
         return {
             "kind": "explicit",
-            "maps": [{"a": f.a.to_list(), "b": f.b.to_list()} for f in self.maps],
+            "maps": [{"a": digits(a), "b": digits(b)} for a, b in self.maps],
         }
 
 
@@ -149,22 +147,22 @@ class AglSubgroup:
 class GoodPolynomial:
     """The annihilator g of the free orbit of base_point, constant on every orbit.
 
-    The generating subgroup is kept around because the block check and the
-    spectral distance bounds need it.
+    base_point is an integer encoding.  The generating subgroup is kept
+    around because the block check and the spectral distance bounds need it.
     """
 
     g: Polynomial
     subgroup: AglSubgroup
-    base_point: FieldElement | None
+    base_point: int | None
 
 
-def _cyclic_generator(M: set[FieldElement]) -> FieldElement:
+def _cyclic_generator(field: Field, M: set[int]) -> int:
     """An element of M whose powers exhaust M."""
-    for g in sorted(M, key=lambda e: e.value()):
+    for g in sorted(M):
         seen = {g}
         x = g
         while True:
-            x = x * g
+            x = field.mul(x, g)
             if x in seen:
                 break
             seen.add(x)
@@ -173,17 +171,18 @@ def _cyclic_generator(M: set[FieldElement]) -> FieldElement:
     raise AssertionError("multiplicative subgroup with no generator")  # unreachable
 
 
-def subspace_basis(field: Field, k_degree: int, B):
-    """Greedy K-basis of the span of B, taking elements in ascending order."""
+def subspace_basis(field: Field, k_degree: int, B) -> list[int]:
+    """Greedy K-basis of the span of the encodings B, taking them in ascending order."""
     K = field.subfield_elements(k_degree)
-    basis: list[FieldElement] = []
-    spanned = {field.zero()}
-    for b in sorted(B, key=lambda e: e.value()):
+    mul, add = field.mul, field.add
+    basis: list[int] = []
+    spanned = {0}
+    for b in sorted(B):
         if b in spanned:
             continue
         basis.append(b)
         # spanned is a K-subspace already, so one extension round suffices
-        spanned = {s + k * b for s in spanned for k in K}
+        spanned = {add(s, mul(k, b)) for s in spanned for k in K}
     return basis
 
 
@@ -196,45 +195,47 @@ def subgroup_from_MB(field: Field, k_degree: int, M, B) -> AglSubgroup:
     if k_degree < 1 or field.m % k_degree != 0:
         raise NotSubfield(f"degree {k_degree} does not divide {field.m}")
     K = set(field.subfield_elements(k_degree))
-    M = [field.element(a) for a in M]
-    B = [field.element(b) for b in B]
+    M, B = field.ints(M), field.ints(B)
     mset, bset = set(M), set(B)
     if len(mset) != len(M) or len(bset) != len(B):
         raise InputError("M and B must not contain duplicates")
-    if field.one() not in mset:
+    mul, add, show = field.mul, field.add, field.show
+    if 1 not in mset:
         raise NotSubgroup("M must contain 1")
     for a in mset:
-        if a.is_zero() or a not in K:
+        if not a or a not in K:
             raise NotSubgroup("M must sit inside the subfield's nonzero elements")
         for b in mset:
-            if a * b not in mset:
-                raise NotSubgroup(f"M is not closed: {a!r} * {b!r} escapes")
-    if field.zero() not in bset:
+            if mul(a, b) not in mset:
+                raise NotSubgroup(f"M is not closed: {show(a)} * {show(b)} escapes")
+    if 0 not in bset:
         raise NotSubspace("B must contain 0")
     for x in bset:
         for y in bset:
-            if x + y not in bset:
-                raise NotSubspace(f"B is not closed under addition: {x!r} + {y!r}")
+            if add(x, y) not in bset:
+                raise NotSubspace(f"B is not closed under addition: {show(x)} + {show(y)}")
         for k in K:
-            if k * x not in bset:
-                raise NotSubspace(f"B is not closed under K-scaling: {k!r} * {x!r}")
+            if mul(k, x) not in bset:
+                raise NotSubspace(f"B is not closed under K-scaling: {show(k)} * {show(x)}")
     maps = [AffineMap(a, b) for a in mset for b in bset]
     return AglSubgroup(field, maps, subfield_degree=k_degree)
 
 
 def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSubgroup:
-    """subgroup_from_MB with M the powers of m_gen and B the K-span of basis."""
-    if m_gen.is_zero():
+    """subgroup_from_MB with M the powers of m_gen and B the K-span of basis,
+    all given as integer encodings."""
+    if not m_gen:
         raise NotSubgroup("M generator must be nonzero")
-    M = {field.one()}
+    mul, add = field.mul, field.add
+    M = {1}
     x = m_gen
     while x not in M:
         M.add(x)
-        x = x * m_gen
+        x = mul(x, m_gen)
     K = field.subfield_elements(k_degree) if k_degree > 0 and field.m % k_degree == 0 else []
-    B = {field.zero()}
+    B = {0}
     for v in basis:
-        B = {s + k * v for s in B for k in K}
+        B = {add(s, mul(k, v)) for s in B for k in K}
     return subgroup_from_MB(field, k_degree, M, B)
 
 
@@ -260,9 +261,8 @@ def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
     except (KeyError, TypeError) as e:
         raise InputError(f"bad subgroup descriptor: {e!r}") from None
     if kind == "MB":
-        gen = FieldElement(field, gen)
-        return subgroup_from_generators(field, k_degree, gen, field.from_ints(basis))
-    return AglSubgroup(field, [AffineMap(*field.from_ints(ab)) for ab in maps])
+        return subgroup_from_generators(field, k_degree, gen, basis)
+    return AglSubgroup(field, maps)
 
 
 def iter_orbits(subgroup: AglSubgroup, domain=None):
@@ -273,21 +273,21 @@ def iter_orbits(subgroup: AglSubgroup, domain=None):
     own elements only.  Raises DomainNotClosed when an orbit leaves it.
     """
     field = subgroup.field
-    elset = None if domain is None else {field.element(x) for x in domain}
-    seen: set[FieldElement] = set()
-    for x in field.elements() if elset is None else sorted(elset, key=lambda e: e.value()):
+    elset = None if domain is None else set(field.ints(domain))
+    seen: set[int] = set()
+    for x in range(field.q) if elset is None else sorted(elset):
         if x in seen:
             continue
         orb = subgroup.orbit(x)
         if elset is not None and not elset.issuperset(orb):
-            raise DomainNotClosed(f"the orbit of {x!r} leaves the domain")
+            raise DomainNotClosed(f"the orbit of {field.show(x)} leaves the domain")
         seen.update(orb)
         yield tuple(orb)
 
 
-def orbits(subgroup: AglSubgroup, domain) -> tuple[tuple[FieldElement, ...], ...]:
-    """Partition a closed domain into orbits of the subgroup, canonically
-    sorted inside and listed by smallest member."""
+def orbits(subgroup: AglSubgroup, domain) -> tuple[tuple[int, ...], ...]:
+    """Partition a closed domain into orbits of the subgroup, ascending
+    inside and listed by smallest member."""
     return tuple(iter_orbits(subgroup, domain))
 
 
@@ -299,11 +299,11 @@ def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
     use is checked by construct.blocks_problem.
     """
     field = subgroup.field
-    alpha = field.element(alpha)
+    (alpha,) = field.ints((alpha,))
     orb = subgroup.orbit(alpha)
     if len(orb) != len(subgroup):
         raise NotRegularOrbit(
-            f"orbit of {alpha!r} has size {len(orb)}, group has order {len(subgroup)}"
+            f"orbit of {field.show(alpha)} has size {len(orb)}, group has order {len(subgroup)}"
         )
     return GoodPolynomial(annihilator(field, orb), subgroup, alpha)
 
@@ -321,7 +321,7 @@ def stabilizer_split(
         raise InputError("the stabilizer of the zero polynomial is everything")
     kept, moved = [], []
     for t in subgroup:
-        diff = gamma.compose(t.as_polynomial()) - gamma
+        diff = gamma.compose(subgroup.polynomial(t)) - gamma
         if diff:
             moved.append((t, diff))
         else:

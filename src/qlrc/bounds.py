@@ -396,7 +396,7 @@ def exact_distance(inst: CodeInstance, cap: int = 1 << 24) -> int:
 class SchreierGraph:
     """Graph on one block: x ~ t(x) for t in the generating set H minus Theta."""
 
-    vertices: tuple[FieldElement, ...]
+    vertices: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
     mu: int
     theta_order: int
@@ -412,8 +412,8 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
     repeated edges, and the adjacency matrix is the all-ones matrix minus
     the corresponding stabilizer graph.
     """
-    field = subgroup.field
-    verts = sorted({field.element(x) for x in orbit}, key=lambda e: e.value())
+    field, apply = subgroup.field, subgroup.apply
+    verts = sorted(set(field.ints(orbit)))
     if len(verts) != len(subgroup):
         raise NotRegular(f"orbit size {len(verts)} != subgroup order {len(subgroup)}")
     sub_set = set(subgroup.maps)
@@ -422,20 +422,20 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
         raise InputError("theta must be a proper subgroup of the acting subgroup")
     gens = [t for t in subgroup if t not in theta_set]
     for x in verts:
-        if len({f(x) for f in subgroup}) != len(subgroup):
-            raise NotRegular(f"action is not free at {x!r}")
+        if len({apply(f, x) for f in subgroup}) != len(subgroup):
+            raise NotRegular(f"action is not free at {field.show(x)}")
 
-    idx = {x.v: i for i, x in enumerate(verts)}
+    idx = {x: i for i, x in enumerate(verts)}
     size = len(verts)
 
     def adj_from(maps):
         mat = [[0] * size for _ in range(size)]
         for i, x in enumerate(verts):
             for t in maps:
-                y = t(x)
-                if y.v not in idx:
+                y = apply(t, x)
+                if y not in idx:
                     raise NotRegular("generating set walks out of the orbit")
-                mat[i][idx[y.v]] = 1
+                mat[i][idx[y]] = 1
         return mat
 
     mat = adj_from(gens)
@@ -530,10 +530,12 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     the quotient-product polynomial, and confirm its degree cap and that its
     root count in the evaluation set dominates the count of same-orbit zero
     pairs.  The roots are counted by dividing by x - a while the remainder,
-    the value at a, is zero.  Raises
-    VerificationError, through dual_positions, when the instance fails
-    structure_problem.
+    the value at a, is zero.  Raises InputError when trials < 1, since an
+    audit of no sample would pass, and VerificationError, through
+    dual_positions, when the instance fails structure_problem.
     """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     in_d = dual_positions(inst)
     es, fld, n, r, ell = inst.eval_set, inst.field, inst.n, inst.r, inst.ell
     sub = es.good.subgroup
@@ -558,13 +560,13 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     out: list[AuditTrial] = []
     failures: list[str] = []
     for trial in range(trials):
-        coeffs = [rng.element(fld) for _ in s_pairs]
-        while all(coeffs[i].is_zero() for i in outside):
-            coeffs = [rng.element(fld) for _ in s_pairs]
+        coeffs = [rng.below(fld.q) for _ in s_pairs]
+        while not any(coeffs[i] for i in outside):
+            coeffs = [rng.below(fld.q) for _ in s_pairs]
         word = encode(inst, coeffs)
         acc = [0] * gamma_size
         for idx, mono in gamma_terms:
-            c = coeffs[idx].v
+            c = coeffs[idx]
             if c:
                 acc[: len(mono)] = fld.axpy(acc[: len(mono)], c, mono)
         gamma = Polynomial._from_ints(fld, acc)
@@ -583,7 +585,7 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
 
         bigg = Polynomial.one(fld)
         for t, num in moved:
-            den = Polynomial(fld, (t.b, t.a - fld.one()))  # t(x) - x
+            den = Polynomial._from_ints(fld, [t.b, fld.sub(t.a, 1)])  # t(x) - x
             quo, rem = divmod(num, den)
             if not rem.is_zero():
                 failures.append(f"trial {trial}: difference quotient is not a polynomial")
@@ -600,7 +602,7 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         for i in zero_idx:
             x = es.points[i]
             for t, _ in moved:
-                if fld.add(fld.mul(t.a.v, x), t.b.v) in zero_set:
+                if sub.apply(t, x) in zero_set:
                     pair_count += 1
         root_count = 0
         gg = bigg

@@ -207,17 +207,17 @@ def _cmd_search(args) -> int:
     except ValueError:
         raise InputError(f"--modulus {args.modulus!r} is not a list of integers") from None
     fld = Field(p, m, modulus)
-    everything = list(fld.elements())
-    prim = fld.primitive_element() if q > 2 else fld.one()
+    everything = range(q)
+    prim = fld.primitive_element().v  # 1 in GF(2)
 
     rows = []
     seen: set[frozenset] = set()
     for d in _divisors(m):
         qd = p**d
         basis = subspace_basis(fld, d, everything)  # canonical K-basis of the field
-        k_gen = prim ** ((q - 1) // (qd - 1)) if qd > 2 else fld.one()
+        k_gen = fld.power(prim, (q - 1) // (qd - 1))  # 1 when qd = 2
         for e in _divisors(qd - 1):
-            m_gen = k_gen ** ((qd - 1) // e)
+            m_gen = fld.power(k_gen, (qd - 1) // e)
             for s in range(0, m // d + 1):
                 order = e * qd**s
                 if order < 3 or order > q:

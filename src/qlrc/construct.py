@@ -25,7 +25,6 @@ from functools import cached_property, partial
 
 from . import linalg
 from .agl import (
-    AffineMap,
     AglSubgroup,
     GoodPolynomial,
     good_polynomial,
@@ -126,8 +125,10 @@ def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
     return out
 
 
-def solve_multipliers(points) -> MultiplierSolution:
+def solve_multipliers(fld: Field, points) -> MultiplierSolution:
     """A nowhere-zero u with sum u_i^2 * a_i^j = 0 for all j <= n - 2.
+
+    points are elements of fld or their integer encodings.
 
     The square vector is forced up to scaling: u_i^2 must be proportional to
     v_i = prod_{j != i} (a_i - a_j)^{-1}.  In characteristic 2 every element
@@ -139,7 +140,6 @@ def solve_multipliers(points) -> MultiplierSolution:
     points = list(points)
     if len(points) < 2:
         raise InputError("need at least two evaluation points")
-    fld = points[0].field
     xs = fld.ints(points)
     v = _lagrange_denominators(fld, xs)
 
@@ -157,12 +157,11 @@ def solve_multipliers(points) -> MultiplierSolution:
             u = [fld.sqrt(fld.mul(c, vi)) for vi in v]
         else:
             out_field, embedding = fld.extend()
-            out_points = [embedding(x).v for x in xs]
+            out_points = [embedding(x) for x in xs]
             u = [out_field.sqrt(embedding(vi)) for vi in v]
 
-    if any(ui is None or ui.is_zero() for ui in u):
+    if not all(u):  # a None root or a zero entry
         raise ConstructionError("multiplier solve produced a zero entry")
-    u = [ui.v for ui in u]
     if not _power_sum_check(out_field, u, out_points, len(points) - 2):
         raise ConstructionError("multiplier power-sum identity failed")
     return MultiplierSolution(
@@ -321,16 +320,11 @@ class EvaluationSet:
 def _resolve_alpha(subgroup: AglSubgroup, alpha):
     if alpha == "auto":
         order = len(subgroup)
-        for x in subgroup.field.elements():
+        for x in range(subgroup.field.q):
             if len(subgroup.orbit(x)) == order:
                 return x
         raise InputError("subgroup has no full-size orbit at all")
-    return subgroup.field.element(alpha)
-
-
-def _embed_subgroup(subgroup: AglSubgroup, emb: Embedding, big: Field) -> AglSubgroup:
-    maps = [AffineMap(emb(f.a), emb(f.b)) for f in subgroup]
-    return AglSubgroup(big, maps, subfield_degree=subgroup.subfield_degree)
+    return alpha
 
 
 def build_evaluation_set(
@@ -384,17 +378,17 @@ def build_evaluation_set(
         if n is not None and n != size * len(chosen):
             raise InputError("explicit domain size disagrees with n")
 
-    points = sorted((x for b in chosen for x in b), key=lambda e: e.value())
-    index = {x.v: i for i, x in enumerate(points)}
+    points = sorted(x for b in chosen for x in b)
+    index = {x: i for i, x in enumerate(points)}
     # orbits come sorted inside and listed by smallest member, and so do the blocks
-    blocks = tuple(tuple(index[x.v] for x in b) for b in chosen)
+    blocks = tuple(tuple(index[x] for x in b) for b in chosen)
 
-    sol = solve_multipliers(points)
+    sol = solve_multipliers(fld, points)
     if sol.extended:
-        emb, big = sol.embedding, sol.field
+        emb, big, sub = sol.embedding, sol.field, good.subgroup
         good = GoodPolynomial(
-            Polynomial._from_ints(big, [emb(c).v for c in good.g.coeffs]),
-            _embed_subgroup(good.subgroup, emb, big),
+            Polynomial._from_ints(big, [emb(c) for c in good.g.coeffs]),
+            AglSubgroup(big, [(emb(a), emb(b)) for a, b in sub], sub.subfield_degree),
             emb(good.base_point),
         )
     es = EvaluationSet(
@@ -435,16 +429,17 @@ def blocks_problem(es: EvaluationSet) -> str | None:
         return f"subgroup order {len(sub)} != block size {r + 1}"
     for blk in es.blocks:
         orbit = sub.orbit(es.points[blk[0]])
-        if [x.v for x in orbit] != sorted(es.points[i] for i in blk):
+        if orbit != sorted(es.points[i] for i in blk):
             return f"block {blk} is not a free orbit of the subgroup"
         if len({es.field.horner(g.coeffs, es.points[i]) for i in blk}) != 1:
             return f"block {blk} sees several values of g"
     alpha = es.good.base_point
     orbit = sub.orbit(alpha) if alpha is not None else []
+    shown = None if alpha is None else es.field.show(alpha)
     if len(orbit) != r + 1:
-        return f"alpha {alpha!r} does not have a free orbit"
-    if g.coeffs[-1] != 1 or any(g(x) for x in orbit):
-        return f"g is not the monic annihilator of the orbit of alpha {alpha!r}"
+        return f"alpha {shown} does not have a free orbit"
+    if g.coeffs[-1] != 1 or any(es.field.horner(g.coeffs, x) for x in orbit):
+        return f"g is not the monic annihilator of the orbit of alpha {shown}"
     return None
 
 
@@ -688,10 +683,10 @@ def instance_from_spec(spec: dict) -> CodeInstance:
         sub_desc = spec["subgroup"]
         alpha = spec.get("alpha", "auto")
         if alpha != "auto":
-            alpha = FieldElement(fld, element(alpha))
+            alpha = element(alpha)
         domain = spec.get("evaluation_domain", "full_field")
         if domain.__class__ is not str:
-            domain = fld.from_ints(map(element, domain))
+            domain = list(map(element, domain))
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed instance spec: {e!r}") from None
     subgroup = subgroup_from_descriptor(fld, sub_desc)
@@ -718,7 +713,7 @@ def instance_to_dump(inst: CodeInstance) -> dict:
         "blocks": [list(b) for b in es.blocks],
         "u": [digits(x) for x in es.u],
         "g": es.good.g.to_lists(),
-        "alpha": es.good.base_point.to_list(),
+        "alpha": digits(es.good.base_point),
         "subgroup": es.good.subgroup.descriptor(),
         "s1": [list(p) for p in inst.exps.s1],
         "s2": [list(p) for p in inst.exps.s2],
@@ -748,7 +743,7 @@ def instance_from_dump(d: dict) -> CodeInstance:
         u = tuple(map(element, d["u"]))
         g = Polynomial._from_ints(fld, list(map(element, d["g"])))
         subgroup = subgroup_from_descriptor(fld, d["subgroup"])
-        alpha = FieldElement(fld, element(d["alpha"])) if d["alpha"] is not None else None
+        alpha = element(d["alpha"]) if d["alpha"] is not None else None
         pairs = {
             key: tuple((json_int(i), json_int(j)) for i, j in d[key])
             for key in ("s1", "s2", "t1")
@@ -814,7 +809,7 @@ def _structure_checks(inst: CodeInstance) -> list:
             big, emb = es.base_field.extend()
             if fld != big:
                 return "field is not the quadratic extension of base_field"
-            if not set(es.points) <= {emb(x).v for x in es.base_field.elements()}:
+            if not set(es.points) <= {emb(x) for x in range(es.base_field.q)}:
                 return "a point lies outside the embedded base field"
         return None
 

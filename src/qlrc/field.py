@@ -10,9 +10,10 @@ every Field with the same (p, m, modulus).  Field orders are capped at 2**20
 because everything downstream (orbit enumeration, codeword scans, root
 counting) iterates over field elements.
 
-Code instances store their points, multipliers and generator rows as these
+Code instances and affine-map subgroups store their elements as these
 integers and work on them through the Field's integer operations (add, mul,
-axpy, dot, horner, ...); FieldElement objects appear only at the public API.
+sqrt, axpy, dot, horner, ...); FieldElement objects appear only at the
+public API.
 Specs and dumps carry elements as lists of exactly m digits; json_element
 and json_int are the one reader of their JSON values.
 
@@ -261,15 +262,18 @@ class Field:
     between independently constructed copies of the same field.
 
     Besides the FieldElement API, a Field offers arithmetic directly on
-    integer encodings (add, sub, neg, mul, inv and the list kernels axpy,
-    dot, horner) for loops that would otherwise allocate an element per
-    operation.
+    integer encodings (add, sub, neg, mul, inv, sqrt, subfield_elements and
+    the list kernels axpy, dot, horner) for loops that would otherwise
+    allocate an element per operation.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
-        if not isinstance(p, int) or not _is_prime(p):
+        p, m = json_int(p), json_int(m)  # no bool or float slips through
+        if modulus is not None:
+            modulus = [json_int(c) for c in modulus]
+        if not _is_prime(p):
             raise NotPrime(f"characteristic {p!r} is not prime")
-        if not isinstance(m, int) or m < 1:
+        if m < 1:
             raise InputError(f"extension degree {m!r} must be a positive integer")
         q = p**m
         if q > MAX_FIELD_ORDER:
@@ -280,7 +284,6 @@ class Field:
         if modulus is None:
             modulus = _default_modulus(p, m)
         else:
-            modulus = list(modulus)
             if not all(0 <= c < p for c in modulus):
                 raise InputError(f"modulus coefficients {modulus} outside [0, {p})")
             if len(_ptrim(list(modulus))) - 1 != m or modulus[-1] != 1:
@@ -320,22 +323,15 @@ class Field:
     # -- element constructors ----------------------------------------------
 
     def element(self, v) -> FieldElement:
-        """Coerce an int encoding, a list of digits in [0, p), or an element."""
+        """Coerce an int encoding, a list of digits read by json_element's
+        rule, or an element."""
         if isinstance(v, FieldElement):
             if v.field is not self and v.field != self:
                 raise FieldMismatch(f"element of {v.field!r} used in {self!r}")
             return v
         if isinstance(v, int):
             return self.from_value(v)
-        coeffs = list(map(int, v))
-        if len(coeffs) > self.m:
-            raise InputError(f"coefficient vector longer than {self.m}")
-        p, value = self.p, 0
-        for c in reversed(coeffs):
-            if not 0 <= c < p:
-                raise InputError(f"coefficient {c} of {coeffs} outside [0, {p})")
-            value = value * p + c
-        return FieldElement(self, value)
+        return FieldElement(self, json_element(self)(v))
 
     def from_value(self, v: int) -> FieldElement:
         if not 0 <= v < self.q:
@@ -359,8 +355,11 @@ class Field:
 
     def ints(self, els) -> list[int]:
         """Integer encodings of the given values, each coerced as element() does."""
+        q = self.q
         return [
-            e.v if e.__class__ is FieldElement and e.field is self else self.element(e).v
+            e if e.__class__ is int and 0 <= e < q
+            else e.v if e.__class__ is FieldElement and e.field is self
+            else self.element(e).v
             for e in els
         ]
 
@@ -457,13 +456,13 @@ class Field:
         """Canonically smallest element of multiplicative order q-1."""
         return FieldElement(self, self._g)
 
-    def subfield_elements(self, d: int) -> list[FieldElement]:
-        """Elements of the unique subfield of order p**d (requires d | m)."""
+    def subfield_elements(self, d: int) -> list[int]:
+        """Encodings of the unique subfield of order p**d (requires d | m), ascending."""
         if self.m % d != 0:
             raise InputError(f"GF({self.p}^{d}) is not a subfield of {self!r}")
         t = (self.q - 1) // (self.p**d - 1)
         exp = self._exp
-        return self.from_ints(sorted({0} | {exp[t * i] for i in range(self.p**d - 1)}))
+        return sorted({0} | {exp[t * i] for i in range(self.p**d - 1)})
 
     def extend(self) -> tuple[Field, Embedding]:
         """The quadratic extension GF(q^2) plus the embedding into it.
@@ -477,28 +476,26 @@ class Field:
 
     # -- square roots --------------------------------------------------------
 
-    def is_quadratic_residue(self, a: FieldElement) -> bool:
-        """Whether a is a square in this field.  Zero counts as a square."""
-        a = self.element(a)
-        return self.p == 2 or a.is_zero() or self._log[a.v] % 2 == 0
+    def is_quadratic_residue(self, a: int) -> bool:
+        """Whether the encoding a is a square in this field.  Zero counts as a square."""
+        return self.p == 2 or not a or self._log[a] % 2 == 0
 
-    def sqrt(self, a: FieldElement) -> FieldElement | None:
-        """A square root of a, or None when a is a non-residue.
+    def sqrt(self, a: int) -> int | None:
+        """A square root of the encoding a, or None when a is a non-residue.
 
         In characteristic 2 squaring is a bijection and the root a^(q/2) is
         unique.  For odd q, a = g^k is a square exactly when k is even; its
         roots are +-g^(k/2) and the canonically smaller one is returned.
         """
-        a = self.element(a)
-        if a.is_zero():
-            return a
+        if not a:
+            return 0
         if self.p == 2:
-            return FieldElement(self, self.power(a.v, self.q // 2))
-        k = self._log[a.v]
+            return self.power(a, self.q // 2)
+        k = self._log[a]
         if k % 2:
             return None
         r = self._exp[k // 2]
-        return FieldElement(self, min(r, self.neg(r)))
+        return min(r, self.neg(r))
 
     # -- integer-encoded op tables (internal, for codeword scans) -----------
 
@@ -509,7 +506,27 @@ class Field:
             self._add_table = [[self.add(a, b) for b in range(q)] for a in range(q)]
         return self._add_table
 
-    # -- serialization -------------------------------------------------------
+    # -- display and serialization -------------------------------------------
+
+    def show(self, v: int) -> str:
+        """The encoding v as a polynomial in the generator a, highest degree
+        first ("a^2+1"); how a FieldElement prints."""
+        coeffs = _digits(v, self.p, self.m)
+        if self.m == 1:
+            return str(coeffs[0])
+        if not v:
+            return "0"
+        terms = []
+        for i in range(self.m - 1, -1, -1):
+            c = coeffs[i]
+            if not c:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                var = "a" if i == 1 else f"a^{i}"
+                terms.append(var if c == 1 else f"{c}{var}")
+        return "+".join(terms)
 
     def descriptor(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -530,15 +547,15 @@ class Embedding:
         self.dst = dst
         # prime-field coefficients c < p encode as c in either field
         modulus = list(src.modulus)
-        roots = [s.v for s in dst.subfield_elements(src.m) if not dst.horner(modulus, s.v)]
+        roots = [s for s in dst.subfield_elements(src.m) if not dst.horner(modulus, s)]
         if len(roots) != src.m:
             raise AssertionError("modulus does not split in the subfield")  # unreachable
         beta = min(roots)
         self._pows = [dst.power(beta, i) for i in range(src.m)]
 
-    def __call__(self, el: FieldElement) -> FieldElement:
-        el = self.src.element(el)
-        return FieldElement(self.dst, self.dst.dot(el.to_list(), self._pows))
+    def __call__(self, v: int) -> int:
+        """The image of the source encoding v, as an encoding of the target."""
+        return self.dst.dot(_digits(v, self.src.p, self.src.m), self._pows)
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +593,9 @@ def field_from_descriptor(d: dict) -> Field:
     """The field of a spec or dump descriptor {p, m, modulus (optional)},
     every number read by json_int."""
     try:
-        p, m = json_int(d["p"]), json_int(d["m"])
-        modulus = d.get("modulus")
-        if modulus is not None:
-            modulus = [json_int(c) for c in modulus]
+        return Field(d["p"], d["m"], d.get("modulus"))
     except (KeyError, TypeError):
         raise InputError(f"bad field descriptor: {d!r}") from None
-    return Field(p, m, modulus)
 
 
 class FieldElement:
@@ -675,19 +688,4 @@ class FieldElement:
     # -- display ------------------------------------------------------------
 
     def __repr__(self):
-        coeffs = self.to_list()
-        if self.field.m == 1:
-            return str(coeffs[0])
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.field.m - 1, -1, -1):
-            c = coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if i == 1 else f"a^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms)
+        return self.field.show(self.v)

@@ -245,7 +245,7 @@ class Polynomial:
             c = self.coeffs[i]
             if not c:
                 continue
-            cs = repr(FieldElement(self.field, c))
+            cs = self.field.show(c)
             if i == 0:
                 parts.append(f"({cs})" if "+" in cs else cs)
                 continue
@@ -293,10 +293,10 @@ def interpolate(points: list[tuple[FieldElement, FieldElement]]) -> Polynomial:
 
 def annihilator(field: Field, elements) -> Polynomial:
     """Monic product of (x - a) over the given distinct elements."""
-    els = [field.element(a) for a in elements]
-    if len({e.v for e in els}) != len(els):
+    xs = field.ints(elements)
+    if len(set(xs)) != len(xs):
         raise DuplicateNode("annihilator nodes must be distinct")
     out = Polynomial.one(field)
-    for a in els:
-        out = out * Polynomial(field, (-a, field.one()))
+    for a in xs:
+        out = out * Polynomial._from_ints(field, [field.neg(a), 1])
     return out

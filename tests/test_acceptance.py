@@ -264,14 +264,14 @@ def test_criterion_5_spectral_gap():
             while lead.is_zero():
                 lead = rng.element(fld)
             gammas.append(Polynomial(fld, coeffs + [lead]))
-        if all(f.b.is_zero() for f in sub):
+        if all(not f.b for f in sub):
             e = len(sub)
             gammas += [
                 Polynomial.monomial(fld, fld.one(), e2)
                 for e2 in range(1, e)
                 if e % e2 == 0
             ]
-        elif all(f.a == fld.one() for f in sub):
+        elif all(f.a == 1 for f in sub):
             inner = subgroup_from_MB(fld, 1, {fld.one()}, _prefix_subspace(fld, fld.p))
             gammas.append(good_polynomial(inner, fld.gen()).g)
 

@@ -21,6 +21,7 @@ from qlrc.agl import (
     NotSubfield,
     NotSubgroup,
     NotSubspace,
+    subgroup_from_generators,
 )
 from qlrc.errors import InputError
 
@@ -33,40 +34,86 @@ def _additive32(field):
 
 def test_affine_compose_matches_pointwise():
     f = Field(2, 4)
+    ambient = AglSubgroup(f, [AffineMap(1, 0)])  # apply and compose read only the field
     rng = Xorshift64Star(19)
     for _ in range(200):
-        s = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
-        t = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
-        st = s * t
-        x = rng.element(f)
-        assert st(x) == s(t(x))
+        s = AffineMap(1 + rng.below(f.q - 1), rng.below(f.q))
+        t = AffineMap(1 + rng.below(f.q - 1), rng.below(f.q))
+        st = ambient.compose(s, t)
+        x = rng.below(f.q)
+        assert ambient.apply(st, x) == ambient.apply(s, ambient.apply(t, x))
 
 
 def test_affine_inverse_and_identity():
     f = Field(3, 2)
+    ambient = AglSubgroup(f, [AffineMap(1, 0)])
     rng = Xorshift64Star(29)
-    ident = AffineMap.identity(f)
-    assert all(ident(x) == x for x in f.elements())
+    ident = AffineMap(1, 0)
+    assert all(ambient.apply(ident, x) == x for x in range(f.q))
     for _ in range(50):
-        t = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
-        assert t * t.inverse() == ident
-        assert t.inverse() * t == ident
+        t = AffineMap(1 + rng.below(f.q - 1), rng.below(f.q))
+        assert ambient.compose(t, ambient.inverse(t)) == ident
+        assert ambient.compose(ambient.inverse(t), t) == ident
 
 
 def test_affine_map_rejects_zero_slope():
     f = Field(2, 3)
-    with pytest.raises(InputError):
-        AffineMap(f.zero(), f.one())
+    with pytest.raises(InputError, match="invertible linear part"):
+        AglSubgroup(f, [AffineMap(1, 0), AffineMap(0, 1)])
+    with pytest.raises(InputError, match="invertible linear part"):
+        AglSubgroup(f, [(f.one(), f.zero()), (f.zero(), f.one())])
 
 
 def test_as_polynomial_evaluates_like_the_map():
     f = Field(2, 3)
+    ambient = AglSubgroup(f, [AffineMap(1, 0)])
     rng = Xorshift64Star(37)
     for _ in range(30):
-        t = AffineMap(f.from_value(1 + rng.below(f.q - 1)), rng.element(f))
-        p = t.as_polynomial()
-        for x in f.elements():
-            assert p(x) == t(x)
+        t = AffineMap(1 + rng.below(f.q - 1), rng.below(f.q))
+        p = ambient.polynomial(t)
+        for x in range(f.q):
+            assert p(x).value() == ambient.apply(t, x)
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (2, 5), (3, 4)])
+def test_int_map_kernels_match_element_arithmetic(p, m):
+    """apply, compose, inverse and orbit on integer encodings agree with the
+    same maps worked in FieldElement arithmetic, kept here as the reference;
+    a subgroup lists its maps by (a, b) as values, and a stabilizer keeps
+    its parent's order."""
+    f = Field(p, m)
+    el = f.from_value
+    rng = Xorshift64Star(100 * p + m)
+
+    def ref_apply(t, x):
+        return el(t.a) * el(x) + el(t.b)
+
+    def random_map():
+        return AffineMap(1 + rng.below(f.q - 1), rng.below(f.q))
+
+    ambient = AglSubgroup(f, [AffineMap(1, 0)])
+    for _ in range(100):
+        s, t, x = random_map(), random_map(), rng.below(f.q)
+        assert ambient.apply(t, x) == ref_apply(t, x).value()
+        ref_st = (el(s.a) * el(t.a), el(s.a) * el(t.b) + el(s.b))
+        assert ambient.compose(s, t) == tuple(c.value() for c in ref_st)
+        ai = el(t.a).inv()
+        assert ambient.inverse(t) == (ai.value(), (-(ai * el(t.b))).value())
+
+    prime = f.subfield_elements(1)
+    x = Polynomial.x(f)
+    for _ in range(4):
+        m_gen = prime[1 + rng.below(p - 1)]
+        basis = [rng.below(f.q) for _ in range(rng.below(m))]
+        sub = subgroup_from_generators(f, 1, m_gen, basis)
+        assert list(sub.maps) == sorted(sub.maps, key=lambda t: (el(t.a).value(), el(t.b).value()))
+        for _ in range(10):
+            alpha = rng.below(f.q)
+            ref = sorted({ref_apply(t, alpha).value() for t in sub})
+            assert sub.orbit(alpha) == sub.orbit(el(alpha)) == ref
+        theta = theta_subgroup(sub, x**p - x)  # the translations by GF(p) in sub
+        assert list(theta.maps) == [t for t in sub.maps if t in theta]
+        assert all(t.a == 1 and t.b in prime for t in theta)
 
 
 def test_subgroup_verifies_closure():
@@ -97,7 +144,7 @@ def test_subgroup_from_MB_validation():
 def test_subgroup_order_is_product():
     f = Field(2, 4)
     k4 = f.subfield_elements(2)
-    m = {x for x in k4 if not x.is_zero()}
+    m = {x for x in k4 if x}
     sub = subgroup_from_MB(f, 2, m, set(k4))
     assert len(sub) == 3 * 4
 
@@ -105,10 +152,10 @@ def test_subgroup_order_is_product():
 def test_orbits_partition_the_domain():
     f = Field(2, 4)
     k4 = f.subfield_elements(2)
-    sub = subgroup_from_MB(f, 2, {x for x in k4 if not x.is_zero()}, set(k4))
+    sub = subgroup_from_MB(f, 2, {x for x in k4 if x}, set(k4))
     part = orbits(sub, f.elements())
-    covered = [x.value() for orb in part for x in orb]
-    assert sorted(covered) == [e.value() for e in f.elements()]
+    covered = [x for orb in part for x in orb]
+    assert sorted(covered) == list(range(f.q))
     for orb in part:
         assert len(sub) % len(orb) == 0  # orbit size divides group order
 
@@ -155,7 +202,7 @@ def test_good_polynomial_constant_on_every_block():
     cases = []
     f16 = Field(2, 4)
     k4 = f16.subfield_elements(2)
-    cases.append(subgroup_from_MB(f16, 2, {x for x in k4 if not x.is_zero()}, set(k4)))
+    cases.append(subgroup_from_MB(f16, 2, {x for x in k4 if x}, set(k4)))
     f9 = Field(3, 2)
     cases.append(subgroup_from_MB(f9, 1, {f9.one(), -f9.one()}, set(f9.subfield_elements(1))))
     for sub in cases:
@@ -185,7 +232,7 @@ def test_theta_subgroup_cases():
     gamma = Polynomial(f, [f.zero(), one, one])
     th = theta_subgroup(sub, gamma)
     assert len(th) == 2
-    assert {t.b.value() for t in th} == {0, 1}
+    assert {t.b for t in th} == {0, 1}
     # the block polynomial itself is fixed by the whole subgroup
     gp = good_polynomial(sub, f.zero())
     assert len(theta_subgroup(sub, gp.g)) == len(sub)
@@ -243,12 +290,12 @@ def test_theta_subgroup_is_the_pointwise_stabilizer(case):
         group = set(sub.maps)
         if trial % 4:
             s = sub.maps[rng.below(len(sub))]
-            group, power = {AffineMap.identity(f)}, s
+            group, power = {AffineMap(1, 0)}, s
             while power not in group:
                 group.add(power)
-                power = power * s
-        alpha = rng.element(f)
-        orbit_poly = annihilator(f, {t(alpha) for t in group})
+                power = sub.compose(power, s)
+        alpha = rng.below(q)
+        orbit_poly = annihilator(f, {sub.apply(t, alpha) for t in group})
         gamma = Polynomial.zero(f)
         for e in range(1, (q - 1) // orbit_poly.degree + 1):
             gamma = gamma + orbit_poly**e * Polynomial.constant(rng.element(f))
@@ -257,7 +304,7 @@ def test_theta_subgroup_is_the_pointwise_stabilizer(case):
         if gamma.is_zero():
             continue
         assert gamma.degree < q
-        pointwise = {t for t in sub if all(gamma(t(x)) == gamma(x) for x in f.elements())}
+        pointwise = {t for t in sub if all(gamma(sub.apply(t, x)) == gamma(x) for x in range(q))}
         theta = theta_subgroup(sub, gamma)
         assert set(theta.maps) == pointwise
         orders.add(len(theta))
@@ -274,7 +321,7 @@ def test_theta_rejects_zero_polynomial():
 def test_descriptor_roundtrip_mb_and_explicit():
     f = Field(2, 4)
     k4 = f.subfield_elements(2)
-    sub = subgroup_from_MB(f, 2, {x for x in k4 if not x.is_zero()}, set(k4))
+    sub = subgroup_from_MB(f, 2, {x for x in k4 if x}, set(k4))
     d = sub.descriptor()
     assert d["kind"] == "MB"
     assert subgroup_from_descriptor(f, d) == sub
@@ -289,4 +336,4 @@ def test_orbit_of_fixed_base_point():
     f = Field(2, 5)
     sub = _additive32(f)
     orb = sub.orbit(f.zero())
-    assert [x.value() for x in orb] == [0, 1, f.gen().value(), f.gen().value() ^ 1]
+    assert orb == [0, 1, f.gen().value(), f.gen().value() ^ 1]

@@ -388,7 +388,7 @@ def test_schreier_graph_trivial_stabilizer(inst32):
     es = inst32.eval_set
     sub = es.good.subgroup
     blk = [es.points[i] for i in es.blocks[0]]
-    triv = AglSubgroup(sub.field, [AffineMap.identity(sub.field)])
+    triv = AglSubgroup(sub.field, [AffineMap(1, 0)])
     g = schreier_graph(blk, sub, triv)
     assert g.mu == 3 and g.theta_order == 1
     for row in g.adjacency:
@@ -426,7 +426,7 @@ def test_second_eigenvalue_rejects_tampered_adjacency(inst32):
 def test_schreier_graph_rejects_partial_orbit(inst32):
     es = inst32.eval_set
     sub = es.good.subgroup
-    triv = AglSubgroup(sub.field, [AffineMap.identity(sub.field)])
+    triv = AglSubgroup(sub.field, [AffineMap(1, 0)])
     blk = [es.points[i] for i in es.blocks[0]]
     with pytest.raises(NotRegular):
         schreier_graph(blk[:3], sub, triv)
@@ -445,7 +445,7 @@ def test_expander_mixing_edge_count_complete_graph(inst32):
     es = inst32.eval_set
     sub = es.good.subgroup
     blk = [es.points[i] for i in es.blocks[0]]
-    triv = AglSubgroup(sub.field, [AffineMap.identity(sub.field)])
+    triv = AglSubgroup(sub.field, [AffineMap(1, 0)])
     g = schreier_graph(blk, sub, triv)
     s_idx, t_idx = [0, 1], [1, 2, 3]
     e = sum(g.adjacency[i][j] for i in s_idx for j in t_idx)
@@ -466,6 +466,13 @@ def test_weight_bound_audit_clean(inst8):
         assert t.weight >= t.bound_int
         assert t.pair_count <= t.root_count <= max(t.g_degree, 0)
         assert t.g_degree <= t.g_degree_cap
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_weight_bound_audit_rejects_trials_below_one(inst8, trials):
+    """An audit of no sample would report ok and min_weight 0."""
+    with pytest.raises(InputError, match="trials must be at least 1"):
+        weight_bound_audit(inst8, trials=trials)
 
 
 def test_weight_bound_audit_transcript_frozen(inst8):

@@ -190,7 +190,7 @@ def test_annihilator_vanishes_exactly_on_set():
 
 def test_pretty_printer():
     f = Field(2, 5)
-    g = Polynomial(f, [[0], [0, 1, 1], [1, 1, 1], [0], [1]])
+    g = Polynomial(f, [[0] * 5, [0, 1, 1, 0, 0], [1, 1, 1, 0, 0], [0] * 5, [1, 0, 0, 0, 0]])
     assert repr(g) == "x^4 + (a^2+a+1)x^2 + (a^2+a)x"
     assert repr(Polynomial.zero(f)) == "0"
     assert repr(Polynomial.one(f)) == "1"
