@@ -57,8 +57,8 @@ class AglSubgroup:
     """A finite subgroup of the affine maps over one field.
 
     Construction coerces each map through Field.ints and verifies the group
-    axioms exhaustively: identity present, closure under composition,
-    closure under inverse.  subfield_degree is set when the maps are
+    axioms: identity present, closure under inverse, closure under
+    composition (_check_closed).  subfield_degree is set when the maps are
     {a*x + b : a in M, b in B} over the subfield of that degree, as
     subgroup_from_MB checks; the descriptor then reads M and B back from the
     maps.  apply, compose and inverse take any map over the field.
@@ -75,14 +75,40 @@ class AglSubgroup:
             raise NotSubgroup("a subgroup cannot be empty")
         if (1, 0) not in mapset:
             raise NotSubgroup("identity map missing")
-        poly = self.polynomial
         for f in self.maps:
             if self.inverse(f) not in mapset:
-                raise NotSubgroup(f"inverse of (x -> {poly(f)!r}) missing")
-            for g in self.maps:
-                if self.compose(f, g) not in mapset:
-                    fg = f"(x -> {poly(f)!r}) * (x -> {poly(g)!r})"
-                    raise NotSubgroup(f"composition {fg} escapes the set")
+                raise NotSubgroup(f"inverse of (x -> {self.polynomial(f)!r}) missing")
+        self._check_closed(mapset)
+
+    def _check_closed(self, mapset: set[AffineMap]) -> None:
+        """Raise NotSubgroup unless the maps are closed under composition.
+
+        Generators are picked greedily in map order, each one a map that the
+        words in the earlier ones do not reach, and the words grow by
+        composing on the right with every generator, each product checked
+        against the set.  The words then reach every map and never leave
+        the set, so the set is exactly the words in its generators, which
+        are closed under composition.  Every new generator at least doubles
+        the words, so this costs at most |H| * log2|H| compositions.
+        """
+        gens: list[AffineMap] = []
+        words = {AffineMap(1, 0)}
+        for f in self.maps:
+            if f in words:
+                continue
+            gens.append(f)
+            # the earlier words are closed under the earlier generators
+            todo = [(w, (f,)) for w in words]
+            while todo:
+                w, by = todo.pop()
+                for g in by:
+                    wg = self.compose(w, g)
+                    if wg not in mapset:
+                        fg = f"(x -> {self.polynomial(w)!r}) * (x -> {self.polynomial(g)!r})"
+                        raise NotSubgroup(f"composition {fg} escapes the set")
+                    if wg not in words:
+                        words.add(wg)
+                        todo.append((wg, gens))
 
     def apply(self, t: AffineMap, x: int) -> int:
         """t(x) = a*x + b."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -79,19 +80,32 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def _read_gg_file(path: str) -> dict[int, str]:
-    """User-supplied kappa -> bound column, echoed verbatim into the table."""
+    """User-supplied kappa -> bound column, echoed verbatim into the table.
+
+    Blank lines and lines starting with # are skipped.  The first other line
+    is a header when its first field is not an integer; every data line is
+    one integer kappa, a comma and a nonempty value without commas, and no
+    kappa may repeat.  Anything else raises InputError naming the line.
+    """
     table: dict[int, str] = {}
+    header_allowed = True
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                head, _, rest = line.partition(",")
-                try:
-                    table[int(head)] = rest.strip()
-                except ValueError:
-                    continue  # header row
+                head, comma, rest = (part.strip() for part in line.partition(","))
+                kappa = re.fullmatch(r"[+-]?[0-9]+", head)
+                if header_allowed and not kappa:
+                    header_allowed = False
+                    continue
+                header_allowed = False
+                if not kappa or not comma or not rest or "," in rest:
+                    raise InputError(f"{path} line {lineno}: expected kappa,value, got {line!r}")
+                if int(head) in table:
+                    raise InputError(f"{path} line {lineno}: kappa {int(head)} given twice")
+                table[int(head)] = rest
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
     return table

@@ -7,9 +7,10 @@ evaluate two nested spans of monomials x^i * g(x)^j through the weighted
 evaluation map f -> (u_1 f(a_1), ..., u_n f(a_n)).  The inner span T is
 orthogonal to the outer span S under the weighting, which makes the big
 code contain its own dual; the block structure of g gives every coordinate
-a repair group of size r.  blocks_problem decides that structure for the
-build; structure_problem runs every deterministic check of verify_instance,
-and bounds certifies nothing it rejects.
+a repair group of size r.  _structure_checks are the deterministic checks
+that certify an instance, built or loaded: each instance runs them once,
+build_code raises on the first that fails, verify_instance reports them all,
+and bounds certifies nothing that structure_problem rejects.
 
 An instance holds its points, multipliers and generator rows as integer
 encodings over its field (see field.py), and every check and kernel works
@@ -57,14 +58,6 @@ class BadDimension(InputError):
 
 class LocalityTooSmall(InputError):
     """Locality r must be at least 2."""
-
-
-class RankDeficient(ConstructionError):
-    """A generator matrix came out with too small a rank."""
-
-
-class OrthogonalityFailure(ConstructionError):
-    """Two rows that must be orthogonal are not."""
 
 
 class LengthMismatch(InputError):
@@ -135,7 +128,8 @@ def solve_multipliers(fld: Field, points) -> MultiplierSolution:
     is a square.  For odd q the v_i are scaled by the canonically smallest
     non-residue when they are uniformly non-square; when their residue
     classes are mixed no scaling works over GF(q) and everything moves to
-    GF(q^2), where every base-field element is a square.
+    GF(q^2), where every base-field element is a square.  The result is
+    certified by multiplier-power-sums, one of the checks build_code runs.
     """
     points = list(points)
     if len(points) < 2:
@@ -159,11 +153,6 @@ def solve_multipliers(fld: Field, points) -> MultiplierSolution:
             out_field, embedding = fld.extend()
             out_points = [embedding(x) for x in xs]
             u = [out_field.sqrt(embedding(vi)) for vi in v]
-
-    if not all(u):  # a None root or a zero entry
-        raise ConstructionError("multiplier solve produced a zero entry")
-    if not _power_sum_check(out_field, u, out_points, len(points) - 2):
-        raise ConstructionError("multiplier power-sum identity failed")
     return MultiplierSolution(
         u=tuple(u),
         field=out_field,
@@ -343,8 +332,8 @@ def build_evaluation_set(
 
     When the multiplier solve has to move to GF(q^2), every ingredient
     (points, blocks, g, subgroup) is embedded and the returned set lives in
-    the extension with `extended` set.  blocks_problem runs on the returned
-    set either way; a problem raises ConstructionError.
+    the extension with `extended` set.  The block structure is certified
+    by block-polynomial-constancy, one of the checks build_code runs.
     """
     fld = subgroup.field
     if len(subgroup) < 3:
@@ -391,7 +380,7 @@ def build_evaluation_set(
             AglSubgroup(big, [(emb(a), emb(b)) for a, b in sub], sub.subfield_degree),
             emb(good.base_point),
         )
-    es = EvaluationSet(
+    return EvaluationSet(
         field=sol.field,
         points=sol.points,
         blocks=blocks,
@@ -400,10 +389,6 @@ def build_evaluation_set(
         extended=sol.extended,
         base_field=fld,
     )
-    problem = blocks_problem(es)
-    if problem:
-        raise ConstructionError(problem)
-    return es
 
 
 def blocks_problem(es: EvaluationSet) -> str | None:
@@ -471,14 +456,11 @@ class CodeInstance:
         return self.eval_set.field
 
     @cached_property
-    def _structure_problem(self) -> str | None:
-        """structure_problem's answer, found once: the instance is immutable,
-        and css_params, the witness search and the scan all ask for it."""
-        for name, fn in _structure_checks(self):
-            result = _check(name, fn)
-            if not result.ok:
-                return f"{name}: {result.detail}"
-        return None
+    def _structure_results(self) -> tuple[CheckResult, ...]:
+        """The CheckResult of every check of _structure_checks, found once:
+        the instance is immutable, and build_code, verify_instance,
+        css_params, the witness search and the scan all ask for them."""
+        return tuple(_check(name, fn) for name, fn in _structure_checks(self))
 
     @cached_property
     def _repair_coeffs(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -506,13 +488,6 @@ class CodeInstance:
         )
 
 
-def _monomial_row(es: EvaluationSet, gpow: Polynomial, i: int):
-    """u_z * x^i * gpow(x) at every point z, by integer Horner."""
-    f = es.field
-    coeffs = [0] * i + list(gpow.coeffs)
-    return tuple(f.mul(u, f.horner(coeffs, x)) for u, x in zip(es.u, es.points))
-
-
 def g_powers(g: Polynomial, top: int) -> list[Polynomial]:
     """[g^0, g^1, ..., g^top], each one multiplication from the last."""
     out = [Polynomial.one(g.field)]
@@ -522,9 +497,24 @@ def g_powers(g: Polynomial, top: int) -> list[Polynomial]:
 
 
 def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tuple]:
-    """The evaluated row of every S exponent pair; T rows are among them."""
-    gpows = g_powers(es.good.g, max(j for _, j in exps.s_pairs))
-    return {(i, j): _monomial_row(es, gpows[j], i) for i, j in exps.s_pairs}
+    """The evaluated row u_z * a_z^i * g(a_z)^j of every S exponent pair
+    (i, j); T rows are among them.
+
+    Rows are pointwise products: row(i, j) is row(i - 1, j) times a_z, or
+    row(0, j - 1) times g(a_z), starting from row(0, 0) = u.  g is evaluated
+    once per point and every other entry costs one multiplication.  The
+    exponent sets of exponent_sets list each pair after the one it is built
+    from, in degree order.
+    """
+    mul = es.field.mul
+    gs = [es.field.horner(es.good.g.coeffs, x) for x in es.points]
+    rows: dict[tuple[int, int], tuple] = {(0, 0): es.u}
+    for i, j in exps.s_pairs:
+        if i:
+            rows[i, j] = tuple(map(mul, rows[i - 1, j], es.points))
+        elif j:
+            rows[i, j] = tuple(map(mul, rows[0, j - 1], gs))
+    return rows
 
 
 def _generator_problem(fld: Field, matrix_c, matrix_d, k: int, n: int) -> str | None:
@@ -570,32 +560,27 @@ def dual_positions(inst: CodeInstance) -> frozenset[int]:
 
 
 def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
-    """Generator matrices for S and T spans, with all structure checks on.
+    """Generator matrices for the S and T spans, certified by the checks of
+    _structure_checks, which run here once for the instance.
 
-    Raises RankDeficient / OrthogonalityFailure when the evaluation rows do
-    not behave; with a correctly solved multiplier vector these indicate an
-    upstream bug, not bad input, hence construction errors.
+    Raises ConstructionError "<check-name>: <detail>" on the first check
+    that fails; no valid spec reaches one, so it marks an upstream bug, not
+    bad input.
     """
     exps = exponent_sets(es.n, k, es.r)
     by_pair = _s_rows(es, exps)
-    rows_s = tuple(by_pair[p] for p in exps.s_pairs)
-    rows_t = tuple(by_pair[p] for p in exps.t_pairs)
-
-    problem = _generator_problem(es.field, rows_s, rows_t, k, es.n)
-    if problem:
-        raise RankDeficient(problem)
-    problem = _orthogonality_problem(es.field, rows_s, rows_t)
-    if problem:
-        raise OrthogonalityFailure(problem)
-
-    return CodeInstance(
+    inst = CodeInstance(
         eval_set=es,
         k=k,
         exps=exps,
-        matrix_c=rows_s,
-        matrix_d=rows_t,
+        matrix_c=tuple(by_pair[p] for p in exps.s_pairs),
+        matrix_d=tuple(by_pair[p] for p in exps.t_pairs),
         seed=seed,
     )
+    problem = structure_problem(inst)
+    if problem:
+        raise ConstructionError(problem)
+    return inst
 
 
 def encode(inst: CodeInstance, message) -> list[FieldElement]:
@@ -859,7 +844,8 @@ def structure_problem(inst: CodeInstance) -> str | None:
     """"<check-name>: <detail>" for the first check of _structure_checks that
     fails, or None.  The gate in front of every certified number: bounds
     accepts an instance exactly when verify's deterministic checks do."""
-    return inst._structure_problem
+    failed = next((c for c in inst._structure_results if not c.ok), None)
+    return failed and f"{failed.name}: {failed.detail}"
 
 
 def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = None):
@@ -867,8 +853,10 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
 
     Returns a list of CheckResult in a fixed order, _structure_checks then
     local-repair; each check re-computes its property from the raw instance
-    data rather than trusting stored derived values.  Raises InputError
-    when trials < 1, since local-repair would then pass on no repair.
+    data rather than trusting stored derived values.  The deterministic
+    results are the ones cached on the instance, so a built instance is not
+    checked twice; local-repair runs on every call.  Raises InputError when
+    trials < 1, since local-repair would then pass on no repair.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
@@ -886,7 +874,7 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
                 return f"repair mismatch at position {z}"
         return None
 
-    results = [_check(name, fn) for name, fn in _structure_checks(inst)]
+    results = inst._structure_results
     # transcript contract: quotient-ring-closure once drew 45 of its u(u+1)/2
     # product pairs from rng, so local-repair still sees the stream after them
     u_count = len(inst.eval_set.blocks)

@@ -23,6 +23,7 @@ from qlrc.agl import (
     NotSubspace,
     subgroup_from_generators,
 )
+from qlrc.cli import main
 from qlrc.errors import InputError
 
 
@@ -126,6 +127,86 @@ def test_subgroup_verifies_closure():
         AglSubgroup(f, bad)
     with pytest.raises(NotSubgroup):
         AglSubgroup(f, [AffineMap(a, f.zero()), AffineMap(a * a, f.zero())])  # no identity
+
+
+def _closed_exhaustively(field, maps) -> bool:
+    """The former closure check, kept as a reference: the identity is in the
+    set and all |H|^2 compositions stay in it."""
+    ambient = AglSubgroup(field, [AffineMap(1, 0)])
+    mapset = set(maps)
+    return AffineMap(1, 0) in mapset and all(
+        ambient.compose(f, g) in mapset for f in mapset for g in mapset
+    )
+
+
+def _accepted(field, maps) -> bool:
+    try:
+        AglSubgroup(field, maps)
+    except NotSubgroup:
+        return False
+    return True
+
+
+def _closure_accepted(field, maps) -> bool:
+    """The composition check alone, without the inverse check before it."""
+    sub = AglSubgroup(field, [AffineMap(1, 0)])
+    sub.maps = tuple(sorted(maps))
+    try:
+        sub._check_closed(set(maps))
+    except NotSubgroup:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", [8, 9, 16])
+def test_closure_check_matches_the_exhaustive_check(q, monkeypatch):
+    """The groups that qlrc search builds, each of them with one map and its
+    inverse removed or one outside map and its inverse added, random sets
+    with and without their inverses, and products <s><t> of two cyclic
+    groups get the verdict of the exhaustive check, with and without the
+    inverse check in front.  A product is a set that few generators reach,
+    closed only when its factors commute as sets."""
+    groups = []
+    init = AglSubgroup.__init__
+
+    def record(self, field, maps, subfield_degree=None):
+        groups.append((field, {AffineMap(*field.ints(t)) for t in maps}))
+        init(self, field, maps, subfield_degree)
+
+    monkeypatch.setattr(AglSubgroup, "__init__", record)
+    assert main(["search", "--q", str(q)]) == 0
+    monkeypatch.setattr(AglSubgroup, "__init__", init)
+    fld = groups[0][0]
+    identity = AffineMap(1, 0)
+    ambient = AglSubgroup(fld, [identity])
+    rng = Xorshift64Star(q)
+
+    def random_map():
+        return AffineMap(1 + rng.below(q - 1), rng.below(q))
+
+    def powers(t):
+        out, x = {identity}, t
+        while x not in out:
+            out.add(x)
+            x = ambient.compose(x, t)
+        return out
+
+    cases = []
+    for _, maps in groups:
+        h = sorted(maps)[1 + rng.below(len(maps) - 1)]
+        t = random_map()
+        cases += [maps, maps - {h, ambient.inverse(h)}, maps | {t, ambient.inverse(t)}]
+    for _ in range(300):
+        picked = {random_map() for _ in range(1 + rng.below(6))}
+        cases.append({identity} | picked | {ambient.inverse(t) for t in picked})
+        cases.append({identity} | {random_map() for _ in range(1 + rng.below(12))})
+    for _ in range(60):
+        s, t = powers(random_map()), powers(random_map())
+        cases.append({ambient.compose(a, b) for a in s for b in t})
+    verdicts = [_closed_exhaustively(fld, maps) for maps in cases]
+    assert [_accepted(fld, maps) for maps in cases] == verdicts
+    assert [_closure_accepted(fld, maps) for maps in cases] == verdicts
+    assert all(_accepted(fld, maps) for _, maps in groups) and verdicts.count(False) > 500
 
 
 def test_subgroup_from_MB_validation():

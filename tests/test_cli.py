@@ -477,6 +477,28 @@ def test_bounds_sweep_gg_column(tmp_path, capsys):
     assert lines[3].endswith(",")  # kappa 5 has no user value
 
 
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("kappa,gg\n2,5,6\n", "line 2: expected kappa,value, got '2,5,6'"),
+        ("# mine\n\nkappa,gg\n1,9\n4.0,9\n", "line 5: expected kappa,value, got '4.0,9'"),
+        ("4.0,9\nkappa,gg\n", "line 2: expected kappa,value, got 'kappa,gg'"),
+        ("1,9\n3\n", "line 2: expected kappa,value, got '3'"),
+        ("1,9\n3,\n", "line 2: expected kappa,value, got '3,'"),
+        ("kappa,gg\n1,9\n3,8\n1,7\n", "line 4: kappa 1 given twice"),
+    ],
+    ids=["three-columns", "float-kappa", "second-header", "no-value", "empty-value", "repeat"],
+)
+def test_bounds_sweep_rejects_a_malformed_gg_file(tmp_path, capsys, text, detail):
+    gg = tmp_path / "gg.csv"
+    gg.write_text(text)
+    argv = ["bounds", "--sweep-kappa", "--n", "8", "--r", "3", "--q", "8", "--gg-file", str(gg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {gg} {detail}\n"
+
+
 def test_bounds_sweep_argument_validation(capsys):
     assert main(["bounds", "--sweep-kappa", "--n", "63", "--r", "6"]) == 2
     assert main(["bounds", "--sweep-kappa", "--n", "63", "--r", "6", "--q", "60"]) == 2

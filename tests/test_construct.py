@@ -25,8 +25,9 @@ from qlrc import (
     subgroup_from_MB,
     verify_instance,
 )
-from qlrc import construct, linalg, poly
+from qlrc import bounds, construct, linalg, poly
 from qlrc.agl import AglSubgroup, GoodPolynomial
+from qlrc.cli import main
 from qlrc.construct import (
     BadDimension,
     BlockIncomplete,
@@ -302,10 +303,57 @@ def test_build_runs_the_block_check(monkeypatch):
         return GoodPolynomial(x**4 + x, sub, alpha)
 
     monkeypatch.setattr(construct, "good_polynomial", x4_plus_x)
-    with pytest.raises(ConstructionError, match="several values of g"):
-        build_evaluation_set(additive)
-    with pytest.raises(ConstructionError, match="several values of g"):
-        build_evaluation_set(mult, domain="orbits")
+    wrong = r"^block-polynomial-constancy: .* several values of g$"
+    with pytest.raises(ConstructionError, match=wrong):
+        build_code(build_evaluation_set(additive), 5)
+    with pytest.raises(ConstructionError, match=wrong):
+        build_code(build_evaluation_set(mult, domain="orbits"), 5)
+
+
+def test_build_runs_the_power_sum_check(monkeypatch, tmp_path, capsys):
+    """A multiplier vector with one entry changed stops the build and makes
+    qlrc construct exit 3; scaling all of u would keep the power sums."""
+    solve = construct.solve_multipliers
+
+    def one_entry_off(fld, points):
+        sol = solve(fld, points)
+        square = sol.field.mul(sol.u[0], sol.u[0])
+        other = next(x for x in range(1, sol.field.q) if sol.field.mul(x, x) != square)
+        return dataclasses.replace(sol, u=(other, *sol.u[1:]))
+
+    monkeypatch.setattr(construct, "solve_multipliers", one_entry_off)
+    wrong = "multiplier-power-sums: weighted power sums do not vanish up to degree n - 2"
+    f8 = Field(2, 3)
+    sub = subgroup_from_MB(f8, 1, {f8.one()}, {f8.zero(), f8.one(), f8.gen(), f8.gen() + f8.one()})
+    with pytest.raises(ConstructionError) as err:
+        build_code(build_evaluation_set(sub), 5)
+    assert str(err.value) == wrong
+    spec = PERFBENCH / "specs" / "q8_n8_k5.json"
+    out = tmp_path / "dump.json"
+    assert main(["construct", "--spec", str(spec), "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {wrong}\n")
+    assert not out.exists()
+
+
+def test_structure_checks_run_once_per_instance(monkeypatch):
+    """build_code certifies the instance; verify_instance, css_params and
+    exact_distance read the same results instead of checking again."""
+    calls = []
+    checks = construct._structure_checks
+
+    def counted(inst):
+        calls.append(inst)
+        return checks(inst)
+
+    monkeypatch.setattr(construct, "_structure_checks", counted)
+    spec = json.loads((PERFBENCH / "specs" / "q8_n8_k5.json").read_text())
+    inst = instance_from_spec(spec)
+    assert all(c.ok for c in verify_instance(inst, trials=5))
+    assert all(c.ok for c in verify_instance(inst, trials=5, seed=2))
+    assert bounds.css_params(inst).n == 8
+    assert bounds.exact_distance(inst) == 3
+    assert calls == [inst]
 
 
 def test_wide_field_build_calls_orbit_a_few_times_per_block(monkeypatch):
@@ -336,6 +384,36 @@ def test_build_code_shapes_and_ranks(inst32):
     assert linalg.rank(rows_c) == 19
     assert linalg.rank(rows_d) == 13
     assert linalg.rank(rows_c + rows_d) == 19  # dual rows inside the big span
+
+
+def _horner_rows(es, exps):
+    """The former row evaluation, kept as a reference: u_z * h(a_z) with
+    h = x^i * g^j expanded, by one Horner per entry."""
+    fld, rows = es.field, {}
+    for i, j in exps.s_pairs:
+        gpow = Polynomial.one(fld)
+        for _ in range(j):
+            gpow = gpow * es.good.g
+        coeffs = [0] * i + list(gpow.coeffs)
+        rows[i, j] = tuple(fld.mul(u, fld.horner(coeffs, x)) for u, x in zip(es.u, es.points))
+    return rows
+
+
+def test_pointwise_rows_match_horner_rows(inst32, inst8, inst7, inst4, inst9x):
+    """_s_rows agrees with the Horner reference on the fixtures, on three
+    perfbench specs (GF(64), GF(9) -> GF(81), GF(2^16)) and on a dump whose
+    g is the zero polynomial."""
+    insts = [inst32, inst8, inst7, inst4, inst9x]
+    for stem in ("q64_n64_k40", "q9x81_n8_k5", "q65536_n32_k19"):
+        spec = json.loads((PERFBENCH / "specs" / f"{stem}.json").read_text())
+        insts.append(instance_from_spec(spec))
+    zero_g = dict(instance_to_dump(inst8), g=[])
+    insts.append(instance_from_dump(zero_g))
+    assert insts[-1].eval_set.good.g.is_zero()
+    for inst in insts:
+        want = _horner_rows(inst.eval_set, inst.exps)
+        assert construct._s_rows(inst.eval_set, inst.exps) == want
+    assert [p for p, row in want.items() if any(row)] == [(i, 0) for i in range(3)]
 
 
 def test_dual_rows_orthogonal_to_code_rows(inst32):
