@@ -22,7 +22,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import InputError
-from .field import Field, _digits, json_element, json_int
+from .field import Field, _digits, _prime_factors, json_element, json_int
 from .poly import Polynomial, annihilator
 
 
@@ -183,66 +183,67 @@ class GoodPolynomial:
 
 
 def _cyclic_generator(field: Field, M: set[int]) -> int:
-    """An element of M whose powers exhaust M."""
-    for g in sorted(M):
-        seen = {g}
-        x = g
-        while True:
-            x = field.mul(x, g)
-            if x in seen:
-                break
-            seen.add(x)
-        if seen == M:
-            return g
-    raise AssertionError("multiplicative subgroup with no generator")  # unreachable
+    """The smallest a in the group M with a^(|M|/f) != 1 for each prime f dividing |M|."""
+    n, factors = len(M), _prime_factors(len(M))
+    return next(a for a in sorted(M) if all(field.power(a, n // f) != 1 for f in factors))
+
+
+def _subfield(field: Field, k_degree: int) -> list[int]:
+    """The subfield K of order p**k_degree, ascending; NotSubfield unless k_degree | m."""
+    if k_degree < 1 or field.m % k_degree != 0:
+        raise NotSubfield(f"degree {k_degree} does not divide {field.m}")
+    return field.subfield_elements(k_degree)
+
+
+def _k_span(field: Field, K: list[int], vectors):
+    """Grow the K-span of the encodings vectors greedily, in the order given:
+    yield each vector outside the span so far with the span it extends to."""
+    mul, add = field.mul, field.add
+    span = {0}
+    for v in vectors:
+        if v in span:
+            continue
+        multiples = [mul(k, v) for k in K]
+        # span is a K-subspace already, so one extension round suffices
+        span = {add(s, kv) for s in span for kv in multiples}
+        yield v, span
 
 
 def subspace_basis(field: Field, k_degree: int, B) -> list[int]:
     """Greedy K-basis of the span of the encodings B, taking them in ascending order."""
-    K = field.subfield_elements(k_degree)
-    mul, add = field.mul, field.add
-    basis: list[int] = []
-    spanned = {0}
-    for b in sorted(B):
-        if b in spanned:
-            continue
-        basis.append(b)
-        # spanned is a K-subspace already, so one extension round suffices
-        spanned = {add(s, mul(k, b)) for s in spanned for k in K}
-    return basis
+    return [v for v, _ in _k_span(field, _subfield(field, k_degree), sorted(B))]
 
 
 def subgroup_from_MB(field: Field, k_degree: int, M, B) -> AglSubgroup:
     """Build {a*x + b : a in M, b in B} and verify the (K, M, B) premises.
 
-    K is the subfield of order p**k_degree.  M must be a multiplicative
-    subgroup of K*, B a K-subspace of the field; both checks are exhaustive.
+    K is the subfield of order p**k_degree.  M must be a subgroup of K*: it
+    holds 1, lies in K*, |M| divides |K*| and a^|M| = 1 on M.  K* is cyclic,
+    so exactly |M| of its elements solve x^|M| = 1, and M is all of them.
+    B must be a K-subspace: it holds 0 and its K-span, grown greedily over B
+    ascending, never leaves B, so the span, which every b joins, is B.  The
+    first round leaving B stops the check, within |B| * |K| span elements.
     """
-    if k_degree < 1 or field.m % k_degree != 0:
-        raise NotSubfield(f"degree {k_degree} does not divide {field.m}")
-    K = set(field.subfield_elements(k_degree))
+    K = _subfield(field, k_degree)
     M, B = field.ints(M), field.ints(B)
     mset, bset = set(M), set(B)
     if len(mset) != len(M) or len(bset) != len(B):
         raise InputError("M and B must not contain duplicates")
-    mul, add, show = field.mul, field.add, field.show
+    order, k_units = len(mset), len(K) - 1
     if 1 not in mset:
         raise NotSubgroup("M must contain 1")
-    for a in mset:
-        if not a or a not in K:
-            raise NotSubgroup("M must sit inside the subfield's nonzero elements")
-        for b in mset:
-            if mul(a, b) not in mset:
-                raise NotSubgroup(f"M is not closed: {show(a)} * {show(b)} escapes")
+    if any(not a or field.power(a, k_units) != 1 for a in mset):  # K* = the roots of x^|K*| - 1
+        raise NotSubgroup("M must sit inside the subfield's nonzero elements")
+    if k_units % order:
+        raise NotSubgroup(f"M is not a subgroup: its order {order} does not divide {k_units}")
+    for a in sorted(mset):
+        if field.power(a, order) != 1:
+            raise NotSubgroup(f"M is not a subgroup: {field.show(a)}^{order} is not 1")
     if 0 not in bset:
         raise NotSubspace("B must contain 0")
-    for x in bset:
-        for y in bset:
-            if add(x, y) not in bset:
-                raise NotSubspace(f"B is not closed under addition: {show(x)} + {show(y)}")
-        for k in K:
-            if mul(k, x) not in bset:
-                raise NotSubspace(f"B is not closed under K-scaling: {show(k)} * {show(x)}")
+    for _, span in _k_span(field, K, sorted(bset)):
+        if not span <= bset:
+            raise NotSubspace(f"B is not closed: its K-span holds {field.show(min(span - bset))}")
     maps = [AffineMap(a, b) for a in mset for b in bset]
     return AglSubgroup(field, maps, subfield_degree=k_degree)
 
@@ -252,16 +253,14 @@ def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSu
     all given as integer encodings."""
     if not m_gen:
         raise NotSubgroup("M generator must be nonzero")
-    mul, add = field.mul, field.add
     M = {1}
     x = m_gen
     while x not in M:
         M.add(x)
-        x = mul(x, m_gen)
-    K = field.subfield_elements(k_degree) if k_degree > 0 and field.m % k_degree == 0 else []
+        x = field.mul(x, m_gen)
     B = {0}
-    for v in basis:
-        B = {add(s, mul(k, v)) for s in B for k in K}
+    for _, B in _k_span(field, _subfield(field, k_degree), basis):
+        pass
     return subgroup_from_MB(field, k_degree, M, B)
 
 

@@ -43,7 +43,7 @@ from .construct import (
     structure_problem,
 )
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
-from .field import FieldElement
+from .field import FieldElement, smallest_prime_factor
 from .linalg import _rref_ints
 from .poly import Polynomial
 from .rng import Xorshift64Star
@@ -55,17 +55,6 @@ class TooLarge(ResourceError):
 
 class NotRegular(InputError):
     """The vertex set is not a single full-size orbit."""
-
-
-def smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise InputError(f"{n} has no prime factor")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 # ---------------------------------------------------------------------------

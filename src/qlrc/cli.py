@@ -35,9 +35,12 @@ def _load_json(path: str) -> dict:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {output}: {e}") from None
 
 
 def _cmd_construct(args) -> int:
@@ -156,46 +159,41 @@ def _cmd_repair(args) -> int:
     inst = construct_mod.instance_from_dump(_load_json(args.instance))
     fld = inst.field
     rng = Xorshift64Star(args.seed)
-
-    def run_one(z: int) -> tuple[bool, int]:
-        msg = [rng.element(fld) for _ in range(inst.k)]
-        word = construct_mod.encode(inst, msg)
-        received = _ReadLog(word)
-        received[z] = None
-        got = construct_mod.repair(inst, received, z)
-        return got == word[z], received.reads
-
-    lines: list[str] = []
-    results: list[tuple[bool, int]] = []
-    if args.erase == "all":
-        for z in range(inst.n):
-            ok, reads = run_one(z)
-            results.append((ok, reads))
-            lines.append(f"position {z}: {'OK' if ok else 'MISMATCH'}, {reads} reads")
+    noun = "repairs exact"
+    if args.erase is None:
+        if args.trials < 1:
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
+        # a trial draws its erased position before its message
+        erasures = (
+            (f"trial {t}: erased {z},", z) for t in range(args.trials) for z in [rng.below(inst.n)]
+        )
+    elif args.erase == "all":
+        erasures = ((f"position {z}:", z) for z in range(inst.n))
         noun = "positions repaired exactly"
-    elif args.erase is not None:
+    else:
         try:
             z = int(args.erase)
         except ValueError:
             raise InputError(f"--erase takes an index or 'all', not {args.erase!r}") from None
         if not 0 <= z < inst.n:
             raise InputError(f"erase index {z} out of range for n = {inst.n}")
-        ok, reads = run_one(z)
-        results.append((ok, reads))
-        lines.append(f"position {z}: {'OK' if ok else 'MISMATCH'}, {reads} reads")
-        noun = "repairs exact"
-    else:
-        if args.trials < 1:
-            raise InputError(f"--trials must be at least 1, got {args.trials}")
-        for t in range(args.trials):
-            z = rng.below(inst.n)
-            ok, reads = run_one(z)
-            results.append((ok, reads))
-            lines.append(f"trial {t}: erased {z}, {'OK' if ok else 'MISMATCH'}, {reads} reads")
-        noun = "repairs exact"
+        erasures = [(f"position {z}:", z)]
+    if not inst.n:
+        raise InputError("the instance has n = 0: no position to repair")
 
-    good = sum(1 for ok, _ in results if ok)
-    read_counts = sorted({reads for _, reads in results})
+    lines: list[str] = []
+    reads: list[int] = []
+    wrong = 0
+    for label, z in erasures:
+        word = construct_mod.encode(inst, [rng.element(fld) for _ in range(inst.k)])
+        received = _ReadLog(word)
+        received[z] = None
+        ok = construct_mod.repair(inst, received, z) == word[z]
+        wrong += not ok
+        reads.append(received.reads)
+        lines.append(f"{label} {'OK' if ok else 'MISMATCH'}, {received.reads} reads")
+
+    read_counts = sorted(set(reads))
     reads_note = (
         f"{read_counts[0]} reads each"
         if len(read_counts) == 1
@@ -203,9 +201,13 @@ def _cmd_repair(args) -> int:
     )
     for line in lines:
         print(line)
-    print(f"{good}/{len(results)} {noun}, {reads_note}")
-    if good != len(results):
-        raise VerificationError(f"{len(results) - good} repairs returned a wrong symbol")
+    print(f"{len(reads) - wrong}/{len(reads)} {noun}, {reads_note}")
+    if wrong:
+        raise VerificationError(f"{wrong} repairs returned a wrong symbol")
+    r = inst.exps.r
+    over = sum(count > r for count in reads)
+    if over:
+        raise VerificationError(f"{over} repairs read more than r = {r} symbols")
     return 0
 
 

@@ -54,27 +54,23 @@ class FieldMismatch(InputError):
     """Operands belong to different fields."""
 
 
-def _is_prime(n: int) -> bool:
+def smallest_prime_factor(n: int) -> int:
     if n < 2:
-        return False
+        raise InputError(f"{n} has no prime factor")
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
 
 
 def _prime_factors(n: int) -> list[int]:
-    factors, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    factors = []
+    while n > 1:
+        factors.append(smallest_prime_factor(n))
+        while n % factors[-1] == 0:
+            n //= factors[-1]
     return factors
 
 
@@ -271,7 +267,7 @@ class Field:
         p, m = json_int(p), json_int(m)  # no bool or float slips through
         if modulus is not None:
             modulus = [json_int(c) for c in modulus]
-        if not _is_prime(p):
+        if p < 2 or smallest_prime_factor(p) != p:
             raise NotPrime(f"characteristic {p!r} is not prime")
         if m < 1:
             raise InputError(f"extension degree {m!r} must be a positive integer")

@@ -21,6 +21,7 @@ from qlrc.agl import (
     NotSubfield,
     NotSubgroup,
     NotSubspace,
+    _cyclic_generator,
     subgroup_from_generators,
 )
 from qlrc.cli import main
@@ -220,6 +221,148 @@ def test_subgroup_from_MB_validation():
         subgroup_from_MB(f, 1, {one}, {f.zero(), f.gen(), f.one() + f.gen()})  # not closed
     with pytest.raises(NotSubspace):
         subgroup_from_MB(f, 1, {one}, {f.one()})  # missing zero
+    a = f.gen()  # of order 15
+    with pytest.raises(NotSubgroup, match="^M is not a subgroup: its order 2 does not divide 15$"):
+        subgroup_from_MB(f, 4, {one, a}, {f.zero()})
+    with pytest.raises(NotSubgroup, match=r"^M is not a subgroup: a\^3 is not 1$"):
+        subgroup_from_MB(f, 4, {one, a, a * a}, {f.zero()})
+    with pytest.raises(NotSubspace, match="^B is not closed: its K-span holds 1$"):
+        subgroup_from_MB(f, 1, {one}, {f.zero(), a, one + a})  # a + (1 + a) = 1
+
+
+def _mb_exhaustive(field, k_degree, M, B):
+    """The former (M, B) check, kept as a reference: |M|^2 products, |B|^2
+    sums and |B| * |K| products.  The exception class it raises, or None."""
+    if k_degree < 1 or field.m % k_degree != 0:
+        return NotSubfield
+    K = set(field.subfield_elements(k_degree))
+    mset, bset = set(M), set(B)
+    if len(mset) != len(M) or len(bset) != len(B):
+        return InputError
+    if 1 not in mset or any(not a or a not in K for a in mset):
+        return NotSubgroup
+    if any(field.mul(a, b) not in mset for a in mset for b in mset):
+        return NotSubgroup
+    if 0 not in bset or any(field.add(x, y) not in bset for x in bset for y in bset):
+        return NotSubspace
+    if any(field.mul(k, x) not in bset for k in K for x in bset):
+        return NotSubspace
+    return None
+
+
+def _mb_verdict(field, k_degree, M, B):
+    try:
+        subgroup_from_MB(field, k_degree, M, B)
+    except InputError as e:
+        return type(e)
+    return None
+
+
+def _mb_cases(field, rng, count):
+    """Seeded (k_degree, M, B) over every subfield degree and one that is
+    not one: M a true subgroup of K*, one with an element dropped or added,
+    or a random set; B a true K-span of up to three vectors, one with an
+    element dropped or added, or a random set; now and then a duplicate."""
+    degrees = [d for d in range(1, field.m + 1) if field.m % d == 0]
+    mul, add = field.mul, field.add
+
+    def tweak(s, pool):
+        s = set(s)
+        if len(s) > 1 and rng.below(2):
+            s.discard(sorted(s)[1 + rng.below(len(s) - 1)])
+        else:
+            s.add(pool[rng.below(len(pool))])
+        return s
+
+    everything = list(range(field.q))
+    for _ in range(count):
+        d = field.m + 1 if rng.below(8) == 0 else degrees[rng.below(len(degrees))]
+        K = field.subfield_elements(d if d <= field.m else 1)
+        units = K[1:]
+        g = units[rng.below(len(units))]
+        group = {field.power(g, i) for i in range(len(units))}
+        kind = rng.below(6)
+        if kind < 3:
+            M = group
+        elif kind < 5:
+            M = tweak(group, everything if kind == 4 else units)
+        else:
+            M = {1} | {a for a in everything if rng.below(4) == 0}
+        span = {0}
+        for _ in range(rng.below(4)):
+            v = rng.below(field.q)
+            span = {add(s, mul(k, v)) for s in span for k in K}
+        kind = rng.below(6)
+        if kind < 3:
+            B = span
+        elif kind < 5:
+            B = tweak(span, everything)
+        else:
+            B = {b for b in everything if rng.below(3) == 0} | ({0} if rng.below(4) else set())
+        M, B = sorted(M), sorted(B)
+        if rng.below(20) == 0:
+            dup = M if rng.below(2) or not B else B
+            dup.append(dup[0])
+        yield d, M, B
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_mb_checks_match_the_exhaustive_check(p, m):
+    """The order test for M and the early-exit span test for B give every
+    seeded (M, B) the verdict and exception class of the pair tables."""
+    f = Field(p, m)
+    cases = list(_mb_cases(f, Xorshift64Star(1000 * p + m), 400))
+    verdicts = [_mb_exhaustive(f, d, M, B) for d, M, B in cases]
+    assert [_mb_verdict(f, d, M, B) for d, M, B in cases] == verdicts
+    for cls in (None, InputError, NotSubfield, NotSubgroup, NotSubspace):
+        assert verdicts.count(cls) >= 5, cls
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4)])
+def test_cyclic_generator_matches_the_power_walk(p, m):
+    """On every cyclic subgroup of GF(q)*: the smallest element whose powers,
+    walked one product at a time, exhaust the group."""
+    f = Field(p, m)
+    g = f.primitive_element().value()
+
+    def walk(a):
+        seen, x = {1}, a
+        while x not in seen:
+            seen.add(x)
+            x = f.mul(x, a)
+        return seen
+
+    for e in range(1, f.q):
+        if (f.q - 1) % e:
+            continue
+        group = {f.power(g, (f.q - 1) // e * i) for i in range(e)}
+        expected = next(a for a in sorted(group) if walk(a) == group)
+        assert _cyclic_generator(f, group) == expected, e
+
+
+@pytest.mark.parametrize("k_degree", [1, 2])
+def test_non_subspace_b_stops_its_span_early(monkeypatch, k_degree):
+    """400 random elements of GF(2^18), 0 among them, are no GF(2^d)-subspace;
+    the check stops within 2 * |B| * |K| additions and products, where
+    growing the whole span would take about 2^19 additions."""
+    f = Field(2, 18)
+    rng = Xorshift64Star(18)
+    B = {0}
+    while len(B) < 400:
+        B.add(rng.below(f.q))
+    calls = {"add": 0, "mul": 0}
+    for name in calls:
+        op = getattr(Field, name)
+
+        def counted(self, a, b, op=op, name=name):
+            calls[name] += 1
+            return op(self, a, b)
+
+        monkeypatch.setattr(Field, name, counted)
+    with pytest.raises(NotSubspace, match="its K-span holds"):
+        subgroup_from_MB(f, k_degree, {1}, B)
+    bound = 2 * len(B) * 2**k_degree
+    assert 0 < calls["add"] <= bound and calls["mul"] <= bound, calls
 
 
 def test_subgroup_order_is_product():

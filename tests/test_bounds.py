@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import qlrc.field
 from qlrc import (
     AffineMap,
     AglSubgroup,
@@ -48,6 +49,7 @@ def test_smallest_prime_factor():
     ]
     with pytest.raises(InputError):
         smallest_prime_factor(1)
+    assert smallest_prime_factor is qlrc.field.smallest_prime_factor  # one trial division
 
 
 def test_degree_bound_cases():

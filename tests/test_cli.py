@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -421,6 +422,28 @@ def test_repair_fails_only_where_the_damage_is_read(tmp_path, capsys, key, edit,
         assert ("MISMATCH" in captured.out) == (rc == 4)
 
 
+@pytest.mark.parametrize("argv", [["--trials", "3"], ["--erase", "all"], ["--erase", "0"]])
+def test_repair_that_reads_more_than_r_fails(tmp_path, capsys, argv):
+    """One block of all eight points repairs every symbol exactly but reads
+    7 > r = 3 of them, which the README counts as a verification failure."""
+    wide = _edited_dump(tmp_path, "q8_n8_k5", blocks=lambda v: [list(range(8))])
+    assert main(["repair", "--instance", str(wide), *argv]) == 4
+    captured = capsys.readouterr()
+    assert "MISMATCH" not in captured.out and captured.out.endswith(", 7 reads each\n")
+    assert captured.err.startswith("error: ") and "read more than r = 3 symbols" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--trials", "3"], ["--erase", "all"], ["--erase", "0"]])
+def test_repair_of_an_empty_instance_exits_2(tmp_path, capsys, argv):
+    """With n = 0 no repair is tried, which is no evidence: --erase all used
+    to print "0/0 positions repaired exactly" and exit 0, and random trials
+    crashed drawing a position below 0."""
+    empty = _edited_dump(tmp_path, "q8_n8_k5", n=lambda _: 0, points=lambda _: [], u=lambda _: [])
+    assert main(["repair", "--instance", str(empty), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_bounds_brute_force_adds_exact_distance(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8), "--brute-force"])
     assert rc == 0
@@ -570,6 +593,28 @@ def test_search_listing(capsys):
         assert int(row[4]) % order == 0
 
 
+SEARCH_SHA256 = {
+    8: "555e2eea350b68cc284f7f16b14ed97dbe520ed8b454bd09f7bec4e6f6af2d26",
+    9: "3ddedf2d5787c5036ae056d93951769a5f58c0565f29264c536818ab862fd396",
+    16: "252ab8dfbba9d39561cf3d9ad75a0e3752ef3221a09b26b6c5510b84ce2c8124",
+    25: "77bbf57b564e7a3fe68700cd7bd982998fa086042d2eb5167b0143dd789ba950",
+    27: "71f0169b2044c48a01ab0d5014f82724e951fcb3c8e7881debf3d114b25582c0",
+    32: "8b0e747793f73c7e980e7493aabb425580baa5054bd95e162251cf72c8820af9",
+    64: "ca8e645e68f2077e72111970877c0af8faf85e1b24196db534207096080e9192",
+    81: "fbbfdce1e1d089bb1abf0a48dbdcb02cd3b3354152033f8d33699e44905abf27",
+    256: "7533b8d898f0b92d1f27506ed505fdd49e4a3ba466ddb71a01d881063a32aad7",
+}
+
+
+@pytest.mark.parametrize("q", sorted(SEARCH_SHA256))
+def test_search_listing_is_frozen(capsys, q):
+    """sha256 of the search CSV, recorded when (M, B) were still checked by
+    exhaustive pair tables."""
+    assert main(["search", "--q", str(q)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[q]
+
+
 def test_search_rejects_non_prime_power(capsys):
     assert main(["search", "--q", "12"]) == 2
     capsys.readouterr()
@@ -603,6 +648,27 @@ def test_byte_determinism(tmp_path, spec8, capsys):
     r1 = capsys.readouterr().out
     main(["repair", "--instance", str(tmp_path / "a.json"), "--trials", "7", "--seed", "3"])
     assert capsys.readouterr().out == r1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--spec", "{spec}"],
+        ["bounds", "--sweep-kappa", "--n", "8", "--r", "3", "--q", "8"],
+        ["search", "--q", "8"],
+    ],
+    ids=["construct", "bounds", "search"],
+)
+def test_unwritable_output_exits_2(spec8, tmp_path, capsys, argv):
+    """An --output path that cannot be opened is bad input, like an
+    unreadable input path, not a FileNotFoundError traceback."""
+    target = tmp_path / "missing" / "out.txt"
+    argv = [a.format(spec=spec8) for a in argv] + ["--output", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: " + (
+        f"[Errno 2] No such file or directory: '{target}'\n"
+    )
+    assert not target.parent.exists()
 
 
 def test_output_flag_writes_file(dump8, tmp_path, capsys):

@@ -68,6 +68,9 @@ def test_bad_parameters_rejected():
         Field(6, 1)
     with pytest.raises(NotPrime):
         Field(1, 3)
+    for p in (-3, 0, 9, 221):
+        with pytest.raises(NotPrime, match=f"^characteristic {p} is not prime$"):
+            Field(p, 1)
     with pytest.raises(FieldTooLarge):
         Field(2, 21)
 
