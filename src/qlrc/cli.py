@@ -133,6 +133,8 @@ def _cmd_bounds(args) -> int:
         return 0
     if args.instance is None:
         raise InputError("bounds needs --instance or --sweep-kappa")
+    if args.cap < 1:
+        raise InputError(f"--cap must be at least 1, got {args.cap}")
     inst = construct_mod.instance_from_dump(_load_json(args.instance))
     params = bounds_mod.css_params(inst)  # exit 4 unless verify's deterministic checks pass
     if args.brute_force:

@@ -7,10 +7,10 @@ evaluate two nested spans of monomials x^i * g(x)^j through the weighted
 evaluation map f -> (u_1 f(a_1), ..., u_n f(a_n)).  The inner span T is
 orthogonal to the outer span S under the weighting, which makes the big
 code contain its own dual; the block structure of g gives every coordinate
-a repair group of size r.  _structure_checks are the deterministic checks
-that certify an instance, built or loaded: each instance runs them once,
-build_code raises on the first that fails, verify_instance reports them all,
-and bounds certifies nothing that structure_problem rejects.
+a repair group of size r.  _structure_checks certify an instance once,
+built or loaded: build_code raises on the first that fails, verify_instance
+reports them all, bounds certifies nothing that structure_problem rejects,
+and rank k and D = C-perp follow from the monomials' degrees, not elimination.
 
 An instance holds its points, multipliers and generator rows as integer
 encodings over its field (see field.py), and every check and kernel works
@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
-from . import linalg
 from .agl import (
     AglSubgroup,
     GoodPolynomial,
@@ -85,17 +84,6 @@ class MultiplierSolution:
     points: tuple[int, ...]
     embedding: Embedding | None
     extended: bool
-
-
-def _power_sum_check(field: Field, u, xs, upto: int) -> bool:
-    """sum_i u_i^2 * x_i^j == 0 for 0 <= j <= upto, by direct summation."""
-    w = [field.mul(ui, ui) for ui in u]
-    pw = [1] * len(xs)
-    for _ in range(upto + 1):
-        if field.dot(w, pw):
-            return False
-        pw = [field.mul(p, x) for p, x in zip(pw, xs)]
-    return True
 
 
 def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
@@ -463,6 +451,36 @@ class CodeInstance:
         return tuple(_check(name, fn) for name, fn in _structure_checks(self))
 
     @cached_property
+    def _premises(self) -> tuple[dict[str, str], int, int]:
+        """(unmet, d, v) from the raw instance, found once: each failing premise
+        of the gate's degree arguments with what is wrong, d = deg g and v
+        the number of values g takes on the points."""
+        es, n, pairs, rows = self.eval_set, self.n, self.exps.s_pairs, self.matrix_c
+        fld, unmet, pw = es.field, {}, [1] * n
+        w = [fld.mul(x, x) for x in es.u]
+        for _ in range(n - 1):  # sum_z u_z^2 * a_z^e for e = 0 .. n - 2
+            if fld.dot(w, pw):
+                unmet["power-sums"] = "weighted power sums do not vanish up to degree n - 2"
+                break
+            pw = list(map(fld.mul, pw, es.points))
+        if len(set(es.points)) != n:
+            unmet["distinct"] = "evaluation points repeat"
+        if 0 in es.u:
+            unmet["nonzero"] = "a multiplier is zero"
+        if not es.good.g:
+            unmet["g"] = "g is zero"
+        have = {(0, 0), *pairs}  # _s_rows builds (i, j) from (i - 1, j) or (0, j - 1)
+        built = all(((i - 1, j) if i else (0, j - 1)) in have for i, j in have - {(0, 0)})
+        if len(rows) != len(pairs) or not built:
+            unmet["rows"] = f"s1 + s2 are not {len(rows)} pairs each with (i - 1, j) or (0, j - 1)"
+        else:
+            by_pair = _s_rows(es, self.exps)
+            bad = next((p for p, row in zip(pairs, rows) if by_pair[p] != row), None)
+            if bad is not None:
+                unmet["rows"] = f"S row {bad} does not match its evaluation"
+        return unmet, es.good.g.degree, len({fld.horner(es.good.g.coeffs, x) for x in es.points})
+
+    @cached_property
     def _repair_coeffs(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
         """Erased position -> (its block mates, their repair weights), filled
         by repair on each position's first repair."""
@@ -502,46 +520,19 @@ def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tupl
 
     Rows are pointwise products: row(i, j) is row(i - 1, j) times a_z, or
     row(0, j - 1) times g(a_z), starting from row(0, 0) = u.  g is evaluated
-    once per point and every other entry costs one multiplication.  The
-    exponent sets of exponent_sets list each pair after the one it is built
-    from, in degree order.
+    once per point and every other entry costs one multiplication.  Pairs
+    are walked in (j, i) order, and exponent_sets lists the pair each one is
+    built from.
     """
     mul = es.field.mul
     gs = [es.field.horner(es.good.g.coeffs, x) for x in es.points]
     rows: dict[tuple[int, int], tuple] = {(0, 0): es.u}
-    for i, j in exps.s_pairs:
+    for i, j in sorted(exps.s_pairs, key=lambda p: p[::-1]):
         if i:
             rows[i, j] = tuple(map(mul, rows[i - 1, j], es.points))
         elif j:
             rows[i, j] = tuple(map(mul, rows[0, j - 1], gs))
     return rows
-
-
-def _generator_problem(fld: Field, matrix_c, matrix_d, k: int, n: int) -> str | None:
-    """G_C is k independent rows of length n; G_D is n - k distinct rows of G_C.
-
-    Distinct rows of a full-rank G_C are independent, so this gives
-    rank(G_D) = n - k and D inside C with a single elimination.
-    """
-    if len(matrix_c) != k or any(len(row) != n for row in matrix_c):
-        return f"big generator is not {k} rows of length {n}"
-    if len(linalg._rref_ints(fld, list(matrix_c))) != k:
-        return f"big generator rank != {k}"
-    rows_d = set(matrix_d)
-    if len(matrix_d) != n - k or len(rows_d) != n - k:
-        return f"dual generator is not {n - k} distinct rows"
-    if not rows_d <= set(matrix_c):
-        return "a dual generator row is not a row of the big generator"
-    return None
-
-
-def _orthogonality_problem(fld: Field, matrix_c, matrix_d) -> str | None:
-    """G_D * G_C^T = 0.  With _generator_problem clean this gives D = C-perp."""
-    for j, rd in enumerate(matrix_d):
-        for i, rc in enumerate(matrix_c):
-            if len(rd) != len(rc) or fld.dot(rd, rc):
-                return f"dual row {j} is not orthogonal to big row {i}"
-    return None
 
 
 def dual_positions(inst: CodeInstance) -> frozenset[int]:
@@ -782,12 +773,14 @@ def _structure_checks(inst: CodeInstance) -> list:
     for verify_instance and structure_problem; a check returns its problem."""
     es, exps, fld, n, k = inst.eval_set, inst.exps, inst.field, inst.n, inst.k
 
+    def unmet(*names):  # what is wrong with the first named premise that fails
+        return next(filter(None, map(inst._premises[0].get, names)), None)
+
     def chk_power_sums():
         # the multiplier solve decides the extension, so the flag is checked here
-        if not _power_sum_check(fld, es.u, es.points, n - 2):
-            return "weighted power sums do not vanish up to degree n - 2"
-        if 0 in es.u:
-            return "a multiplier is zero"
+        problem = unmet("power-sums", "nonzero")
+        if problem:
+            return problem
         if es.extended != (fld != es.base_field):
             return f"extended is {es.extended} but field and base_field disagree with that"
         if es.extended:
@@ -798,17 +791,49 @@ def _structure_checks(inst: CodeInstance) -> list:
                 return "a point lies outside the embedded base field"
         return None
 
+    def chk_ranks():
+        """G_C is k rows of rank k; G_D is n - k distinct rows of G_C.  Row
+        (i, j) of G_C is u * x^i g^j on the points: k distinct degrees
+        i + j*deg g below n make the monomials, their values at n distinct
+        points and, with no u_z zero, the rows independent."""
+        if len(inst.matrix_c) != k or any(len(row) != n for row in inst.matrix_c):
+            return f"big generator is not {k} rows of length {n}"
+        rows_d = set(inst.matrix_d)
+        if not len(inst.matrix_d) == len(rows_d) == n - k or not rows_d <= set(inst.matrix_c):
+            return f"dual generator is not {n - k} distinct rows of the big generator"
+        problem, d = unmet("distinct", "nonzero", "g", "rows"), inst._premises[1]
+        if not problem and len({i + j * d for i, j in exps.s_pairs if i + j * d < n}) != k:
+            problem = f"the degrees i + {d}j are not {k} distinct values below {n}"
+        return problem and f"rank {k} not certified: {problem}"
+
+    def chk_containment():
+        """G_D * G_C^T = 0, so D = C-perp with chk_ranks.  A D row takes the
+        pair of the C row it equals; C row (i1, j1) times D row (i2, j2) is
+        u^2 * x^I g^J on the points, I = i1 + i2, J = j1 + j2.  g takes v
+        values there, so x^I g^J agrees with a polynomial of degree at most
+        I + min(J, v - 1)*deg g, and the power sums vanish up to n - 2."""
+        problem = unmet("power-sums", "g", "rows")
+        if problem:
+            return f"D inside C-perp not certified: {problem}"
+        _, d, v = inst._premises
+        pair_of = dict(zip(inst.matrix_c, exps.s_pairs))
+        if not set(inst.matrix_d) <= pair_of.keys():
+            return "D inside C-perp not certified: a dual row is not a row of the big generator"
+        for (i1, j1), (i2, j2) in itertools.product(exps.s_pairs, map(pair_of.get, inst.matrix_d)):
+            top = i1 + i2 + min(j1 + j2, v - 1) * d
+            if top > n - 2:
+                return f"D inside C-perp not certified: x^{i1 + i2} g^{j1 + j2} has degree {top}"
+        return None
+
     def chk_rows_match():
         want = exponent_sets(n, inst.k, inst.r)  # r as the blocks say
         wrong = [f.name for f in fields(exps) if getattr(exps, f.name) != getattr(want, f.name)]
         if wrong:
             return f"stored {', '.join(wrong)} disagree with exponent_sets({n}, {inst.k}, {inst.r})"
-        if len(inst.matrix_c) != len(exps.s_pairs) or len(inst.matrix_d) != len(exps.t_pairs):
-            return "generator row counts do not match the exponent lists"
-        by_pair = _s_rows(es, exps)
-        for pair, row in zip(exps.s_pairs, inst.matrix_c):
-            if by_pair[pair] != row:
-                return f"S row {pair} does not match its evaluation"
+        problem = unmet("rows")
+        if problem or len(inst.matrix_d) != len(exps.t_pairs):
+            return problem or "generator row counts do not match the exponent lists"
+        by_pair = dict(zip(exps.s_pairs, inst.matrix_c))  # each row its evaluation
         for pair, row in zip(exps.t_pairs, inst.matrix_d):
             if by_pair[pair] != row:
                 return f"T row {pair} does not match its evaluation"
@@ -823,17 +848,15 @@ def _structure_checks(inst: CodeInstance) -> list:
         v = u is every function of g(a), a ring, and v > u leaves g^u out.
         u = 1 spans the constants.  Block constancy forces v = u: blocks
         sharing a value c would give g - c 2(r + 1) roots."""
-        if len(set(es.points)) != n:
-            return "evaluation points repeat"
-        values = len({fld.horner(es.good.g.coeffs, x) for x in es.points})
+        values = inst._premises[2]
         if len(es.blocks) != 1 and values != len(es.blocks):
             return f"g takes {values} values on the points, not one per block ({len(es.blocks)})"
-        return None
+        return unmet("distinct")
 
     return [
         ("multiplier-power-sums", chk_power_sums),
-        ("generator-ranks", lambda: _generator_problem(fld, inst.matrix_c, inst.matrix_d, k, n)),
-        ("dual-containment", lambda: _orthogonality_problem(fld, inst.matrix_c, inst.matrix_d)),
+        ("generator-ranks", chk_ranks),
+        ("dual-containment", chk_containment),
         ("block-polynomial-constancy", lambda: blocks_problem(es)),
         ("generator-row-consistency", chk_rows_match),
         ("quotient-ring-closure", chk_ring),
@@ -852,11 +875,11 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
     """Re-derive every structural property of a (possibly reloaded) instance.
 
     Returns a list of CheckResult in a fixed order, _structure_checks then
-    local-repair; each check re-computes its property from the raw instance
-    data rather than trusting stored derived values.  The deterministic
-    results are the ones cached on the instance, so a built instance is not
-    checked twice; local-repair runs on every call.  Raises InputError when
-    trials < 1, since local-repair would then pass on no repair.
+    local-repair; each check re-computes its property, or the premises it
+    rests on, from the raw instance data, and a FAIL of generator-ranks or
+    dual-containment may mean "not certified".  The deterministic results
+    are cached on the instance; local-repair runs on every call.  Raises
+    InputError when trials < 1, since local-repair would then pass on none.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")

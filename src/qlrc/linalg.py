@@ -1,10 +1,10 @@
 """Exact Gaussian elimination over a Field.
 
 _rref_ints row-reduces rows of integer encodings in place with the field's
-integer operations; the generator checks and the witness search run it on
-an instance's rows.  rank, dot and solve_in_span take lists of field
-elements, turn them into integer encodings once, and wrap only what they
-return.
+integer operations; the witness search runs it on an instance's rows (the
+certification gate in construct.py needs no elimination).  rank, dot and
+solve_in_span take lists of field elements, turn them into integer
+encodings once, and wrap only what they return.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from qlrc.bounds import (
     Witness,
     _words_outside_dual,
 )
-from qlrc.construct import dual_positions, instance_from_dump, instance_to_dump
+from qlrc.construct import dual_positions, instance_from_dump, instance_to_dump, verify_instance
 from qlrc.errors import ConstructionError, InputError, VerificationError
 
 
@@ -190,18 +190,23 @@ def test_css_params_derives_ell_and_rejects_a_stored_one(inst8):
 def test_css_params_and_audit_reject_blocks_that_are_not_orbits(inst8):
     """The [8,5]_8 dump with translation basis {1, a^2} in place of {1, a}:
     its blocks are not orbits, so no spectral bound may be certified for it;
-    with g edited to x^4 the blocks are orbits but g is not constant on them."""
+    with g edited to x^4 the blocks are orbits but g is not constant on them,
+    and the stored rows are no longer its evaluations, which generator-ranks
+    finds first."""
     dump = instance_to_dump(inst8)
     moved = json.loads(json.dumps(dump))
     moved["subgroup"]["B_basis"] = [[1, 0, 0], [0, 0, 1]]
     x4 = json.loads(json.dumps(dump))
     x4["g"] = Polynomial.monomial(inst8.field, inst8.field.one(), 4).to_lists()
-    for bad, detail in [(moved, "is not a free orbit"), (x4, "several values of g")]:
+    first = "^generator-ranks: rank 5 not certified: S row .* does not match its evaluation$"
+    for bad, detail in [(moved, "is not a free orbit"), (x4, first)]:
         inst = instance_from_dump(bad)
         with pytest.raises(VerificationError, match=detail):
             css_params(inst)
         with pytest.raises(VerificationError, match=detail):
             weight_bound_audit(inst, trials=3, seed=1)
+    checks = {c.name: c for c in verify_instance(instance_from_dump(x4), trials=1)}
+    assert checks["block-polynomial-constancy"].detail.endswith("several values of g")
 
 
 def test_sweep_rows_frozen_and_monotone():

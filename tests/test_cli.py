@@ -257,6 +257,16 @@ def test_flipped_extended_flag_exits_4(tmp_path, capsys):
     assert "error: multiplier-power-sums: extended is True" in captured.err
 
 
+@pytest.mark.parametrize("stem", ["q8_n8_k5", "q32_n32_k19", "missing"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_bounds_cap_below_1_exits_2_before_the_dump_is_read(capsys, stem, cap):
+    """Without the guard q8_n8_k5 exits 0 and the flagship 5 under --cap -5;
+    a missing dump shows that the cap is refused before any file is read."""
+    dump = str(SHIPPED / f"{stem}.json")
+    assert main(["bounds", "--instance", dump, "--brute-force", "--cap", cap]) == 2
+    assert capsys.readouterr() == ("", f"error: --cap must be at least 1, got {cap}\n")
+
+
 def test_bounds_exits_4_where_exponent_sets_raise(tmp_path, capsys):
     bad = _edited_dump(tmp_path, "q8_n8_k5", k=lambda _: 4)  # outside (n/2, n*r/(r+1)]
     assert main(["bounds", "--instance", str(bad)]) == 4

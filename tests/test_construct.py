@@ -290,7 +290,9 @@ def test_full_field_rejects_a_fixed_point():
 
 def test_build_runs_the_block_check(monkeypatch):
     """A g that is not constant on the blocks stops the build, on the base
-    path (GF(8), additive) and on the extended path (GF(9) -> GF(81))."""
+    path (GF(8), additive) and on the extended path (GF(9) -> GF(81)).  The
+    degree argument of dual-containment fails first on it; the same instance,
+    built past the gate, still fails block-polynomial-constancy."""
     f8, f9 = Field(2, 3), Field(3, 2)
     a, g = f8.gen(), f9.primitive_element()
     additive = subgroup_from_MB(f8, 1, {f8.one()}, {f8.zero(), f8.one(), a, a + f8.one()})
@@ -303,11 +305,16 @@ def test_build_runs_the_block_check(monkeypatch):
         return GoodPolynomial(x**4 + x, sub, alpha)
 
     monkeypatch.setattr(construct, "good_polynomial", x4_plus_x)
-    wrong = r"^block-polynomial-constancy: .* several values of g$"
-    with pytest.raises(ConstructionError, match=wrong):
-        build_code(build_evaluation_set(additive), 5)
-    with pytest.raises(ConstructionError, match=wrong):
-        build_code(build_evaluation_set(mult, domain="orbits"), 5)
+    wrong = r"^dual-containment: D inside C-perp not certified: x\^\d+ g\^\d+ has degree"
+    for es in (build_evaluation_set(additive), build_evaluation_set(mult, domain="orbits")):
+        with pytest.raises(ConstructionError, match=wrong):
+            build_code(es, 5)
+        with monkeypatch.context() as m:
+            m.setattr(construct, "structure_problem", lambda inst: None)
+            unchecked = build_code(es, 5)
+        checks = {c.name: c for c in verify_instance(unchecked, trials=1)}
+        block = checks["block-polynomial-constancy"]
+        assert not block.ok and block.detail.endswith("several values of g")
 
 
 def test_build_runs_the_power_sum_check(monkeypatch, tmp_path, capsys):
@@ -414,6 +421,101 @@ def test_pointwise_rows_match_horner_rows(inst32, inst8, inst7, inst4, inst9x):
         want = _horner_rows(inst.eval_set, inst.exps)
         assert construct._s_rows(inst.eval_set, inst.exps) == want
     assert [p for p, row in want.items() if any(row)] == [(i, 0) for i in range(3)]
+
+
+def test_rows_premise_needs_each_pair_after_the_one_it_is_built_from(inst8):
+    """An s1 with a pair listed without (i - 1, j), or with a negative
+    exponent, leaves the rows unevaluated: both certificates FAIL on it."""
+    dump = instance_to_dump(inst8)
+    rows = "s1 + s2 are not 5 pairs each with (i - 1, j) or (0, j - 1)"
+    for s1 in ([[2, 0], [1, 0], [3, 1]], [[-1, 0], [1, 0], [1, 1]]):
+        inst = instance_from_dump({**dump, "s1": s1})
+        checks = {c.name: c.detail for c in verify_instance(inst, trials=1)}
+        assert checks["generator-ranks"] == f"rank 5 not certified: {rows}"
+        assert checks["dual-containment"] == f"D inside C-perp not certified: {rows}"
+
+
+def _reference_gate(inst):
+    """(rank of G_C by elimination is k and G_D is n - k distinct rows of it,
+    every D row has dot product 0 with every C row)."""
+    f, n, k = inst.field, inst.n, inst.k
+    rows_d = set(inst.matrix_d)
+    ranked = len(linalg._rref_ints(f, list(inst.matrix_c))) == k
+    inside = len(inst.matrix_d) == len(rows_d) == n - k and rows_d <= set(inst.matrix_c)
+    dots = all(f.dot(rd, rc) == 0 for rd in inst.matrix_d for rc in inst.matrix_c)
+    return ranked and inside, dots
+
+
+def _gate(inst):
+    """(generator-ranks passes, dual-containment passes)."""
+    checks = {c.name: c.ok for c in verify_instance(inst, trials=1)}
+    return checks["generator-ranks"], checks["dual-containment"]
+
+
+def test_degree_certificates_agree_with_elimination_and_dots(inst32, inst8, inst7, inst4, inst9x):
+    """On the five fixtures and the nine perfbench specs, generator-ranks and
+    dual-containment PASS exactly where elimination gives rank k and every
+    D row is orthogonal to every C row; here both hold everywhere."""
+    insts = [inst32, inst8, inst7, inst4, inst9x]
+    for spec in sorted((PERFBENCH / "specs").glob("*.json")):
+        insts.append(instance_from_spec(json.loads(spec.read_text())))
+    assert len(insts) == 14
+    for inst in insts:
+        assert _gate(inst) == _reference_gate(inst) == (True, True)
+
+
+def test_degree_certificates_are_sound_on_the_gate_mutants():
+    """Over the seeded single-field mutants of the shipped dumps, a PASS of
+    either certificate implies what elimination or the dot products find."""
+    from test_gate_mutations import SEED, SHIPPED, _mutants
+
+    passed = failed = 0
+    for path in SHIPPED:
+        for name, mutant in _mutants(json.loads(path.read_text()), Xorshift64Star(SEED)):
+            try:
+                inst = instance_from_dump(mutant)
+            except InputError:
+                continue
+            gate = _gate(inst)
+            reference = _reference_gate(inst) if any(gate) else gate
+            assert all(r for g, r in zip(gate, reference) if g), name
+            passed += sum(gate)
+            failed += 2 - sum(gate)
+    assert passed > 300 and failed > 100
+
+
+def test_gate_fails_the_row_mutants_on_its_own(inst32, inst8, inst7, inst4, inst9x):
+    """A C row copied over another, a D row replaced by the sum of two D
+    rows (where there are two), and one changed multiplier each fail
+    generator-ranks and dual-containment, whatever the other checks say."""
+    for inst in (inst32, inst8, inst7, inst4, inst9x):
+        f, es, rows_d = inst.field, inst.eval_set, inst.matrix_d
+        u = (next(x for x in range(1, f.q) if x != es.u[0]), *es.u[1:])
+        mutants = [
+            dataclasses.replace(inst, matrix_c=(inst.matrix_c[1], *inst.matrix_c[1:])),
+            dataclasses.replace(inst, eval_set=dataclasses.replace(es, u=u)),
+        ]
+        if len(rows_d) > 1:
+            summed = tuple(map(f.add, rows_d[0], rows_d[1]))
+            mutants.append(dataclasses.replace(inst, matrix_d=(summed, *rows_d[1:])))
+        for mutant in mutants:
+            assert _gate(mutant) == (False, False)
+
+
+def test_gate_runs_no_elimination(monkeypatch, inst32, inst8, inst7, inst4, inst9x):
+    """build_code, verify_instance and css_params certify fresh instances
+    with linalg._rref_ints refusing to run; construct does not import linalg."""
+
+    def refuse(*args):
+        raise AssertionError("the gate ran an elimination")
+
+    monkeypatch.setattr(linalg, "_rref_ints", refuse)
+    assert not hasattr(construct, "linalg")
+    for inst in (inst32, inst8, inst7, inst4, inst9x):
+        built = build_code(inst.eval_set, inst.k)
+        loaded = instance_from_dump(instance_to_dump(inst))
+        assert all(c.ok for c in verify_instance(loaded, trials=5))
+        assert bounds.css_params(built) == bounds.css_params(loaded) == bounds.css_params(inst)
 
 
 def test_dual_rows_orthogonal_to_code_rows(inst32):
@@ -919,8 +1021,13 @@ def test_structure_problem_names_the_first_failing_check(inst8, inst32):
     bad = json.loads(json.dumps(instance_to_dump(inst8)))
     bad["ell_prime"] = 2
     bad["g"] = Polynomial.monomial(inst8.field, inst8.field.one(), 4).to_lists()
-    problem = construct.structure_problem(instance_from_dump(bad))
-    assert problem.startswith("block-polynomial-constancy: ")
+    inst = instance_from_dump(bad)
+    problem = construct.structure_problem(inst)
+    assert problem == (
+        "generator-ranks: rank 5 not certified: S row (0, 1) does not match its evaluation"
+    )
+    block = {c.name: c for c in verify_instance(inst, trials=1)}["block-polynomial-constancy"]
+    assert not block.ok and block.detail.endswith("several values of g")
     bad["g"] = instance_to_dump(inst8)["g"]
     problem = construct.structure_problem(instance_from_dump(bad))
     assert problem == (
