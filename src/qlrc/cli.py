@@ -187,7 +187,7 @@ def _cmd_repair(args) -> int:
     reads: list[int] = []
     wrong = 0
     for label, z in erasures:
-        word = construct_mod.encode(inst, [rng.element(fld) for _ in range(inst.k)])
+        word = construct_mod.encode(inst, [rng.below(fld.q) for _ in range(inst.k)])
         received = _ReadLog(word)
         received[z] = None
         ok = construct_mod.repair(inst, received, z) == word[z]

@@ -481,6 +481,18 @@ class CodeInstance:
         return unmet, es.good.g.degree, len({fld.horner(es.good.g.coeffs, x) for x in es.points})
 
     @cached_property
+    def _encoder(self):
+        """Message encodings -> codeword encodings, the Field.combiner of
+        the generator rows, built by encode on its first call.  Raises
+        LengthMismatch naming the first row whose length is not n."""
+        n = self.n
+        bad = next((i for i, row in enumerate(self.matrix_c) if len(row) != n), None)
+        if bad is not None:
+            length = len(self.matrix_c[bad])
+            raise LengthMismatch(f"generator_c row {bad} has length {length} != n = {n}")
+        return self.field.combiner(self.matrix_c, n)
+
+    @cached_property
     def _repair_coeffs(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
         """Erased position -> (its block mates, their repair weights), filled
         by repair on each position's first repair."""
@@ -575,15 +587,18 @@ def build_code(es: EvaluationSet, k: int, seed: int = 1) -> CodeInstance:
 
 
 def encode(inst: CodeInstance, message) -> list[FieldElement]:
-    """message . G_C, message coordinates matching S rows in degree order."""
+    """message . G_C, message coordinates matching S rows in degree order.
+
+    message holds elements or int encodings, coerced as Field.ints does.
+    The rows are combined by the instance's Field.combiner, built on the
+    first encode: XORs of bit-packed rows in characteristic 2, axpy passes
+    for odd p.  Raises LengthMismatch when the message length is not k or
+    a generator row's length is not n, before any arithmetic.
+    """
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
     fld = inst.field
-    out = [0] * inst.n
-    for m, row in zip(fld.ints(message), inst.matrix_c):
-        if m:
-            out = fld.axpy(out, m, row)
-    return fld.from_ints(out)
+    return fld.from_ints(inst._encoder(fld.ints(message)))
 
 
 def _repair_coefficients(es: EvaluationSet, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -888,7 +903,7 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
 
     def chk_repair():
         for _ in range(trials):
-            msg = [rng.element(fld) for _ in range(k)]
+            msg = [rng.below(fld.q) for _ in range(k)]
             word = encode(inst, msg)
             z = rng.below(n)
             received: list = [c for c in word]

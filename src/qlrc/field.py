@@ -259,8 +259,10 @@ class Field:
 
     Besides the FieldElement API, a Field offers arithmetic directly on
     integer encodings (add, sub, neg, mul, inv, sqrt, subfield_elements and
-    the list kernels axpy, dot, horner) for loops that would otherwise
-    allocate an element per operation.
+    the list kernels axpy, dot, horner and combiner) for loops that would
+    otherwise allocate an element per operation.  combiner fixes its rows
+    and returns a function of the coefficients; in characteristic 2 it
+    combines whole rows as XORs of packed integers.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -445,6 +447,58 @@ class Field:
         for c in reversed(coeffs):
             acc = add(exp[log[acc] + lx], c)
         return acc
+
+    def combiner(self, rows, n: int):
+        """The map coeffs -> sum_i coeffs[i] * rows[i] over rows of n
+        encodings each; coeffs is a list of encodings.
+
+        In characteristic 2, multiplying by a constant is GF(2)-linear, so
+        the work moves into set-up: each row is packed once into one int,
+        symbol j at bits [m*j, m*j + m), and row * x^b is kept for b < m.
+        Each comes from the previous one by a packed shift-and-reduce: the
+        slots whose top bit is set get the modulus (without x^m) folded back
+        in, which one carry-free product places in every such slot.  A
+        combination is then the XOR of row * x^b over the set bits b of each
+        coefficient, unpacked by shift and mask.  Odd p runs the axpy loop:
+        packing base-p digits was slower there, since digit sums carry.
+        """
+        if self.p != 2:
+            axpy = self.axpy
+
+            def combine(coeffs):
+                out = [0] * n
+                for c, row in zip(coeffs, rows):
+                    if c:
+                        out = axpy(out, c, row)
+                return out
+
+            return combine
+        m = self.m
+        red = _value(self.modulus[:-1], 2)
+        top = ((1 << m * n) - 1) // ((1 << m) - 1) << (m - 1)  # top bit of every slot
+        tables = []
+        for row in rows:
+            v = 0
+            for x in reversed(row):
+                v = v << m | x
+            times_x = [v]
+            for _ in range(m - 1):
+                hi = v & top
+                v = (v ^ hi) << 1 ^ (hi >> (m - 1)) * red
+                times_x.append(v)
+            tables.append(times_x)
+        mask, shifts = (1 << m) - 1, range(0, m * n, m)
+
+        def combine(coeffs):
+            acc = 0
+            for c, times_x in zip(coeffs, tables):
+                while c:
+                    low = c & -c
+                    acc ^= times_x[low.bit_length() - 1]
+                    c ^= low
+            return [acc >> s & mask for s in shifts]
+
+        return combine
 
     # -- derived structure ---------------------------------------------------
 

@@ -88,6 +88,39 @@ def translation_instance():
     return make
 
 
+@pytest.fixture(scope="session")
+def axpy_combination():
+    """sum_i coeffs[i] * rows[i] over n-long rows of encodings, by one axpy
+    pass per nonzero coefficient: encode's loop before Field.combiner, kept
+    as the reference."""
+
+    def combine(f, rows, n, coeffs):
+        out = [0] * n
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = f.axpy(out, c, row)
+        return out
+
+    return combine
+
+
+@pytest.fixture(scope="session")
+def combination_messages():
+    """Messages for a combination of k rows: the zero message; x^b (one bit
+    when p = 2) for each b < m and the all-ones q - 1 on each row alone;
+    then count seeded random messages drawn from rng."""
+
+    def messages(f, k, rng, count=20):
+        yield [0] * k
+        for i in range(k):
+            for c in [f.p**b for b in range(f.m)] + [f.q - 1]:
+                yield [0] * i + [c] + [0] * (k - 1 - i)
+        for _ in range(count):
+            yield [rng.below(f.q) for _ in range(k)]
+
+    return messages
+
+
 @pytest.fixture()
 def tampered_dual_dumps(inst8):
     """[8,5]_8 dumps whose generator_d is cut short, repeats a row, or holds

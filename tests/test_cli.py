@@ -454,6 +454,21 @@ def test_repair_of_an_empty_instance_exits_2(tmp_path, capsys, argv):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_ragged_generator_row_is_named_before_any_arithmetic(tmp_path, capsys):
+    """generator_c[3] one element short on the flagship: local-repair names
+    the row where it failed with an IndexError, and repair exits 2 where it
+    died with an IndexError traceback."""
+    bad = _edited_dump(tmp_path, "q32_n32_k19", generator_c=lambda v: [*v[:3], v[3][:-1], *v[4:]])
+    detail = "generator_c row 3 has length 31 != n = 32"
+    assert main(["verify", "--instance", str(bad), "--trials", "5"]) == 4
+    assert f"local-repair: FAIL (LengthMismatch: {detail})" in capsys.readouterr().out
+    assert main(["bounds", "--instance", str(bad)]) == 4
+    capsys.readouterr()
+    for argv in (["--erase", "all"], ["--erase", "0"], ["--trials", "3"]):
+        assert main(["repair", "--instance", str(bad), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {detail}\n")
+
+
 def test_bounds_brute_force_adds_exact_distance(dump8, capsys):
     rc = main(["bounds", "--instance", str(dump8), "--brute-force"])
     assert rc == 0

@@ -36,6 +36,7 @@ from qlrc.construct import (
     LocalityTooSmall,
 )
 from qlrc.errors import ConstructionError, InputError
+from qlrc.field import FieldElement, FieldMismatch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -608,8 +609,50 @@ def test_encode_linear_and_weight(inst8):
         w1, w2 = encode(inst8, m1), encode(inst8, m2)
         ws = encode(inst8, [a + b for a, b in zip(m1, m2)])
         assert ws == [a + b for a, b in zip(w1, w2)]
-    with pytest.raises(LengthMismatch):
-        encode(inst8, zero_msg + [f.zero()])
+
+
+def test_encode_matches_the_axpy_loop(
+    inst32, inst8, inst7, inst4, inst9x, translation_instance, axpy_combination, combination_messages
+):
+    """encode combines the rows as the axpy loop did, on the five fixtures,
+    the GF(2^16) spec and the odd-p translation codes over GF(27) and
+    GF(25), for int and FieldElement messages alike; its word is elements."""
+    spec = json.loads((PERFBENCH / "specs" / "q65536_n32_k19.json").read_text())
+    insts = [inst32, inst8, inst7, inst4, inst9x, instance_from_spec(spec)]
+    insts += [translation_instance(3, 3, 18), translation_instance(5, 2, 15)]
+    for inst in insts:
+        f, rng = inst.field, Xorshift64Star(inst.n)
+        for msg in combination_messages(f, inst.k, rng):
+            want = axpy_combination(f, inst.matrix_c, inst.n, msg)
+            word = encode(inst, msg)
+            assert all(type(c) is FieldElement for c in word)
+            assert [c.value() for c in word] == want
+            assert encode(inst, f.from_ints(msg)) == word
+
+
+def test_encode_rejects_bad_messages(inst8, inst32):
+    f, k = inst8.field, inst8.k
+    for wrong in (k - 1, k + 1):
+        with pytest.raises(LengthMismatch, match=f"message length {wrong} != k = 5"):
+            encode(inst8, [0] * wrong)
+    for bad in (f.q, -1):
+        with pytest.raises(InputError, match="outside"):
+            encode(inst8, [1] * (k - 1) + [bad])
+    with pytest.raises(FieldMismatch):
+        encode(inst8, [1] * (k - 1) + [inst32.field.one()])
+
+
+def test_encode_names_the_first_ragged_generator_row(inst8):
+    """A generator row whose length is not n raises LengthMismatch, naming
+    the first such row, before any arithmetic: every message fails alike,
+    the zero message too."""
+    rows = [list(row) for row in inst8.matrix_c]
+    rows[3].pop()
+    rows[4].append(0)
+    ragged = dataclasses.replace(inst8, matrix_c=tuple(map(tuple, rows)))
+    for msg in ([0] * inst8.k, [1] * inst8.k, [0, 0, 0, 0, 1]):
+        with pytest.raises(LengthMismatch, match=r"^generator_c row 3 has length 7 != n = 8$"):
+            encode(ragged, msg)
 
 
 def test_nonzero_codewords_respect_degree_bound(inst8):

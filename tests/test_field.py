@@ -488,3 +488,25 @@ def test_exp_log_tables_consistent_at_the_cap():
             assert ref.mul(ref.vec(exp[i]), g) == ref.vec(exp[i + 1])
     finally:
         field_mod._TABLES.pop((f.p, f.m, f.modulus), None)  # about 100 MB
+
+
+# --- Field.combiner against the axpy loop it replaces in encode ----------------
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 5), (2, 16), (3, 1), (3, 5), (5, 2), (3, 4)])
+def test_combiner_matches_the_axpy_loop(p, m, axpy_combination, combination_messages):
+    """On seeded rows holding 0 and q - 1 among random entries; a single
+    coefficient x^b gives its row times x^b entry by entry, which in
+    characteristic 2 is a packed table entry of the kernel."""
+    f, rng = Field(p, m), Xorshift64Star(100 * p + m)
+    for k, n in [(1, 1), (4, 7), (9, 33)]:
+        rows = [[rng.below(f.q) for _ in range(n)] for _ in range(k)]
+        rows[0][0], rows[-1][-1] = 0, f.q - 1
+        combine = f.combiner(rows, n)
+        for coeffs in combination_messages(f, k, rng):
+            assert combine(coeffs) == axpy_combination(f, rows, n, coeffs)
+        for b in range(m):
+            for i, row in enumerate(rows):
+                single = [0] * i + [p**b] + [0] * (k - 1 - i)
+                assert combine(single) == [f.mul(p**b, x) for x in row]
+    assert f.combiner([], 3)([]) == [0, 0, 0]
