@@ -8,7 +8,18 @@ which is what makes these groups useful for block structure.
 
 Subgroups are either given by an explicit closed set of maps or generated
 from a pair (M, B): a multiplicative subgroup M of a subfield K and a
-K-subspace B of the field, giving {a*x + b : a in M, b in B}.
+K-subspace B of the field, giving {a*x + b : a in M, b in B}.  Each one is
+proven a group once, by the argument its origin supplies:
+
+- an explicit map set (AglSubgroup(field, maps), an "explicit" descriptor)
+  by its closure under composition alone;
+- raw (K, M, B) input (subgroup_from_MB) by its structure: M a subgroup of
+  K*, B a K-subspace;
+- an "MB" descriptor (subgroup_from_generators) by construction, since
+  M = <m_gen> and B = span_K(basis); only m_gen in K* is checked;
+- a derived subgroup (the GF(q^2) image that construct.build_evaluation_set
+  embeds, and stabilizer_split's Theta) not at all: the image of a group
+  under a field embedding, and a stabilizer, are groups.
 
 Maps, orbits and base points are integer encodings (see field.py), worked
 with the field's integer operations; entry points also take FieldElement
@@ -56,29 +67,37 @@ class AffineMap(NamedTuple):
 class AglSubgroup:
     """A finite subgroup of the affine maps over one field.
 
-    Construction coerces each map through Field.ints and verifies the group
-    axioms: identity present, closure under inverse, closure under
-    composition (_check_closed).  subfield_degree is set when the maps are
-    {a*x + b : a in M, b in B} over the subfield of that degree, as
-    subgroup_from_MB checks; the descriptor then reads M and B back from the
-    maps.  apply, compose and inverse take any map over the field.
+    The constructor coerces each explicit map through Field.ints and proves
+    the set a group by its closure under composition (_check_closed): a
+    finite, nonempty set closed under composition holds the identity and
+    every inverse.  The other origins (see the module docstring) carry their
+    own proof and store their maps through _proven, which alone sets
+    subfield_degree: the degree of K when the maps are {a*x + b : a in M,
+    b in B}, as subgroup_from_MB or an MB descriptor showed, so that the
+    descriptor reads M and B back from the maps.  apply, compose and inverse
+    take any map over the field.
     """
 
-    def __init__(self, field: Field, maps, subfield_degree: int | None = None):
-        self.field = field
+    def __init__(self, field: Field, maps):
         mapset = {AffineMap(*field.ints(t)) for t in maps}
         if any(not t.a for t in mapset):
             raise InputError("affine map needs an invertible linear part")
-        self.maps = tuple(sorted(mapset))
-        self.subfield_degree = subfield_degree
-        if not self.maps:
+        if not mapset:
             raise NotSubgroup("a subgroup cannot be empty")
-        if (1, 0) not in mapset:
-            raise NotSubgroup("identity map missing")
-        for f in self.maps:
-            if self.inverse(f) not in mapset:
-                raise NotSubgroup(f"inverse of (x -> {self.polynomial(f)!r}) missing")
+        self._store(field, mapset, None)
         self._check_closed(mapset)
+
+    @classmethod
+    def _proven(cls, field: Field, maps, subfield_degree: int | None = None) -> AglSubgroup:
+        """The subgroup of the AffineMaps maps, which the caller has proven a group."""
+        sub = cls.__new__(cls)
+        sub._store(field, maps, subfield_degree)
+        return sub
+
+    def _store(self, field: Field, maps, subfield_degree: int | None) -> None:
+        self.field = field
+        self.maps = tuple(sorted(maps))
+        self.subfield_degree = subfield_degree
 
     def _check_closed(self, mapset: set[AffineMap]) -> None:
         """Raise NotSubgroup unless the maps are closed under composition.
@@ -88,8 +107,10 @@ class AglSubgroup:
         composing on the right with every generator, each product checked
         against the set.  The words then reach every map and never leave
         the set, so the set is exactly the words in its generators, which
-        are closed under composition.  Every new generator at least doubles
-        the words, so this costs at most |H| * log2|H| compositions.
+        are closed under composition.  A generator's powers come back to
+        the identity, so a set without it fails too.  Every new generator at
+        least doubles the words, so this costs at most |H| * log2|H|
+        compositions.
         """
         gens: list[AffineMap] = []
         words = {AffineMap(1, 0)}
@@ -244,24 +265,31 @@ def subgroup_from_MB(field: Field, k_degree: int, M, B) -> AglSubgroup:
     for _, span in _k_span(field, K, sorted(bset)):
         if not span <= bset:
             raise NotSubspace(f"B is not closed: its K-span holds {field.show(min(span - bset))}")
-    maps = [AffineMap(a, b) for a in mset for b in bset]
-    return AglSubgroup(field, maps, subfield_degree=k_degree)
+    return AglSubgroup._proven(field, [AffineMap(a, b) for a in mset for b in bset], k_degree)
 
 
 def subgroup_from_generators(field: Field, k_degree: int, m_gen, basis) -> AglSubgroup:
-    """subgroup_from_MB with M the powers of m_gen and B the K-span of basis,
-    all given as integer encodings."""
+    """{a*x + b : a in M, b in B} with M the powers of m_gen and B the K-span
+    of basis, all given as integer encodings.
+
+    M and B are a group and a K-subspace by construction, so only m_gen is
+    checked, before M is walked: nonzero, and in K* (a root of x^|K*| - 1),
+    whose subgroup M then is.  The messages are subgroup_from_MB's.
+    """
     if not m_gen:
         raise NotSubgroup("M generator must be nonzero")
+    K = _subfield(field, k_degree)
+    if field.power(m_gen, len(K) - 1) != 1:
+        raise NotSubgroup("M must sit inside the subfield's nonzero elements")
     M = {1}
     x = m_gen
     while x not in M:
         M.add(x)
         x = field.mul(x, m_gen)
     B = {0}
-    for _, B in _k_span(field, _subfield(field, k_degree), basis):
+    for _, B in _k_span(field, K, basis):
         pass
-    return subgroup_from_MB(field, k_degree, M, B)
+    return AglSubgroup._proven(field, [AffineMap(a, b) for a in M for b in B], k_degree)
 
 
 def subgroup_from_descriptor(field: Field, d: dict) -> AglSubgroup:
@@ -351,7 +379,8 @@ def stabilizer_split(
             moved.append((t, diff))
         else:
             kept.append(t)
-    return AglSubgroup(subgroup.field, kept), moved
+    # a stabilizer is a group: gamma(s(t(x))) = gamma(t(x)) = gamma(x) for s, t in Theta
+    return AglSubgroup._proven(subgroup.field, kept), moved
 
 
 def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:

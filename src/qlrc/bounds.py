@@ -396,8 +396,8 @@ def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> Schreier
 
     The orbit must be a single full-size (free) orbit of the subgroup and
     theta a proper subgroup of it.  The complement generating set is closed
-    under inverses because theta is, as AglSubgroup checks when it is built,
-    so the graph is undirected; freeness rules out both self-loops and
+    under inverses because theta, a subgroup, is, so the graph is
+    undirected; freeness rules out both self-loops and
     repeated edges, and the adjacency matrix is the all-ones matrix minus
     the corresponding stabilizer graph.
     """

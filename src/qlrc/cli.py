@@ -182,6 +182,9 @@ def _cmd_repair(args) -> int:
         erasures = [(f"position {z}:", z)]
     if not inst.n:
         raise InputError("the instance has n = 0: no position to repair")
+    problem = construct_mod.structure_problem(inst)  # verify's deterministic checks, as in bounds
+    if problem:
+        raise VerificationError(problem)
 
     lines: list[str] = []
     reads: list[int] = []

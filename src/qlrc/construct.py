@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 from .agl import (
+    AffineMap,
     AglSubgroup,
     GoodPolynomial,
     good_polynomial,
@@ -363,9 +364,11 @@ def build_evaluation_set(
     sol = solve_multipliers(fld, points)
     if sol.extended:
         emb, big, sub = sol.embedding, sol.field, good.subgroup
+        # a field embedding maps the group sub onto a group: no proof is needed
+        image = [AffineMap(emb(a), emb(b)) for a, b in sub]
         good = GoodPolynomial(
             Polynomial._from_ints(big, [emb(c) for c in good.g.coeffs]),
-            AglSubgroup(big, [(emb(a), emb(b)) for a, b in sub], sub.subfield_degree),
+            AglSubgroup._proven(big, image, sub.subfield_degree),
             emb(good.base_point),
         )
     return EvaluationSet(

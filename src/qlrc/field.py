@@ -273,6 +273,8 @@ class Field:
             raise NotPrime(f"characteristic {p!r} is not prime")
         if m < 1:
             raise InputError(f"extension degree {m!r} must be a positive integer")
+        if m > MAX_FIELD_ORDER.bit_length() - 1:  # p >= 2, so q >= 2^m: reject before forming q
+            raise FieldTooLarge(f"GF({p}^{m}) has more than 2^20 elements")
         q = p**m
         if q > MAX_FIELD_ORDER:
             raise FieldTooLarge(f"GF({p}^{m}) has {q} > 2^20 elements")

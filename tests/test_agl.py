@@ -1,5 +1,8 @@
 """Affine maps, subgroups, orbits, and block-constant polynomials."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from qlrc import (
@@ -13,6 +16,7 @@ from qlrc import (
     subgroup_from_descriptor,
     theta_subgroup,
 )
+from qlrc import agl, bounds, construct
 from qlrc.agl import (
     AffineMap,
     AglSubgroup,
@@ -26,6 +30,9 @@ from qlrc.agl import (
 )
 from qlrc.cli import main
 from qlrc.errors import InputError
+from qlrc.field import field_from_descriptor
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _additive32(field):
@@ -148,35 +155,32 @@ def _accepted(field, maps) -> bool:
     return True
 
 
-def _closure_accepted(field, maps) -> bool:
-    """The composition check alone, without the inverse check before it."""
-    sub = AglSubgroup(field, [AffineMap(1, 0)])
-    sub.maps = tuple(sorted(maps))
-    try:
-        sub._check_closed(set(maps))
-    except NotSubgroup:
-        return False
-    return True
+def _search_groups(q, monkeypatch):
+    """The subgroups that qlrc search builds over GF(q), none of them proven
+    by closure: they come through AglSubgroup._proven."""
+    built = []
+    proven = AglSubgroup._proven
+
+    def record(field, maps, subfield_degree=None):
+        built.append(proven(field, maps, subfield_degree))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AglSubgroup, "_proven", record)
+        assert main(["search", "--q", str(q)]) == 0
+    return built
 
 
 @pytest.mark.parametrize("q", [8, 9, 16])
 def test_closure_check_matches_the_exhaustive_check(q, monkeypatch):
     """The groups that qlrc search builds, each of them with one map and its
-    inverse removed or one outside map and its inverse added, random sets
-    with and without their inverses, and products <s><t> of two cyclic
-    groups get the verdict of the exhaustive check, with and without the
-    inverse check in front.  A product is a set that few generators reach,
-    closed only when its factors commute as sets."""
-    groups = []
-    init = AglSubgroup.__init__
-
-    def record(self, field, maps, subfield_degree=None):
-        groups.append((field, {AffineMap(*field.ints(t)) for t in maps}))
-        init(self, field, maps, subfield_degree)
-
-    monkeypatch.setattr(AglSubgroup, "__init__", record)
-    assert main(["search", "--q", str(q)]) == 0
-    monkeypatch.setattr(AglSubgroup, "__init__", init)
+    inverse removed, with the identity removed, or with one outside map and
+    its inverse added, random sets with and without their inverses and with
+    and without the identity, and products <s><t> of two cyclic groups get
+    the verdict of the exhaustive check from the closure check alone.  A
+    product is a set that few generators reach, closed only when its
+    factors commute as sets."""
+    groups = [(sub.field, set(sub.maps)) for sub in _search_groups(q, monkeypatch)]
     fld = groups[0][0]
     identity = AffineMap(1, 0)
     ambient = AglSubgroup(fld, [identity])
@@ -196,18 +200,22 @@ def test_closure_check_matches_the_exhaustive_check(q, monkeypatch):
     for _, maps in groups:
         h = sorted(maps)[1 + rng.below(len(maps) - 1)]
         t = random_map()
-        cases += [maps, maps - {h, ambient.inverse(h)}, maps | {t, ambient.inverse(t)}]
+        cases += [maps, maps - {h, ambient.inverse(h)}, maps - {identity}]
+        cases.append(maps | {t, ambient.inverse(t)})
     for _ in range(300):
         picked = {random_map() for _ in range(1 + rng.below(6))}
         cases.append({identity} | picked | {ambient.inverse(t) for t in picked})
+        cases.append((picked | {ambient.inverse(t) for t in picked}) - {identity})
         cases.append({identity} | {random_map() for _ in range(1 + rng.below(12))})
+        cases.append({random_map() for _ in range(1 + rng.below(12))} - {identity})
     for _ in range(60):
         s, t = powers(random_map()), powers(random_map())
         cases.append({ambient.compose(a, b) for a in s for b in t})
+    cases = [maps for maps in cases if maps]
     verdicts = [_closed_exhaustively(fld, maps) for maps in cases]
     assert [_accepted(fld, maps) for maps in cases] == verdicts
-    assert [_closure_accepted(fld, maps) for maps in cases] == verdicts
-    assert all(_accepted(fld, maps) for _, maps in groups) and verdicts.count(False) > 500
+    assert all(_accepted(fld, maps) for _, maps in groups) and verdicts.count(False) > 1000
+    assert sum(identity not in maps for maps in cases) > 600
 
 
 def test_subgroup_from_MB_validation():
@@ -561,3 +569,139 @@ def test_orbit_of_fixed_base_point():
     sub = _additive32(f)
     orb = sub.orbit(f.zero())
     assert orb == [0, 1, f.gen().value(), f.gen().value() ^ 1]
+
+
+def test_public_constructor_cannot_label_a_group_as_mb():
+    """{x, -x + 1} over GF(9) is a group but no {a*x + b : a in M, b in B}:
+    labelled with a subfield degree it would write an MB descriptor that
+    reloads as {x, -x}.  The constructor takes no such label, and an
+    explicit set writes an explicit descriptor."""
+    f = Field(3, 2)
+    one = f.one()
+    maps = [(one, f.zero()), (-one, one)]
+    with pytest.raises(TypeError):
+        AglSubgroup(f, maps, subfield_degree=1)
+    sub = AglSubgroup(f, maps)
+    assert sub.descriptor()["kind"] == "explicit"
+    assert subgroup_from_descriptor(f, sub.descriptor()) == sub
+
+
+def test_mb_descriptor_checks_its_generator_before_walking_m(monkeypatch):
+    """subgroup_from_generators raises what subgroup_from_MB raised on the
+    same M and B, in the same order, and multiplies nothing when m_gen
+    fails: a zero generator, a K degree that does not divide m, or a
+    generator outside K*."""
+    f = Field(2, 18)
+    gen = f.primitive_element().value()
+    calls = []
+    mul = Field.mul
+    monkeypatch.setattr(Field, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    with pytest.raises(NotSubgroup, match="^M generator must be nonzero$"):
+        subgroup_from_generators(f, 5, 0, [1])
+    with pytest.raises(NotSubfield, match="^degree 5 does not divide 18$"):
+        subgroup_from_generators(f, 5, gen, [1])
+    with pytest.raises(NotSubgroup, match="^M must sit inside the subfield's nonzero elements$"):
+        subgroup_from_generators(f, 6, gen, [1])
+    assert not calls
+    k64 = f.subfield_elements(6)
+    sub = subgroup_from_generators(f, 6, k64[2], [1])
+    assert sub == subgroup_from_MB(f, 6, {t.a for t in sub}, set(k64))
+
+
+def _proofs(monkeypatch):
+    """Count the closure proofs (_check_closed) and the structural proofs
+    (subgroup_from_MB) that follow."""
+    counts = {"closure": 0, "MB": 0}
+    closed, from_mb = AglSubgroup._check_closed, agl.subgroup_from_MB
+
+    def closure(self, mapset):
+        counts["closure"] += 1
+        return closed(self, mapset)
+
+    def structure(*args):
+        counts["MB"] += 1
+        return from_mb(*args)
+
+    monkeypatch.setattr(AglSubgroup, "_check_closed", closure)
+    monkeypatch.setattr(agl, "subgroup_from_MB", structure)
+    return counts
+
+
+def test_each_subgroup_is_proven_once_by_its_origin(monkeypatch):
+    """Loading a shipped dump, checking its structure and auditing it prove
+    no subgroup again; subgroup_from_MB proves its (M, B) structure once and
+    nothing more; an explicit descriptor proves its closure once."""
+    counts = _proofs(monkeypatch)
+    for path in sorted((PERFBENCH / "dumps").glob("*.json")):
+        inst = construct.instance_from_dump(json.loads(path.read_text()))
+        assert construct.structure_problem(inst) is None
+        assert bounds.weight_bound_audit(inst, trials=5).ok
+    assert counts == {"closure": 0, "MB": 0}
+    f = Field(2, 4)
+    k4 = f.subfield_elements(2)
+    sub = agl.subgroup_from_MB(f, 2, set(k4) - {0}, set(k4))
+    assert counts == {"closure": 0, "MB": 1}
+    explicit = AglSubgroup._proven(f, sub.maps).descriptor()  # no subfield degree, no proof
+    assert explicit["kind"] == "explicit" and counts == {"closure": 0, "MB": 1}
+    assert subgroup_from_descriptor(f, explicit) == sub
+    assert counts == {"closure": 1, "MB": 1}
+
+
+def _assert_closed(sub):
+    sub._check_closed(set(sub.maps))  # raises NotSubgroup unless closed
+
+
+def test_specs_build_closed_subgroups(monkeypatch):
+    """The subgroup of each perfbench spec, and its GF(q^2) image where the
+    build extends, are closed under composition, although neither is
+    proven when it is built."""
+    monkeypatch.setattr(construct, "build_code", lambda es, k, seed: es)
+    extended = 0
+    for path in sorted((PERFBENCH / "specs").glob("*.json")):
+        spec = json.loads(path.read_text())
+        sub = subgroup_from_descriptor(field_from_descriptor(spec["field"]), spec["subgroup"])
+        es = construct.instance_from_spec(spec)
+        for group in (sub, es.good.subgroup):
+            _assert_closed(group)
+        extended += es.extended
+        assert len(es.good.subgroup) == len(sub)
+    assert extended == 1
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 25, 27, 32, 64])
+def test_search_builds_closed_subgroups(q, monkeypatch, capsys):
+    """Every group that qlrc search builds from an MB pair is closed."""
+    built = _search_groups(q, monkeypatch)
+    capsys.readouterr()
+    assert built
+    for sub in built:
+        _assert_closed(sub)
+
+
+def test_stabilizers_are_closed(monkeypatch):
+    """Theta of x^p - x is the translations by GF(p) in H, a nontrivial
+    proper subgroup, and every Theta of the flagship's 40-trial audit is
+    closed; none of them is proven when it is built."""
+    orders = []
+    for f, sub in _oracle_groups().values():
+        x = Polynomial.x(f)
+        theta = theta_subgroup(sub, x**f.p - x)
+        _assert_closed(theta)
+        prime = set(f.subfield_elements(1))
+        assert set(theta.maps) == {t for t in sub if t.a == 1 and t.b in prime}
+        orders.append(len(theta))
+    assert orders == [2, 1, 3]  # additive, multiplicative, odd
+    thetas = []
+    split = bounds.stabilizer_split
+
+    def record(subgroup, gamma):
+        out = split(subgroup, gamma)
+        thetas.append(out[0])
+        return out
+
+    monkeypatch.setattr(bounds, "stabilizer_split", record)
+    dump = json.loads((PERFBENCH / "dumps" / "q32_n32_k19.json").read_text())
+    assert bounds.weight_bound_audit(construct.instance_from_dump(dump), trials=40).ok
+    assert len(thetas) == 40
+    for theta in thetas:
+        _assert_closed(theta)

@@ -6,8 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from qlrc import Field, instance_to_dump, subgroup_from_MB
+from qlrc import (
+    Field,
+    Xorshift64Star,
+    construct,
+    encode,
+    instance_from_dump,
+    instance_to_dump,
+    repair,
+    subgroup_from_MB,
+)
 from qlrc.cli import main
+from qlrc.errors import InputError
 
 SHIPPED = Path(__file__).resolve().parent.parent / "perfbench" / "dumps"
 
@@ -355,6 +365,18 @@ def test_malformed_specs_exit_2(tmp_path, capsys, edit):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("m", [20000, 10**8])
+def test_huge_field_degree_exits_5(tmp_path, capsys, m):
+    """"m": 20000 died with a ValueError traceback (exit 1) while printing
+    2^20000 in the FieldTooLarge message; "m": 10^8 first built 2^(10^8)."""
+    spec = json.loads((SHIPPED.parent / "specs" / "q8_n8_k5.json").read_text())
+    spec["field"]["m"] = m
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["construct", "--spec", str(path)]) == 5
+    assert capsys.readouterr() == ("", f"error: GF(2^{m}) has more than 2^20 elements\n")
+
+
 @pytest.mark.parametrize(
     "key, edit",
     [
@@ -422,21 +444,43 @@ def test_dumped_alpha_is_checked(tmp_path, capsys, alpha, rc):
     ids=["point0-is-point1", "u0-zero"],
 )
 def test_repair_fails_only_where_the_damage_is_read(tmp_path, capsys, key, edit, codes):
-    """Block 0 is [0, 1, 2, 3].  Erasing 0 repairs through the block's other
-    points to the wrong symbol; erasing a mate reads the damage and cannot
-    solve; the other block is untouched."""
+    """qlrc repair certifies the dump first, so every erasure exits 4 on its
+    gate with nothing repaired.  The library repair still fails only where
+    it reads the damage.  Block 0 is [0, 1, 2, 3].  Erasing 0 repairs
+    through the block's other points to the wrong symbol (once exit 4).
+    Erasing a mate reads the damage and cannot solve (once exit 2).  The
+    other block is untouched."""
     bad = _edited_dump(tmp_path, "q8_n8_k5", **{key: edit})
-    for z, rc in codes.items():
-        assert main(["repair", "--instance", str(bad), "--erase", str(z)]) == rc, z
+    for z in codes:
+        assert main(["repair", "--instance", str(bad), "--erase", str(z)]) == 4, z
         captured = capsys.readouterr()
-        assert ("MISMATCH" in captured.out) == (rc == 4)
+        assert captured.out == ""
+        assert captured.err.startswith("error: multiplier-power-sums: ")
+    inst = instance_from_dump(json.loads(bad.read_text()))
+    rng = Xorshift64Star(1)  # the message that `--erase z --seed 1` encoded
+    word = encode(inst, [rng.below(inst.field.q) for _ in range(inst.k)])
+    for z, rc in codes.items():
+        received = [*word[:z], None, *word[z + 1 :]]
+        if rc == 2:
+            with pytest.raises(InputError):
+                repair(inst, received, z)
+        else:
+            assert (repair(inst, received, z) == word[z]) == (rc == 0), z
 
 
 @pytest.mark.parametrize("argv", [["--trials", "3"], ["--erase", "all"], ["--erase", "0"]])
-def test_repair_that_reads_more_than_r_fails(tmp_path, capsys, argv):
-    """One block of all eight points repairs every symbol exactly but reads
-    7 > r = 3 of them, which the README counts as a verification failure."""
+def test_repair_that_reads_more_than_r_fails(tmp_path, capsys, monkeypatch, argv):
+    """One block of all eight points fails the gate: the block polynomial
+    has degree 4, not 8.  Without the gate, the dump repairs every symbol
+    exactly but reads 7 > r = 3 of them, which the README counts as a
+    verification failure."""
     wide = _edited_dump(tmp_path, "q8_n8_k5", blocks=lambda v: [list(range(8))])
+    assert main(["repair", "--instance", str(wide), *argv]) == 4
+    assert capsys.readouterr() == (
+        "",
+        "error: block-polynomial-constancy: block polynomial degree 4 != 8\n",
+    )
+    monkeypatch.setattr(construct, "structure_problem", lambda inst: None)
     assert main(["repair", "--instance", str(wide), *argv]) == 4
     captured = capsys.readouterr()
     assert "MISMATCH" not in captured.out and captured.out.endswith(", 7 reads each\n")
@@ -456,8 +500,9 @@ def test_repair_of_an_empty_instance_exits_2(tmp_path, capsys, argv):
 
 def test_ragged_generator_row_is_named_before_any_arithmetic(tmp_path, capsys):
     """generator_c[3] one element short on the flagship: local-repair names
-    the row where it failed with an IndexError, and repair exits 2 where it
-    died with an IndexError traceback."""
+    the row where it failed with an IndexError.  repair, which died with an
+    IndexError traceback and then exited 2 naming the row, now stops at its
+    gate with exit 4, as bounds does."""
     bad = _edited_dump(tmp_path, "q32_n32_k19", generator_c=lambda v: [*v[:3], v[3][:-1], *v[4:]])
     detail = "generator_c row 3 has length 31 != n = 32"
     assert main(["verify", "--instance", str(bad), "--trials", "5"]) == 4
@@ -465,8 +510,9 @@ def test_ragged_generator_row_is_named_before_any_arithmetic(tmp_path, capsys):
     assert main(["bounds", "--instance", str(bad)]) == 4
     capsys.readouterr()
     for argv in (["--erase", "all"], ["--erase", "0"], ["--trials", "3"]):
-        assert main(["repair", "--instance", str(bad), *argv]) == 2
-        assert capsys.readouterr() == ("", f"error: {detail}\n")
+        assert main(["repair", "--instance", str(bad), *argv]) == 4
+        gate = "generator-ranks: big generator is not 19 rows of length 32"
+        assert capsys.readouterr() == ("", f"error: {gate}\n")
 
 
 def test_bounds_brute_force_adds_exact_distance(dump8, capsys):

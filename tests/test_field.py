@@ -73,6 +73,19 @@ def test_bad_parameters_rejected():
             Field(p, 1)
     with pytest.raises(FieldTooLarge):
         Field(2, 21)
+    with pytest.raises(FieldTooLarge, match=r"^GF\(3\^13\) has 1594323 > 2\^20 elements$"):
+        Field(3, 13)
+
+
+@pytest.mark.parametrize("m", [21, 20000, 10**9])
+def test_huge_degree_is_rejected_before_q_is_formed(m):
+    """2^20000 once reached the FieldTooLarge message as a 6021-digit
+    number, past Python's integer-to-string limit; m > 20 now fails before
+    q = p^m exists, and a composite p still fails as NotPrime first."""
+    with pytest.raises(FieldTooLarge, match=rf"^GF\(2\^{m}\) has more than 2\^20 elements$"):
+        Field(2, m)
+    with pytest.raises(NotPrime):
+        Field(4, m)
 
 
 @pytest.mark.parametrize(
