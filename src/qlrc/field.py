@@ -273,11 +273,10 @@ class Field:
             raise NotPrime(f"characteristic {p!r} is not prime")
         if m < 1:
             raise InputError(f"extension degree {m!r} must be a positive integer")
-        if m > MAX_FIELD_ORDER.bit_length() - 1:  # p >= 2, so q >= 2^m: reject before forming q
+        # p >= 2, so q >= 2^m: a huge m fails before q = p^m is formed.
+        if m > MAX_FIELD_ORDER.bit_length() - 1 or p**m > MAX_FIELD_ORDER:
             raise FieldTooLarge(f"GF({p}^{m}) has more than 2^20 elements")
         q = p**m
-        if q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"GF({p}^{m}) has {q} > 2^20 elements")
         self.p = p
         self.m = m
         self.q = q

@@ -668,9 +668,10 @@ def test_specs_build_closed_subgroups(monkeypatch):
     assert extended == 1
 
 
-@pytest.mark.parametrize("q", [8, 9, 16, 25, 27, 32, 64])
+@pytest.mark.parametrize("q", [25, 27, 32, 64])
 def test_search_builds_closed_subgroups(q, monkeypatch, capsys):
-    """Every group that qlrc search builds from an MB pair is closed."""
+    """Every group that qlrc search builds from an MB pair is closed; for
+    q in {8, 9, 16} the closure-check test above proves this already."""
     built = _search_groups(q, monkeypatch)
     capsys.readouterr()
     assert built

@@ -71,10 +71,9 @@ def test_bad_parameters_rejected():
     for p in (-3, 0, 9, 221):
         with pytest.raises(NotPrime, match=f"^characteristic {p} is not prime$"):
             Field(p, 1)
-    with pytest.raises(FieldTooLarge):
-        Field(2, 21)
-    with pytest.raises(FieldTooLarge, match=r"^GF\(3\^13\) has 1594323 > 2\^20 elements$"):
-        Field(3, 13)
+    for p, m in ((2, 21), (3, 13)):  # m past the cap; m within it but p^m past it
+        with pytest.raises(FieldTooLarge):
+            Field(p, m)
 
 
 @pytest.mark.parametrize("m", [21, 20000, 10**9])

@@ -139,7 +139,12 @@ def test_bounds_certifies_exactly_what_verify_accepts(tmp_path, capsys, path):
         capsys.readouterr()
         wrong += verify != 0
         expected = base if verify == 0 else verify
-        if verify not in (0, 2, 4) or bounds != expected or (repair == 0) != (verify == 0):
+        if (
+            verify not in (0, 2, 4)
+            or bounds != expected
+            or repair not in (0, 2, 4)
+            or (repair == 0) != (verify == 0)
+        ):
             disagreements.append(f"{name}: verify {verify}, bounds {bounds}, repair {repair}")
     assert not disagreements
     assert seen > 50 and wrong > seen // 2
