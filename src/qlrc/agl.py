@@ -154,9 +154,6 @@ class AglSubgroup:
     def __iter__(self):
         return iter(self.maps)
 
-    def __contains__(self, f):
-        return f in set(self.maps)
-
     def __eq__(self, other):
         return (
             isinstance(other, AglSubgroup)

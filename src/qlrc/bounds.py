@@ -35,10 +35,10 @@ from fractions import Fraction
 from .agl import AglSubgroup, stabilizer_split, theta_subgroup  # noqa: F401
 from .construct import (
     CodeInstance,
+    _largest_degree_closed_form,
     check_shape,
     dual_positions,
     encode,
-    exponent_sets,
     g_powers,
     structure_problem,
 )
@@ -198,13 +198,16 @@ def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams
 def sweep_rows(n: int, r: int):
     """(kappa, degree_bound, agl_bound_int) for every admissible dimension.
 
-    n and r pass the shape checks of exponent_sets first.
+    n and r pass the shape checks of exponent_sets first.  ell comes from
+    the closed form that exponent_sets confirms against its enumeration of
+    s1 on every build, so a row costs O(1) and not O(k).
     """
     check_shape(n, r)
+    u = n // (r + 1)
     rows = []
     for k in range(n // 2 + 1, n * r // (r + 1) + 1):
-        exps = exponent_sets(n, k, r)
-        rows.append((2 * k - n, degree_bound(n, r, exps.ell), agl_bound(n, r, exps.ell).ceiling))
+        ell = _largest_degree_closed_form(k - u, r)
+        rows.append((2 * k - n, degree_bound(n, r, ell), agl_bound(n, r, ell).ceiling))
     return rows
 
 
@@ -518,10 +521,11 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     divide each other difference by t(x) - x, multiply the quotients into
     the quotient-product polynomial, and confirm its degree cap and that its
     root count in the evaluation set dominates the count of same-orbit zero
-    pairs.  The roots are counted by dividing by x - a while the remainder,
-    the value at a, is zero.  Raises InputError when trials < 1, since an
-    audit of no sample would pass, and VerificationError, through
-    dual_positions, when the instance fails structure_problem.
+    pairs.  A root a is found by evaluating at a (Horner), and its
+    multiplicity by dividing by x - a while the value at a stays zero.
+    Raises InputError when trials < 1, since an audit of no sample would
+    pass, and VerificationError, through dual_positions, when the instance
+    fails structure_problem.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
@@ -543,7 +547,6 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         (idx, gpows[j].shift(i).coeffs) for idx, (i, j) in enumerate(s_pairs) if (i, j) in s1set
     ]
     gamma_size = max((len(mono) for _, mono in gamma_terms), default=0)
-    linear_factors = [Polynomial._from_ints(fld, [fld.neg(x), 1]) for x in es.points]
     outside = [i for i in range(inst.k) if i not in in_d]
 
     out: list[AuditTrial] = []
@@ -595,13 +598,10 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
                     pair_count += 1
         root_count = 0
         gg = bigg
-        for factor in linear_factors:
-            # the remainder by x - a is gg(a): divide while it is zero
-            while gg:
-                quo, rem = divmod(gg, factor)
-                if rem:
-                    break
-                gg = quo
+        for a in es.points:
+            # gg(a) is the remainder by x - a: divide by it while that is zero
+            while gg and not fld.horner(gg.coeffs, a):
+                gg = gg // Polynomial._from_ints(fld, [fld.neg(a), 1])
                 root_count += 1
         if not pair_count <= root_count <= max(gdeg, 0):
             failures.append(

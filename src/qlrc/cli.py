@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import construct as construct_mod
 from .agl import orbits, subgroup_from_generators, subspace_basis
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
-from .field import Field
+from .field import Field, prime_power
 from .rng import Xorshift64Star
 
 
@@ -69,19 +69,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p**m, or InputError when q is not a prime power."""
-    p = bounds_mod.smallest_prime_factor(q)
-    m = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        m += 1
-    if qq != 1:
-        raise InputError(f"q = {q} is not a prime power")
-    return p, m
-
-
 def _read_gg_file(path: str) -> dict[int, str]:
     """User-supplied kappa -> bound column, echoed verbatim into the table.
 
@@ -119,7 +106,7 @@ def _cmd_bounds(args) -> int:
         if args.n is None or args.r is None or args.q is None:
             raise InputError("--sweep-kappa needs --n, --r, and --q")
         n, r, q = args.n, args.r, args.q
-        _prime_power(q)
+        prime_power(q)
         if n > q:
             raise InputError(f"n = {n} exceeds the field size q = {q}")
         gg = _read_gg_file(args.gg_file) if args.gg_file else None
@@ -222,7 +209,7 @@ def _divisors(n: int) -> list[int]:
 
 def _cmd_search(args) -> int:
     q = args.q
-    p, m = _prime_power(q)
+    p, m = prime_power(q)
     try:
         modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     except ValueError:

@@ -13,7 +13,8 @@ counting) iterates over field elements.
 Code instances and affine-map subgroups store their elements as these
 integers and work on them through the Field's integer operations (add, mul,
 sqrt, axpy, dot, horner, ...); FieldElement objects appear only at the
-public API.
+public API, and each of their operators is one call to the integer
+operation of the same name after the field check.
 Specs and dumps carry elements as lists of exactly m digits; json_element
 and json_int are the one reader of their JSON values.
 
@@ -72,6 +73,21 @@ def _prime_factors(n: int) -> list[int]:
         while n % factors[-1] == 0:
             n //= factors[-1]
     return factors
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p**m.  Raises FieldTooLarge for q > 2**20, before q
+    is factored, and InputError when q is not a prime power."""
+    if q > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"q = {q} exceeds 2^20")
+    p = smallest_prime_factor(q)
+    m, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        m += 1
+    if rest != 1:
+        raise InputError(f"q = {q} is not a prime power")
+    return p, m
 
 
 def _digits(v: int, p: int, m: int) -> list[int]:
@@ -269,6 +285,8 @@ class Field:
         p, m = json_int(p), json_int(m)  # no bool or float slips through
         if modulus is not None:
             modulus = [json_int(c) for c in modulus]
+        if p > MAX_FIELD_ORDER:  # checked before the trial division of p below
+            raise FieldTooLarge(f"characteristic {p} alone exceeds 2^20")
         if p < 2 or smallest_prime_factor(p) != p:
             raise NotPrime(f"characteristic {p!r} is not prime")
         if m < 1:
@@ -694,36 +712,19 @@ class FieldElement:
     def __lt__(self, other):
         return self.v < self._check(other).v
 
-    def __le__(self, other):
-        return self.v <= self._check(other).v
-
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            other = self._check(other)
-        if f.p == 2:
-            return FieldElement(f, self.v ^ other.v)
-        return FieldElement(f, f.add(self.v, other.v))
+        return FieldElement(self.field, self.field.add(self.v, self._check(other).v))
 
     def __sub__(self, other):
-        f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            other = self._check(other)
-        if f.p == 2:
-            return FieldElement(f, self.v ^ other.v)
-        return FieldElement(f, f.sub(self.v, other.v))
+        return FieldElement(self.field, self.field.sub(self.v, self._check(other).v))
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.v))
 
     def __mul__(self, other):
-        f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            other = self._check(other)
-        log = f._log
-        return FieldElement(f, f._exp[log[self.v] + log[other.v]])
+        return FieldElement(self.field, self.field.mul(self.v, self._check(other).v))
 
     def inv(self) -> FieldElement:
         return FieldElement(self.field, self.field.inv(self.v))

@@ -16,8 +16,8 @@ operations, with no call per coefficient along the longer operand:
   coefficient of h;
 - divmod(a, b) with d = deg b takes the quotient from the top down by
   q_s = (a_(s+d) - sum_(j<d) b_j q_(s+d-j)) / b_d, on the field's log/exp
-  tables.  Dividing by x - c then costs one product and one sum per
-  coefficient, and the remainder is the value at c.
+  tables, in one loop whatever d is.  A value at a point comes from
+  Field.horner, not from a division by x - c.
 
 coefficient(), evaluation, repr() and to_lists() wrap integers into
 FieldElement values at the boundary; the constructor coerces and validates
@@ -187,20 +187,14 @@ class Polynomial:
         # count as zero in the sums
         lcs = [log[f.neg(f.mul(x, inv_lead))] for x in b[:-1]]
         ws = [0] * na
-        if d == 1:  # by (x - c_0) b_1: w_i = a_i + c_0 w_(i+1), w_0 the value at c_0
-            lc, lw = lcs[0], zero_log
-            for i in range(na - 1, -1, -1):
-                ws[i] = t = add(a[i], exp[lc + lw])
-                lw = log[t]
-        else:
-            lws = [zero_log] * (na + d)  # log w_i for i >= d
-            for i in range(na - 1, -1, -1):
-                t = a[i]
-                for j, lc in enumerate(lcs):
-                    t = add(t, exp[lc + lws[i + d - j]])
-                ws[i] = t
-                if i >= d:
-                    lws[i] = log[t]
+        lws = [zero_log] * (na + d)  # log w_i for i >= d
+        for i in range(na - 1, -1, -1):
+            t = a[i]
+            for j, lc in enumerate(lcs):
+                t = add(t, exp[lc + lws[i + d - j]])
+            ws[i] = t
+            if i >= d:
+                lws[i] = log[t]
         quo = f.axpy([0] * (na - d), inv_lead, ws[d:])
         return Polynomial._from_ints(f, quo), Polynomial._from_ints(f, ws[:d])
 

@@ -18,6 +18,7 @@ from qlrc import (
     distance_bruteforce,
     encode,
     exact_distance,
+    exponent_sets,
     low_weight_witness,
     quantum_singleton_rhs,
     schreier_graph,
@@ -221,6 +222,20 @@ def test_sweep_rows_frozen_and_monotone():
     assert all(x >= y for x, y in zip(agls, agls[1:]))
     with pytest.raises(InputError):
         sweep_rows(10, 3)
+
+
+def test_sweep_rows_match_exponent_sets():
+    """The sweep reads ell from the closed form; exponent_sets enumerates s1
+    and confirms the same value, at every admissible (n, r, k) up to n = 120."""
+    for n in range(3, 121):
+        for r in range(2, n):
+            if n % (r + 1):
+                continue
+            expected = []
+            for k in range(n // 2 + 1, n * r // (r + 1) + 1):
+                ell = exponent_sets(n, k, r).ell
+                expected.append((2 * k - n, degree_bound(n, r, ell), agl_bound(n, r, ell).ceiling))
+            assert sweep_rows(n, r) == expected, (n, r)
 
 
 # --- exact enumeration ----------------------------------------------------------

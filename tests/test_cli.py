@@ -377,6 +377,34 @@ def test_huge_field_degree_exits_5(tmp_path, capsys, m):
     assert capsys.readouterr() == ("", f"error: GF(2^{m}) has more than 2^20 elements\n")
 
 
+MERSENNE_61 = 2**61 - 1  # prime: trial division of it does not end
+
+
+@pytest.mark.parametrize("p", [MERSENNE_61, 3 * MERSENNE_61])
+def test_huge_characteristic_exits_5(tmp_path, capsys, p):
+    """A p past the cap once went to trial division first: the prime hung
+    and the composite exited 2 as not prime."""
+    spec = json.loads((SHIPPED.parent / "specs" / "q8_n8_k5.json").read_text())
+    spec["field"]["p"] = p
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["construct", "--spec", str(path)]) == 5
+    assert capsys.readouterr() == ("", f"error: characteristic {p} alone exceeds 2^20\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--q"], ["bounds", "--sweep-kappa", "--n", "8", "--r", "3", "--q"]],
+    ids=["search", "sweep"],
+)
+@pytest.mark.parametrize("q", [MERSENNE_61, (1 << 20) + 1])
+def test_field_size_past_the_cap_exits_5(capsys, argv, q):
+    """q is capped before it is factored: search hung on the prime 2^61 - 1,
+    and the sweep never built a field, so it printed rows for any q >= n."""
+    assert main([*argv, str(q)]) == 5
+    assert capsys.readouterr() == ("", f"error: q = {q} exceeds 2^20\n")
+
+
 @pytest.mark.parametrize(
     "key, edit",
     [

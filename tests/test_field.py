@@ -8,6 +8,7 @@ the modulus) that shares nothing with the exp/log/Zech tables.
 """
 
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,23 @@ def test_bad_parameters_rejected():
     for p, m in ((2, 21), (3, 13)):  # m past the cap; m within it but p^m past it
         with pytest.raises(FieldTooLarge):
             Field(p, m)
+    # p past the cap fails before its trial division, which for the prime
+    # 2^61 - 1 does not end
+    for p in ((1 << 20) + 7, 2**61 - 1, 3 * (2**61 - 1)):
+        with pytest.raises(FieldTooLarge, match=rf"^characteristic {p} alone exceeds 2\^20$"):
+            Field(p, 1)
+
+
+def test_prime_power():
+    assert [field_mod.prime_power(q) for q in (2, 8, 9, 1 << 20, 1021)] == [
+        (2, 1), (2, 3), (3, 2), (2, 20), (1021, 1)
+    ]
+    for q in (1, 12, (1 << 20) - 1):
+        with pytest.raises(InputError):
+            field_mod.prime_power(q)
+    for q in ((1 << 20) + 1, 2**61 - 1, 6 << 20):  # capped before any factoring
+        with pytest.raises(FieldTooLarge, match=rf"^q = {q} exceeds 2\^20$"):
+            field_mod.prime_power(q)
 
 
 @pytest.mark.parametrize("m", [21, 20000, 10**9])
@@ -247,10 +265,16 @@ def test_extend_gives_an_embedding():
 
 
 def test_field_mismatch_guard():
-    a = Field(2, 3).one()
-    b = Field(3, 2).one()
-    with pytest.raises(FieldMismatch):
-        a + b
+    """Every binary operator checks its operand before the integer kernel
+    sees it: an element of another field, or no element at all, raises."""
+    a = Field(2, 3).gen()
+    same = Field(2, 3).one()  # an equal field built separately mixes freely
+    foreign = [Field(3, 2).one(), Field(2, 3, [1, 0, 1, 1]).one(), 1, None]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for other in foreign:
+            with pytest.raises(FieldMismatch):
+                op(a, other)
+        assert op(a, same) == op(a, a.field.one())
 
 
 def test_element_roundtrips_and_order():
