@@ -28,7 +28,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or syntax, too many digits or levels
         raise InputError(f"{path} is not valid JSON: {e}") from None
 
 
@@ -44,12 +44,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
-    spec = _load_json(args.spec)
-    inst = construct_mod.instance_from_spec(spec)
-    print(inst.summary())
-    if args.output is not None:
+    inst = construct_mod.instance_from_spec(_load_json(args.spec))
+    if args.output is not None:  # written first: an unwritable path prints no summary
         dump = construct_mod.instance_to_dump(inst)
         _emit(json.dumps(dump, sort_keys=True, indent=2) + "\n", args.output)
+    print(inst.summary())
     return 0
 
 
@@ -75,7 +74,8 @@ def _read_gg_file(path: str) -> dict[int, str]:
     Blank lines and lines starting with # are skipped.  The first other line
     is a header when its first field is not an integer; every data line is
     one integer kappa, a comma and a nonempty value without commas, and no
-    kappa may repeat.  Anything else raises InputError naming the line.
+    kappa may repeat.  Anything else raises InputError naming the line, or
+    only the path when the text is not UTF-8 or a kappa has too many digits.
     """
     table: dict[int, str] = {}
     header_allowed = True
@@ -96,7 +96,7 @@ def _read_gg_file(path: str) -> dict[int, str]:
                 if int(head) in table:
                     raise InputError(f"{path} line {lineno}: kappa {int(head)} given twice")
                 table[int(head)] = rest
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8, a kappa of too many digits
         raise InputError(f"cannot read {path}: {e}") from None
     return table
 

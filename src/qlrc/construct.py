@@ -88,23 +88,22 @@ class MultiplierSolution:
 
 
 def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
-    """prod_{j != i} (x_i - x_j)^-1 for every node x_i, on integer encodings.
+    """The Lagrange weights w_i = prod_{j != i} (x_i - x_j)^-1 of distinct
+    nodes, on integer encodings; the only place these products are formed.
 
-    These are the Lagrange denominators over the nodes: solve_multipliers
-    takes square roots of them over all points, and the repair weights use
-    them over a block's survivors.  Raises DegenerateSet when nodes repeat.
+    sum_i w_i f(x_i) is the x^(N-1) coefficient of the interpolant of f on
+    the N nodes, so it vanishes when deg f <= N - 2, and w spans the kernel
+    of the (N - 1) x N Vandermonde.  The multiplier solve takes square roots
+    of w over all points, the gate compares u^2 with it and repair reads it
+    over a block.  Each w_i is one exp lookup of a sum of logs of x_i - x_j
+    over every j: j = i adds log[0] = 2(q - 1), which vanishes mod q - 1.
+    Raises DegenerateSet when nodes repeat.
     """
     if len(set(xs)) != len(xs):
         raise DegenerateSet("evaluation points repeat")
-    mul, sub = fld.mul, fld.sub
-    out = []
-    for i, xi in enumerate(xs):
-        prod = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                prod = mul(prod, sub(xi, xj))
-        out.append(fld.inv(prod))
-    return out
+    add, log, exp, order = fld.add, fld._log, fld._exp, fld.q - 1
+    negs = [fld.neg(x) for x in xs]
+    return [exp[-sum(log[add(x, y)] for y in negs) % order] for x in xs]
 
 
 def solve_multipliers(fld: Field, points) -> MultiplierSolution:
@@ -114,11 +113,12 @@ def solve_multipliers(fld: Field, points) -> MultiplierSolution:
 
     The square vector is forced up to scaling: u_i^2 must be proportional to
     v_i = prod_{j != i} (a_i - a_j)^{-1}.  In characteristic 2 every element
-    is a square.  For odd q the v_i are scaled by the canonically smallest
-    non-residue when they are uniformly non-square; when their residue
-    classes are mixed no scaling works over GF(q) and everything moves to
-    GF(q^2), where every base-field element is a square.  The result is
-    certified by multiplier-power-sums, one of the checks build_code runs.
+    is a square, so the v_i are all residues.  For odd q the v_i are scaled
+    by the canonically smallest non-residue when they are uniformly
+    non-square; when their residue classes are mixed no scaling works over
+    GF(q) and everything moves to GF(q^2), where every base-field element
+    is a square.  The result is certified by multiplier-power-sums, one of
+    the checks build_code runs.
     """
     points = list(points)
     if len(points) < 2:
@@ -129,19 +129,16 @@ def solve_multipliers(fld: Field, points) -> MultiplierSolution:
     embedding = None
     out_field = fld
     out_points = xs
-    if fld.p == 2:
+    flags = [fld.is_quadratic_residue(vi) for vi in v]
+    if all(flags):
         u = [fld.sqrt(vi) for vi in v]
+    elif not any(flags):
+        c = next(x for x in range(1, fld.q) if not fld.is_quadratic_residue(x))
+        u = [fld.sqrt(fld.mul(c, vi)) for vi in v]
     else:
-        flags = [fld.is_quadratic_residue(vi) for vi in v]
-        if all(flags):
-            u = [fld.sqrt(vi) for vi in v]
-        elif not any(flags):
-            c = next(x for x in range(1, fld.q) if not fld.is_quadratic_residue(x))
-            u = [fld.sqrt(fld.mul(c, vi)) for vi in v]
-        else:
-            out_field, embedding = fld.extend()
-            out_points = [embedding(x) for x in xs]
-            u = [out_field.sqrt(embedding(vi)) for vi in v]
+        out_field, embedding = fld.extend()
+        out_points = [embedding(x) for x in xs]
+        u = [out_field.sqrt(embedding(vi)) for vi in v]
     return MultiplierSolution(
         u=tuple(u),
         field=out_field,
@@ -457,17 +454,21 @@ class CodeInstance:
     def _premises(self) -> tuple[dict[str, str], int, int]:
         """(unmet, d, v) from the raw instance, found once: each failing premise
         of the gate's degree arguments with what is wrong, d = deg g and v
-        the number of values g takes on the points."""
+        the number of values g takes on the points.
+
+        The power sums sum_z u_z^2 a_z^e vanish for e <= n - 2 exactly when
+        u^2 lies in the kernel of the (n - 1) x n Vandermonde.  On distinct
+        points that kernel is spanned by the Lagrange weights w, none zero,
+        so the premise holds when u_z^2 / w_z is one value for every z."""
         es, n, pairs, rows = self.eval_set, self.n, self.exps.s_pairs, self.matrix_c
-        fld, unmet, pw = es.field, {}, [1] * n
-        w = [fld.mul(x, x) for x in es.u]
-        for _ in range(n - 1):  # sum_z u_z^2 * a_z^e for e = 0 .. n - 2
-            if fld.dot(w, pw):
-                unmet["power-sums"] = "weighted power sums do not vanish up to degree n - 2"
-                break
-            pw = list(map(fld.mul, pw, es.points))
+        fld, unmet = es.field, {}
         if len(set(es.points)) != n:
             unmet["distinct"] = "evaluation points repeat"
+            unmet["power-sums"] = "power sums not certified: evaluation points repeat"
+        else:
+            w = _lagrange_denominators(fld, es.points)
+            if len({fld.mul(fld.mul(x, x), fld.inv(wz)) for x, wz in zip(es.u, w)}) > 1:
+                unmet["power-sums"] = "weighted power sums do not vanish up to degree n - 2"
         if 0 in es.u:
             unmet["nonzero"] = "a multiplier is zero"
         if not es.good.g:
@@ -605,29 +606,23 @@ def encode(inst: CodeInstance, message) -> list[FieldElement]:
 
 
 def _repair_coefficients(es: EvaluationSet, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """z's block mates S and the weights that repair z from them.
+    """z's block mates and the weights that repair z from them.
 
-    c_i = u_z * u_i^-1 * prod_{j in S - i} (a_z - a_j) / (a_i - a_j), the
-    Lagrange coefficient of node a_i at a_z, scaled by the multipliers.
-    Raises ZeroInverse on a zero multiplier in S and DegenerateSet when S
-    repeats a point, so only the positions whose mates are damaged fail.
+    With w the Lagrange weights of z's whole block B, sum_{i in B} w_i f(a_i)
+    is zero for deg f <= |B| - 2, and a codeword divided by u agrees with
+    such an f on B.  So y_z = sum c_i y_i over the mates i, with
+    c_i = -u_z * w_z^-1 * w_i * u_i^-1.  Raises DegenerateSet when B repeats
+    a point and ZeroInverse on a zero multiplier among the mates, so only
+    the positions whose block is damaged fail.
     """
     fld = es.field
-    mates = tuple(i for i in es.block_of(z) if i != z)
+    block = es.block_of(z)
+    mates = tuple(i for i in block if i != z)
     if not mates:
         raise BlockIncomplete(f"position {z} has no block mates")
-    u_inv = [fld.inv(es.u[i]) for i in mates]
-    xs = [es.points[i] for i in mates]
-    xz, uz = es.points[z], es.u[z]
-    diffs = [fld.sub(xz, x) for x in xs]
-    coeffs = []
-    for i, (w, ui) in enumerate(zip(_lagrange_denominators(fld, xs), u_inv)):
-        c = fld.mul(fld.mul(uz, ui), w)
-        for j, d in enumerate(diffs):
-            if j != i:
-                c = fld.mul(c, d)
-        coeffs.append(c)
-    return mates, tuple(coeffs)
+    w = dict(zip(block, _lagrange_denominators(fld, [es.points[i] for i in block])))
+    scale = fld.neg(fld.mul(es.u[z], fld.inv(w[z])))
+    return mates, tuple(fld.mul(fld.mul(scale, w[i]), fld.inv(es.u[i])) for i in mates)
 
 
 def repair(inst: CodeInstance, received, z: int) -> FieldElement:

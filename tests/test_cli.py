@@ -90,6 +90,38 @@ def test_construct_missing_file_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b'{"n": "\xff"}', b'{"n": 1' + b"0" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+    ids=["invalid-utf8", "integer-past-4300-digits", "nested-past-the-recursion-limit"],
+)
+@pytest.mark.parametrize(
+    "flag", [["construct", "--spec"], ["verify", "--instance"]], ids=["construct", "verify"]
+)
+def test_undecodable_json_exits_2(tmp_path, capsys, data, flag):
+    """The JSON reader raised UnicodeDecodeError, ValueError or RecursionError
+    on these, a traceback and exit 1."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main([*flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "data", [b"kappa,gg\n1,\xff\n", b"1" * 5000 + b",9\n"], ids=["invalid-utf8", "huge-kappa"]
+)
+def test_undecodable_gg_file_exits_2(tmp_path, capsys, data):
+    gg = tmp_path / "gg.csv"
+    gg.write_bytes(data)
+    argv = ["bounds", "--sweep-kappa", "--n", "8", "--r", "3", "--q", "8", "--gg-file", str(gg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {gg}: ")
+
+
 def test_construct_extended_field_flagged(tmp_path, capsys):
     f9 = Field(3, 2)
     g9 = f9.primitive_element()
@@ -466,7 +498,7 @@ def test_dumped_alpha_is_checked(tmp_path, capsys, alpha, rc):
 @pytest.mark.parametrize(
     "key, edit, codes",
     [
-        ("points", lambda v: [v[1], *v[1:]], {0: 4, 2: 2, 4: 0}),
+        ("points", lambda v: [v[1], *v[1:]], {0: 2, 2: 2, 4: 0}),
         ("u", lambda v: [[0, 0, 0], *v[1:]], {0: 4, 1: 2, 4: 0}),
     ],
     ids=["point0-is-point1", "u0-zero"],
@@ -474,10 +506,11 @@ def test_dumped_alpha_is_checked(tmp_path, capsys, alpha, rc):
 def test_repair_fails_only_where_the_damage_is_read(tmp_path, capsys, key, edit, codes):
     """qlrc repair certifies the dump first, so every erasure exits 4 on its
     gate with nothing repaired.  The library repair still fails only where
-    it reads the damage.  Block 0 is [0, 1, 2, 3].  Erasing 0 repairs
-    through the block's other points to the wrong symbol (once exit 4).
-    Erasing a mate reads the damage and cannot solve (once exit 2).  The
-    other block is untouched."""
+    it reads the damage.  Block 0 is [0, 1, 2, 3], and its repair weights
+    are read off all four points.  A repeated point anywhere in the block
+    cannot solve (once exit 2).  Erasing 0 with u_0 = 0 repairs to the wrong
+    symbol (once exit 4); erasing a mate then reads the damage and cannot
+    solve.  The other block is untouched."""
     bad = _edited_dump(tmp_path, "q8_n8_k5", **{key: edit})
     for z in codes:
         assert main(["repair", "--instance", str(bad), "--erase", str(z)]) == 4, z
@@ -760,12 +793,14 @@ def test_byte_determinism(tmp_path, spec8, capsys):
 )
 def test_unwritable_output_exits_2(spec8, tmp_path, capsys, argv):
     """An --output path that cannot be opened is bad input, like an
-    unreadable input path, not a FileNotFoundError traceback."""
+    unreadable input path, not a FileNotFoundError traceback.  Nothing
+    reaches stdout: construct once printed its summary before failing."""
     target = tmp_path / "missing" / "out.txt"
     argv = [a.format(spec=spec8) for a in argv] + ["--output", str(target)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: cannot write {target}: " + (
-        f"[Errno 2] No such file or directory: '{target}'\n"
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n",
     )
     assert not target.parent.exists()
 

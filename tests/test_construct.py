@@ -44,14 +44,17 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # --- multipliers --------------------------------------------------------------
 
 
-def _power_sums_vanish(sol):
-    n = len(sol.points)
-    us, xs = sol.field.from_ints(sol.u), sol.field.from_ints(sol.points)
-    for j in range(n - 1):
-        acc = sol.field.zero()
-        for u, x in zip(us, xs):
-            acc = acc + u * u * x**j
-        assert acc.is_zero(), f"power sum at exponent {j}"
+def _power_sums_vanish(fld, points, u):
+    """Whether sum_z u_z^2 * a_z^e is zero for e = 0 .. n - 2, by n - 1 dot
+    products: the gate's power-sums premise before it read the Lagrange
+    weights, kept here as the reference."""
+    n = len(points)
+    w, pw = [fld.mul(x, x) for x in u], [1] * n
+    for _ in range(n - 1):
+        if fld.dot(w, pw):
+            return False
+        pw = list(map(fld.mul, pw, points))
+    return True
 
 
 def test_multipliers_char2_full_field_all_one():
@@ -60,7 +63,7 @@ def test_multipliers_char2_full_field_all_one():
         sol = solve_multipliers(f, list(f.elements()))
         assert not sol.extended
         assert all(u == 1 for u in sol.u)
-        _power_sums_vanish(sol)
+        assert _power_sums_vanish(sol.field, sol.points, sol.u)
 
 
 def test_multipliers_odd_full_field_all_equal():
@@ -69,7 +72,7 @@ def test_multipliers_odd_full_field_all_equal():
         sol = solve_multipliers(f, list(f.elements()))
         assert not sol.extended
         assert len(set(sol.u)) == 1
-        _power_sums_vanish(sol)
+        assert _power_sums_vanish(sol.field, sol.points, sol.u)
 
 
 def test_multipliers_residue_set_squares_to_points():
@@ -81,7 +84,7 @@ def test_multipliers_residue_set_squares_to_points():
     assert list(sol.u) == [1, 3, 2]
     for u, x in zip(f.from_ints(sol.u), f.from_ints(sol.points)):
         assert u * u == x
-    _power_sums_vanish(sol)
+    assert _power_sums_vanish(sol.field, sol.points, sol.u)
 
 
 def test_multipliers_mixed_classes_extend():
@@ -90,7 +93,7 @@ def test_multipliers_mixed_classes_extend():
     sol = solve_multipliers(f, [f.zero(), f.one()])
     assert sol.extended
     assert sol.field.q == 9
-    _power_sums_vanish(sol)
+    assert _power_sums_vanish(sol.field, sol.points, sol.u)
 
 
 def test_multipliers_random_subsets_always_satisfy_power_sums():
@@ -106,7 +109,8 @@ def test_multipliers_random_subsets_always_satisfy_power_sums():
                 if e.value() not in used:
                     used.add(e.value())
                     chosen.append(e)
-            _power_sums_vanish(solve_multipliers(f, chosen))
+            sol = solve_multipliers(f, chosen)
+            assert _power_sums_vanish(sol.field, sol.points, sol.u)
 
 
 def test_multipliers_reject_duplicates():
@@ -784,18 +788,58 @@ def test_block_of_reads_the_first_block_listing_a_position(inst8):
         es.block_of(7)
 
 
+def _distinct_values(rng, q, size):
+    """size distinct encodings below q, in the order rng draws them."""
+    out = []
+    while len(out) < size:
+        v = rng.below(q)
+        if v not in out:
+            out.append(v)
+    return out
+
+
 def test_lagrange_denominators_serve_the_multiplier_solve():
-    f = Field(3, 2)
-    pts = list(f.elements())[1:6]
-    dens = construct._lagrange_denominators(f, f.ints(pts))
-    for x, w in zip(pts, dens):
-        prod = f.one()
-        for y in pts:
-            if y != x:
-                prod = prod * (x - y)
-        assert f.from_value(w) * prod == f.one()
-    with pytest.raises(DegenerateSet):
-        construct._lagrange_denominators(f, [1, 2, 1])
+    """One path for every characteristic, against FieldElement products."""
+    rng = Xorshift64Star(83)
+    for p, m in [(2, 3), (2, 6), (3, 2), (3, 3), (5, 2)]:
+        f = Field(p, m)
+        for size in (1, 2, 5, f.q):
+            pts = f.from_ints(_distinct_values(rng, f.q, size))
+            dens = construct._lagrange_denominators(f, f.ints(pts))
+            for x, w in zip(pts, dens):
+                prod = f.one()
+                for y in pts:
+                    if y != x:
+                        prod = prod * (x - y)
+                assert f.from_value(w) * prod == f.one()
+        with pytest.raises(DegenerateSet):
+            construct._lagrange_denominators(f, [1, 2, 1])
+
+
+def _survivor_weights(es, z):
+    """c_i = u_z u_i^-1 prod_{j in S - i} (a_z - a_j) / (a_i - a_j) over z's
+    block mates S, the Lagrange coefficients on the survivors alone: the
+    repair weights before they were read off the whole block's Lagrange
+    weights, kept here as the reference."""
+    f, xs, u = es.field, es.points, es.u
+    mates = [i for i in es.block_of(z) if i != z]
+    out = []
+    for i in mates:
+        c = f.mul(u[z], f.inv(u[i]))
+        for j in mates:
+            if j != i:
+                c = f.mul(c, f.mul(f.sub(xs[z], xs[j]), f.inv(f.sub(xs[i], xs[j]))))
+        out.append(c)
+    return tuple(out)
+
+
+def test_repair_weights_match_the_survivor_lagrange_form(inst32, inst8, inst7, inst4, inst9x):
+    for inst in (inst32, inst8, inst7, inst4, inst9x):
+        es = inst.eval_set
+        for z in range(inst.n):
+            mates, coeffs = construct._repair_coefficients(es, z)
+            assert mates == tuple(i for i in es.block_of(z) if i != z)
+            assert coeffs == _survivor_weights(es, z), (inst.summary(), z)
 
 
 # --- verification and dumps -----------------------------------------------------
@@ -872,6 +916,60 @@ def test_tampered_multiplier_fails_power_sum_check(inst8):
     inst = instance_from_dump(bad)
     by_name = {c.name: c for c in verify_instance(inst, trials=5)}
     assert not by_name["multiplier-power-sums"].ok
+
+
+def _premise_holds(fld, points, u):
+    """Whether the gate's power-sums premise holds, read off an instance
+    that carries these points and multipliers and nothing else."""
+    good = GoodPolynomial(Polynomial.one(fld), None, None)
+    es = construct.EvaluationSet(fld, tuple(points), (), tuple(u), good, False, fld)
+    inst = construct.CodeInstance(es, 5, exponent_sets(8, 5, 3), (), ())
+    return "power-sums" not in inst._premises[0]
+
+
+def _assert_premise_matches_the_loop(fld, points, u, rng):
+    """The premise agrees with the power-sum loop on u, on u scaled by a
+    nonzero constant, on u with one entry moved, on a random vector and on
+    zero; u, its scaling and zero PASS.  Returns how many variants failed."""
+    c, z = 1 + rng.below(fld.q - 1), rng.below(len(u))
+    scaled, zero = [fld.mul(c, x) for x in u], [0] * len(u)
+    moved = [*u[:z], fld.add(u[z], 1 + rng.below(fld.q - 1)), *u[z + 1 :]]
+    noise = [rng.below(fld.q) for _ in u]
+    assert _premise_holds(fld, points, u)
+    assert _premise_holds(fld, points, scaled) and _premise_holds(fld, points, zero)
+    verdicts = [_premise_holds(fld, points, v) for v in (u, scaled, zero, moved, noise)]
+    assert verdicts == [_power_sums_vanish(fld, points, v) for v in (u, scaled, zero, moved, noise)]
+    return verdicts.count(False)
+
+
+def test_power_sum_premise_matches_the_loop_on_the_fixtures(inst32, inst8, inst7, inst4, inst9x):
+    rng = Xorshift64Star(79)
+    failed = 0
+    for inst in (inst32, inst8, inst7, inst4, inst9x):
+        es = inst.eval_set
+        failed += _assert_premise_matches_the_loop(es.field, es.points, es.u, rng)
+    assert failed >= 5
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (5, 2), (3, 3)])
+def test_power_sum_premise_matches_the_loop_on_random_points(p, m):
+    """Seeded point sets, solved over GF(q) or moved to GF(q^2)."""
+    f = Field(p, m)
+    rng = Xorshift64Star(200 + 10 * p + m)
+    failed = 0
+    for size in (2, 3, 4, 6, f.q):
+        for _ in range(3):
+            sol = solve_multipliers(f, _distinct_values(rng, f.q, size))
+            failed += _assert_premise_matches_the_loop(sol.field, sol.points, sol.u, rng)
+    assert failed >= 15
+
+
+def test_repeated_points_leave_the_power_sums_uncertified(inst8):
+    dump = instance_to_dump(inst8)
+    bad = dict(dump, points=[dump["points"][1], *dump["points"][1:]])
+    check = verify_instance(instance_from_dump(bad), trials=1)[0]
+    assert check.name == "multiplier-power-sums"
+    assert check.detail == "power sums not certified: evaluation points repeat"
 
 
 def test_tampered_g_fails_constancy(inst8):
