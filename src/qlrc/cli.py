@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import construct as construct_mod
 from .agl import orbits, subgroup_from_generators, subspace_basis
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
-from .field import Field, prime_power
+from .field import Field, json_text, prime_power
 from .rng import Xorshift64Star
 
 
@@ -47,7 +47,7 @@ def _cmd_construct(args) -> int:
     inst = construct_mod.instance_from_spec(_load_json(args.spec))
     if args.output is not None:  # written first: an unwritable path prints no summary
         dump = construct_mod.instance_to_dump(inst)
-        _emit(json.dumps(dump, sort_keys=True, indent=2) + "\n", args.output)
+        _emit(json_text(dump) + "\n", args.output)
     print(inst.summary())
     return 0
 
@@ -126,7 +126,7 @@ def _cmd_bounds(args) -> int:
     params = bounds_mod.css_params(inst)  # exit 4 unless verify's deterministic checks pass
     if args.brute_force:
         params = replace(params, delta_exact=bounds_mod.exact_distance(inst, cap=args.cap))
-    _emit(json.dumps(params.to_json_dict(), sort_keys=True, indent=2) + "\n", args.output)
+    _emit(json_text(params.to_json_dict()) + "\n", args.output)
     return 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 
 from .agl import (
     AffineMap,
@@ -689,7 +689,14 @@ def instance_from_spec(spec: dict) -> CodeInstance:
 
 def instance_to_dump(inst: CodeInstance) -> dict:
     es = inst.eval_set
-    digits = partial(_digits, p=es.field.p, m=es.field.m)
+    p, m = es.field.p, es.field.m
+    known: dict[int, list[int]] = {}  # each distinct value's digits, formed once
+
+    def digits(x: int) -> list[int]:
+        if x not in known:
+            known[x] = _digits(x, p, m)
+        return known[x][:]  # a fresh list per entry: callers edit dumps in place
+
     return {
         "field": es.field.descriptor(),
         "base_field": es.base_field.descriptor(),

@@ -16,7 +16,15 @@ sqrt, axpy, dot, horner, ...); FieldElement objects appear only at the
 public API, and each of their operators is one call to the integer
 operation of the same name after the field check.
 Specs and dumps carry elements as lists of exactly m digits; json_element
-and json_int are the one reader of their JSON values.
+and json_int are the one reader of their JSON values, and json_text, which
+writes the bytes of json.dumps(sort_keys=True, indent=2), their one writer.
+
+A given modulus, and each candidate for the default one, is proven
+irreducible by Ben-Or's criterion (M. Ben-Or, "Probabilistic algorithms in
+finite fields", FOCS 1981): a monic f of degree m over GF(p) is irreducible
+exactly when gcd(x^(p^i) - x, f) = 1 for i = 1 .. m // 2.  That takes m // 2
+Frobenius steps and gcds, where trial division took every monic polynomial
+of degree up to m / 2.
 
 One canonical total order is used everywhere an element has to be "the
 smallest" (default moduli, primitive elements, square-root tie-breaks,
@@ -28,6 +36,7 @@ encoding orders polynomials over GF(p) when a default modulus is selected.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 
 from .errors import InputError, ResourceError
@@ -141,13 +150,37 @@ def _pmod(a: list[int], mod: list[int], p: int) -> list[int]:
     return r
 
 
+def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of two trimmed polynomials, by Euclid's algorithm.  Each divisor
+    is made monic first: that leaves the remainder unchanged."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, _pmod(a, [c * inv % p for c in b], p)
+    return a
+
+
 def _is_irreducible(mod: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(mod) - 1
-    for d in range(1, deg // 2 + 1):
-        for v in range(p**d):
-            if not _pmod(mod, _digits(v, p, d) + [1], p):
-                return False
+    """Ben-Or's test: a monic f of degree m over GF(p) is irreducible exactly
+    when gcd(x^(p^i) - x mod f, f) = 1 for i = 1 .. m // 2.
+
+    An irreducible factor of degree d divides x^(p^d) - x, and a reducible f
+    has one with d <= m / 2; an irreducible f of degree m shares no factor
+    with x^(p^i) - x for 0 < i < m.  x^(p^i) comes from x^(p^(i-1)) by one
+    p-th power mod f, by square-and-multiply.
+    """
+    h = [0, 1]  # x^(p^i) mod f, from i = 0
+    for _ in range((len(mod) - 1) // 2):
+        base, e, h = h, p, [1]
+        while e:
+            if e & 1:
+                h = _pmod(_pmul(h, base, p), mod, p)
+            e >>= 1
+            if e:
+                base = _pmod(_pmul(base, base, p), mod, p)
+        diff = h + [0] * (2 - len(h))  # h - x
+        diff[1] = (diff[1] - 1) % p
+        if len(_pgcd(mod, _ptrim(diff), p)) != 1:
+            return False
     return True
 
 
@@ -656,6 +689,64 @@ def json_element(fld: Field):
         return value
 
     return element
+
+
+def json_text(obj) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2), the one format
+    in which specs, dumps and reports are written, for trees of dicts with
+    str keys, lists, tuples, str, int, float, bool and None.
+
+    json's indenting encoder is pure Python.  Here a list whose entries are
+    all ints, such as an element's digits, is rendered once per distinct
+    content and depth and reused; the memo checks the entries' class, since
+    True == 1 and 1.0 == 1 would otherwise share a key.  Other leaves go
+    through json.dumps itself.
+    """
+    memo: dict[tuple, str] = {}
+    out: list[str] = []
+
+    def write(o, depth: int) -> None:
+        if isinstance(o, (list, tuple)):
+            if not o:
+                out.append("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            if all(x.__class__ is int for x in o):
+                key = (tuple(o), depth)
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = (
+                        "[" + inner + ("," + inner).join(map(int.__repr__, o))
+                        + "\n" + "  " * depth + "]"
+                    )
+                out.append(text)
+                return
+            out.append("[")
+            sep = inner
+            for x in o:
+                out.append(sep)
+                write(x, depth + 1)
+                sep = "," + inner
+            out.append("\n" + "  " * depth + "]")
+        elif isinstance(o, dict):
+            if not o:
+                out.append("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            out.append("{")
+            sep = inner
+            for k in sorted(o):
+                if k.__class__ is not str:
+                    raise TypeError(f"key {k!r} is not a str")
+                out.append(sep + json.dumps(k) + ": ")
+                write(o[k], depth + 1)
+                sep = "," + inner
+            out.append("\n" + "  " * depth + "}")
+        else:
+            out.append(json.dumps(o))
+
+    write(obj, 0)
+    return "".join(out)
 
 
 def field_from_descriptor(d: dict) -> Field:

@@ -1293,10 +1293,27 @@ def test_build_code_seed_recorded(sub32):
 
 
 @pytest.mark.parametrize("path", sorted((PERFBENCH / "specs").glob("*.json")), ids=lambda p: p.stem)
-def test_spec_dumps_match_benchmark_goldens(path):
-    """Every benchmark spec still builds to the dump whose sha256 the
-    benchmark's goldens record."""
-    golden = json.loads((PERFBENCH / "goldens.json").read_text())["dumps"][path.stem]
-    inst = instance_from_spec(json.loads(path.read_text()))
-    text = json.dumps(instance_to_dump(inst), sort_keys=True, indent=2) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == golden
+def test_spec_dumps_match_benchmark_goldens(path, tmp_path, capsys):
+    """Every benchmark spec still builds, through `qlrc construct --output`,
+    to the dump whose sha256 the benchmark's goldens record, and the
+    summary, bounds and --brute-force stdout the goldens hold for it are
+    unchanged."""
+    goldens = json.loads((PERFBENCH / "goldens.json").read_text())
+    name, dump = path.stem, tmp_path / "dump.json"
+    assert main(["construct", "--spec", str(path), "--output", str(dump)]) == 0
+    assert capsys.readouterr().out == goldens["construct_stdout"][name]
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == goldens["dumps"][name]
+    for key, extra in (("bounds_stdout", []), ("bruteforce_stdout", ["--brute-force"])):
+        if name in goldens[key]:
+            assert main(["bounds", "--instance", str(dump), *extra]) == 0
+            assert capsys.readouterr().out == goldens[key][name]
+
+
+def test_dump_entries_share_no_lists(inst32):
+    """Equal values dump as equal but separate lists: editing one entry in
+    place leaves every other entry as it was."""
+    dump = instance_to_dump(inst32)
+    before = json.loads(json.dumps(dump))
+    dump["u"][0][0] ^= 1
+    before["u"][0][0] ^= 1
+    assert dump == before

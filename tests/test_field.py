@@ -8,6 +8,7 @@ the modulus) that shares nothing with the exp/log/Zech tables.
 """
 
 import functools
+import json
 import operator
 
 import pytest
@@ -23,6 +24,7 @@ from qlrc.field import (
     NotPrime,
     ReducibleModulus,
     ZeroInverse,
+    json_text,
 )
 
 
@@ -36,6 +38,7 @@ def test_default_moduli_are_canonical_smallest():
         (3, 2): (1, 0, 1),
         (3, 3): (1, 2, 0, 1),
         (5, 2): (2, 0, 1),
+        (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),  # x^16 + x^5 + x^3 + x + 1
     }
     for (p, m), mod in expected.items():
         assert Field(p, m).modulus == mod
@@ -49,6 +52,43 @@ def test_modulus_is_verified_irreducible():
     with pytest.raises(InputError):
         Field(3, 2, [1, 0, 0, 1])  # wrong degree
     Field(2, 5, [1, 0, 0, 1, 0, 1])  # x^5 + x^3 + 1: a valid alternative
+
+
+def _monic(v, p, m):
+    """The monic polynomial of degree m whose lower digits encode v."""
+    return [v // p**i % p for i in range(m)] + [1]
+
+
+def _divides_none(f, p):
+    """Trial division of f by every monic polynomial of degree 1 .. deg f // 2:
+    the reference that Ben-Or's test replaced."""
+    deg = len(f) - 1
+    return all(
+        field_mod._pmod(f, _monic(v, p, d), p)
+        for d in range(1, deg // 2 + 1)
+        for v in range(p**d)
+    )
+
+
+@pytest.mark.parametrize("p,top", [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3)])
+def test_ben_or_agrees_with_trial_division(p, top):
+    """Every monic polynomial of degree 1 .. top gets trial division's verdict."""
+    for m in range(1, top + 1):
+        for v in range(p**m):
+            f = _monic(v, p, m)
+            assert field_mod._is_irreducible(f, p) == _divides_none(f, p), f
+
+
+def test_default_modulus_is_smallest_irreducible_by_trial_division():
+    """For every prime p <= 1024 and every m with p^m <= 2^20 (414 pairs),
+    the default modulus is the first monic polynomial, by integer encoding,
+    that no monic polynomial of degree 1 .. m // 2 divides."""
+    primes = [p for p in range(2, 1025) if field_mod.smallest_prime_factor(p) == p]
+    pairs = [(p, m) for p in primes for m in range(1, 21) if p**m <= field_mod.MAX_FIELD_ORDER]
+    assert len(pairs) == 414
+    for p, m in pairs:
+        smallest = next(f for f in (_monic(v, p, m) for v in range(p**m)) if _divides_none(f, p))
+        assert field_mod._default_modulus(p, m) == smallest, (p, m)
 
 
 def test_digits_outside_the_prime_field_are_rejected():
@@ -123,6 +163,31 @@ def test_element_reads_digit_lists_strictly(digits):
     with pytest.raises(InputError):
         Field(2, 3).element(digits)
     assert Field(2, 3).element([1, 0, 1]).value() == 5
+
+
+JSON_TREES = [
+    [],
+    {},
+    [[]],
+    {"a": [], "b": {}, "c": [[], {}]},
+    "quote \" backslash \\ newline \n tab \t bell \x07 nul \x00 del \x7f é 中 \U0001f600",
+    {"key \"\\\n é": ["\x1f", "/"]},
+    [[True, 0], [1, 0], [True, 0]],  # True == 1 and they hash alike
+    [[1.0], [1], [1.0]],
+    [0.1, -0.0, 1e300, [0.1]],
+    [-(10**40), [-(10**40), -1], -1],
+    {"a": [3, 4], "b": [[3, 4]], "c": [[[3, 4]]], "d": [3, 4]},  # one int list at three depths
+    [None, False, True, 0, "", [None, False]],
+    ([1, 2], (1, 2)),
+]
+
+
+@pytest.mark.parametrize("tree", JSON_TREES)
+def test_json_text_writes_the_bytes_of_json_dumps(tree):
+    """json_text is json.dumps(sort_keys=True, indent=2), at the top level
+    and nested, whatever it has rendered before."""
+    for obj in (tree, [tree], {"z": [tree, 1], "a": {"k": tree}}, JSON_TREES):
+        assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_prime_field_matches_int_arithmetic():
