@@ -18,7 +18,7 @@ proven a group once, by the argument its origin supplies:
 - an "MB" descriptor (subgroup_from_generators) by construction, since
   M = <m_gen> and B = span_K(basis); only m_gen in K* is checked;
 - a derived subgroup (the GF(q^2) image that construct.build_evaluation_set
-  embeds, and stabilizer_split's Theta) not at all: the image of a group
+  embeds, and stabilizer_splitter's Theta) not at all: the image of a group
   under a field embedding, and a stabilizer, are groups.
 
 Maps, orbits and base points are integer encodings (see field.py), worked
@@ -358,26 +358,63 @@ def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
     return GoodPolynomial(annihilator(field, orb), subgroup, alpha)
 
 
+def _term_differences(subgroup: AglSubgroup, t: AffineMap, terms, width: int) -> list[list[int]]:
+    """The coefficients of term(t(x)) - term(x) for each term, padded to width.
+
+    A composition with t(x) = a*x + b keeps the degree, so width at least
+    the longest term's coefficient count holds every difference.
+    """
+    inner = subgroup.polynomial(t)
+    rows = []
+    for term in terms:
+        diff = list((term.compose(inner) - term).coeffs)
+        rows.append(diff + [0] * (width - len(diff)))
+    return rows
+
+
+def stabilizer_splitter(subgroup: AglSubgroup, terms):
+    """The map coeffs -> stabilizer_split(subgroup, gamma) for
+    gamma = sum_i coeffs[i] * terms[i], coeffs a list of encodings.
+
+    Composition is linear in the outer polynomial, so gamma(t(x)) - gamma(x)
+    is sum_i coeffs[i] * (terms[i](t(x)) - terms[i](x)).  Each term is
+    composed with each map once, here, and each map keeps its term
+    differences as the rows of one Field.combiner; a split is then one
+    combination per map.  The caller rules out a zero gamma.
+    """
+    field = subgroup.field
+    width = max((len(term.coeffs) for term in terms), default=0)
+    differences = [
+        (t, field.combiner(_term_differences(subgroup, t, terms, width), width)) for t in subgroup
+    ]
+
+    def split(coeffs):
+        kept, moved = [], []
+        for t, combine in differences:
+            diff = combine(coeffs)
+            if any(diff):
+                moved.append((t, Polynomial._from_ints(field, diff)))
+            else:
+                kept.append(t)
+        # a stabilizer is a group: gamma(s(t(x))) = gamma(t(x)) = gamma(x) for s, t in Theta
+        return AglSubgroup._proven(field, kept), moved
+
+    return split
+
+
 def stabilizer_split(
     subgroup: AglSubgroup, gamma: Polynomial
 ) -> tuple[AglSubgroup, list[tuple[AffineMap, Polynomial]]]:
     """Theta = {t : gamma(t(x)) == gamma(x) as polynomials}, and the nonzero
     difference gamma(t(x)) - gamma(x) of every other t, in subgroup order.
 
-    gamma is composed with each map once; t lies in Theta exactly when its
+    This is stabilizer_splitter with gamma as its only term: gamma is
+    composed with each map once, and t lies in Theta exactly when its
     difference is zero.
     """
     if gamma.is_zero():
         raise InputError("the stabilizer of the zero polynomial is everything")
-    kept, moved = [], []
-    for t in subgroup:
-        diff = gamma.compose(subgroup.polynomial(t)) - gamma
-        if diff:
-            moved.append((t, diff))
-        else:
-            kept.append(t)
-    # a stabilizer is a group: gamma(s(t(x))) = gamma(t(x)) = gamma(x) for s, t in Theta
-    return AglSubgroup._proven(subgroup.field, kept), moved
+    return stabilizer_splitter(subgroup, [gamma])([1])
 
 
 def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:

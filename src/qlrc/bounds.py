@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 # theta_subgroup stays importable from here: perfbench times bounds.theta_subgroup
-from .agl import AglSubgroup, stabilizer_split, theta_subgroup  # noqa: F401
+from .agl import AglSubgroup, stabilizer_splitter, theta_subgroup  # noqa: F401
 from .construct import (
     CodeInstance,
     _largest_degree_closed_form,
@@ -508,16 +508,33 @@ class AuditReport:
         return not self.failures and self.monotone_in_theta
 
 
+def _gamma_terms(inst: CodeInstance) -> tuple[list[int], list[Polynomial]]:
+    """The message indices of the pairs (i, j) of s1, and their terms x^i g^j.
+
+    A word's non-block-constant part gamma is sum c_ij x^i g^j over these
+    terms, c_ij the message's coefficient at the pair's index.
+    """
+    s_pairs = inst.exps.s_pairs
+    s1set = set(inst.exps.s1)
+    gpows = g_powers(inst.eval_set.good.g, max(j for _, j in s_pairs))
+    s1_idx = [idx for idx, pair in enumerate(s_pairs) if pair in s1set]
+    return s1_idx, [gpows[s_pairs[idx][1]].shift(s_pairs[idx][0]) for idx in s1_idx]
+
+
 def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None = None) -> AuditReport:
     """Sample codewords outside the dual span and audit the spectral bound.
 
     A sample is a uniform message, redrawn while it is zero at every row
     outside D (dual_positions certifies D = C-perp first, so those are
     exactly the messages of words in D), and its word is encode(inst, m).
-    For each sample: split off the non-block-constant part gamma and
-    compose it once with each map t of the subgroup (agl.stabilizer_split);
-    the maps with gamma(t(x)) - gamma(x) zero form the exact stabilizer
-    Theta.  Check the weight against the bound at the order of Theta, then
+    Its non-block-constant part gamma is sum c_ij x^i g^j over the pairs of
+    s1, linear in the message's coefficients c_ij there, and so is
+    gamma(t(x)) - gamma(x) for each map t of the subgroup.  Before the first
+    sample each s1 term is composed with each map once
+    (agl.stabilizer_splitter); per sample, gamma and each map's difference
+    are one Field.combiner combination each, and the maps with a zero
+    difference form the exact stabilizer Theta.  Check the weight against
+    the bound at the order of Theta (weight_bound, once per order), then
     divide each other difference by t(x) - x, multiply the quotients into
     the quotient-product polynomial, and confirm its degree cap and that its
     root count in the evaluation set dominates the count of same-orbit zero
@@ -535,18 +552,18 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     rng = Xorshift64Star(inst.seed if seed is None else seed)
     p = smallest_prime_factor(r + 1)
 
-    thetas = list(range(1, (r + 1) // p + 1))
-    vals = [weight_bound(n, r, t, ell).real for t in thetas]
+    # weight_bound per stabilizer order, from 1 up to the largest proper one
+    bound_at = {t: weight_bound(n, r, t, ell) for t in range(1, (r + 1) // p + 1)}
+    vals = [bv.real for bv in bound_at.values()]
     monotone = all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     s_pairs = inst.exps.s_pairs
-    s1set = set(inst.exps.s1)
-    gpows = g_powers(es.good.g, max(j for _, j in s_pairs))
-    # (message index, coefficients of x^i g^j) for the x^i part of each word
-    gamma_terms = [
-        (idx, gpows[j].shift(i).coeffs) for idx, (i, j) in enumerate(s_pairs) if (i, j) in s1set
-    ]
-    gamma_size = max((len(mono) for _, mono in gamma_terms), default=0)
+    s1_idx, terms = _gamma_terms(inst)
+    gamma_size = max((len(term.coeffs) for term in terms), default=0)
+    gamma_of = fld.combiner(
+        [list(term.coeffs) + [0] * (gamma_size - len(term.coeffs)) for term in terms], gamma_size
+    )
+    split = stabilizer_splitter(sub, terms)
     outside = [i for i in range(inst.k) if i not in in_d]
 
     out: list[AuditTrial] = []
@@ -556,19 +573,15 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         while not any(coeffs[i] for i in outside):
             coeffs = [rng.below(fld.q) for _ in s_pairs]
         word = encode(inst, coeffs)
-        acc = [0] * gamma_size
-        for idx, mono in gamma_terms:
-            c = coeffs[idx]
-            if c:
-                acc[: len(mono)] = fld.axpy(acc[: len(mono)], c, mono)
-        gamma = Polynomial._from_ints(fld, acc)
+        s1_coeffs = [coeffs[idx] for idx in s1_idx]
+        gamma = Polynomial._from_ints(fld, gamma_of(s1_coeffs))
         if gamma.is_zero():
             failures.append(f"trial {trial}: sampled word outside dual has no x^i part")
             continue
-        theta, moved = stabilizer_split(sub, gamma)
+        theta, moved = split(s1_coeffs)
         t_ord = len(theta)
         mu = len(sub) - t_ord
-        bv = weight_bound(n, r, t_ord, ell)
+        bv = bound_at.get(t_ord) or weight_bound(n, r, t_ord, ell)
         weight = sum(1 for w in word if not w.is_zero())
         if weight < bv.ceiling:
             failures.append(

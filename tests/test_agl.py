@@ -693,14 +693,19 @@ def test_stabilizers_are_closed(monkeypatch):
         orders.append(len(theta))
     assert orders == [2, 1, 3]  # additive, multiplicative, odd
     thetas = []
-    split = bounds.stabilizer_split
+    splitter = bounds.stabilizer_splitter
 
-    def record(subgroup, gamma):
-        out = split(subgroup, gamma)
-        thetas.append(out[0])
-        return out
+    def recording_splitter(subgroup, terms):
+        split = splitter(subgroup, terms)
 
-    monkeypatch.setattr(bounds, "stabilizer_split", record)
+        def record(coeffs):
+            out = split(coeffs)
+            thetas.append(out[0])
+            return out
+
+        return record
+
+    monkeypatch.setattr(bounds, "stabilizer_splitter", recording_splitter)
     dump = json.loads((PERFBENCH / "dumps" / "q32_n32_k19.json").read_text())
     assert bounds.weight_bound_audit(construct.instance_from_dump(dump), trials=40).ok
     assert len(thetas) == 40

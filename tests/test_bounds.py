@@ -30,7 +30,7 @@ from qlrc import (
     weight_bound,
     weight_bound_audit,
 )
-from qlrc import bounds
+from qlrc import agl, bounds
 from qlrc.bounds import (
     AuditReport,
     AuditTrial,
@@ -38,9 +38,16 @@ from qlrc.bounds import (
     SchreierGraph,
     TooLarge,
     Witness,
+    _gamma_terms,
     _words_outside_dual,
 )
-from qlrc.construct import dual_positions, instance_from_dump, instance_to_dump, verify_instance
+from qlrc.construct import (
+    dual_positions,
+    instance_from_dump,
+    instance_from_spec,
+    instance_to_dump,
+    verify_instance,
+)
 from qlrc.errors import ConstructionError, InputError, VerificationError
 
 
@@ -600,3 +607,68 @@ def test_weight_bound_audit_deterministic(inst8):
 def test_weight_bound_audit_extended(inst9x):
     rep = weight_bound_audit(inst9x, trials=15, seed=3)
     assert rep.ok
+
+
+# --- the audit's stabilizer split, by linearity, against composing gamma -----------
+
+SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
+
+
+def _split_problems(inst, combination_messages):
+    """Where stabilizer_splitter on the s1 terms disagrees with composing
+    gamma itself: per map, the difference against
+    gamma.compose(t) - gamma (zero for the maps in Theta), and Theta against
+    theta_subgroup.  gamma is summed term by term in Polynomial arithmetic.
+    The messages are each s1 term alone at every digit and all-ones, then
+    20 seeded ones; the zero gamma has no stabilizer and is skipped."""
+    sub = inst.eval_set.good.subgroup
+    f = sub.field
+    _, terms = _gamma_terms(inst)
+    split = agl.stabilizer_splitter(sub, terms)
+    problems = []
+    for coeffs in combination_messages(f, len(terms), Xorshift64Star(5)):
+        gamma = Polynomial.zero(f)
+        for c, term in zip(coeffs, terms):
+            gamma = gamma + term * Polynomial._from_ints(f, [c])
+        if gamma.is_zero():
+            continue
+        theta, moved = split(coeffs)
+        diffs = dict(moved)
+        for t in sub:
+            want = gamma.compose(sub.polynomial(t)) - gamma
+            got = diffs.get(t, Polynomial.zero(f))
+            if got != want or (t in theta.maps) == bool(want):
+                problems.append((coeffs, t))
+        if theta != theta_subgroup(sub, gamma):
+            problems.append((coeffs, "theta"))
+    return problems
+
+
+def _spec_instance(name):
+    return instance_from_spec(json.loads((SPECS / f"{name}.json").read_text()))
+
+
+SPLIT_CASES = ["inst8", "inst9x", "inst32", "q27_n27_k18", "q9x81_n8_k5"]
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_stabilizer_splitter_matches_composition(request, name, combination_messages):
+    """Composition is linear in the outer polynomial, so the audit's per-map
+    combinations of the s1 terms' differences are gamma's own differences,
+    in characteristic 2 (packed combiner), odd p and over GF(q^2)."""
+    inst = _spec_instance(name) if name.startswith("q") else request.getfixturevalue(name)
+    assert _split_problems(inst, combination_messages) == []
+
+
+def test_stabilizer_splitter_differential_catches_a_dropped_term(
+    inst8, combination_messages, monkeypatch
+):
+    """A splitter that loses the difference row of one s1 term fails the
+    comparison above."""
+    differences = agl._term_differences
+
+    def drop_last(subgroup, t, terms, width):
+        return differences(subgroup, t, terms, width)[:-1]
+
+    monkeypatch.setattr(agl, "_term_differences", drop_last)
+    assert _split_problems(inst8, combination_messages)
