@@ -907,13 +907,15 @@ def verify_instance(inst: CodeInstance, trials: int = 100, seed: int | None = No
     rng = Xorshift64Star(inst.seed if seed is None else seed)
 
     def chk_repair():
+        # encode's combination on integer encodings; a ragged generator row
+        # raises encode's LengthMismatch here, before any arithmetic
+        encoder = inst._encoder
         for _ in range(trials):
-            msg = [rng.below(fld.q) for _ in range(k)]
-            word = encode(inst, msg)
+            word = encoder([rng.below(fld.q) for _ in range(k)])
             z = rng.below(n)
-            received: list = [c for c in word]
+            received: list = word[:]
             received[z] = None
-            if repair(inst, received, z) != word[z]:
+            if repair(inst, received, z).v != word[z]:
                 return f"repair mismatch at position {z}"
         return None
 

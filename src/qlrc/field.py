@@ -5,10 +5,14 @@ its coefficients in the polynomial basis of a fixed monic irreducible
 modulus.  Multiplication, inversion and powers go through exp/log tables of
 a primitive element; addition is XOR in characteristic 2 and goes through a
 Zech logarithm table (log(1 + g^i)) for odd p.  The tables are built on the
-first arithmetic use of a field, by integer shift-and-reduce, and shared by
-every Field with the same (p, m, modulus).  Field orders are capped at 2**20
-because everything downstream (orbit enumeration, codeword scans, root
-counting) iterates over field elements.
+first arithmetic use of a field and shared by every Field with the same
+(p, m, modulus).  In characteristic 2 the powers of the primitive element
+are built a block at a time, as big-int words: a vector of encodings is one
+int with symbol j in a byte-aligned slot (8, 16 or 32 bits), and the same
+packed layout and times-x kernel serve Field.combiner.  Odd p walks cosets
+of x digit by digit.  Field orders are capped at 2**20 because everything
+downstream (orbit enumeration, codeword scans, root counting) iterates over
+field elements.
 
 Code instances and affine-map subgroups store their elements as these
 integers and work on them through the Field's integer operations (add, mul,
@@ -38,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import sys
 
 from .errors import InputError, ResourceError
 
@@ -197,10 +202,73 @@ def _default_modulus(p: int, m: int) -> list[int]:
 # exp / log / Zech tables
 
 
+def _slot_width(m: int) -> int:
+    """Bits per symbol in a packed vector of GF(2^m) encodings: the
+    smallest of 8, 16 and 32 that holds m bits (m <= 20 by the cap)."""
+    return 8 if m <= 8 else 16 if m <= 16 else 32
+
+
+_SLOT_FORMAT = {8: "B", 16: "H", 32: "I"}
+_LITTLE = sys.byteorder == "little"
+
+
+def _pack(values, s: int) -> int:
+    """The values, each below 2**s, as one int: value j in bits
+    [s*j, s*j + s).  One pass over the values, where shifting an
+    accumulating int by s per value takes time quadratic in their count."""
+    if s == 8:
+        return int.from_bytes(bytes(values), "little")
+    buf = bytearray(len(values) * s // 8)
+    slots = memoryview(buf).cast(_SLOT_FORMAT[s])
+    # a big-endian int puts its low bits last, so the slots go in reversed
+    for j, x in enumerate(values if _LITTLE else reversed(values)):
+        slots[j] = x
+    return int.from_bytes(buf, sys.byteorder)
+
+
+def _unpack(v: int, s: int, count: int) -> list[int]:
+    """Slots 0 .. count - 1 of v, s bits each; v must be below 2**(s*count)."""
+    slots = memoryview(v.to_bytes(count * s // 8, sys.byteorder)).cast(_SLOT_FORMAT[s])
+    return (slots if _LITTLE else slots[::-1]).tolist()
+
+
+def _slot_tops(s: int, m: int, count: int) -> int:
+    """Bit m - 1 of each of count s-bit slots, the top bit of a symbol."""
+    return ((1 << s * count) - 1) // ((1 << s) - 1) << (m - 1)
+
+
+def _times_x(v: int, top: int, m: int, red: int) -> int:
+    """Every symbol of the packed vector v times x in GF(2^m); top marks
+    bit m - 1 of every slot (_slot_tops), red is the modulus without x^m.
+
+    Each slot shifts up by one bit, and those whose top bit was set get red
+    folded back in: hi >> (m - 1) has a 1 at the bottom of each such slot,
+    and its product with red (below 2**m) places red there without a carry,
+    since the slots are at least m bits apart.
+    """
+    hi = v & top
+    return (v ^ hi) << 1 ^ (hi >> (m - 1)) * red
+
+
 def _int_mul(p: int, m: int, modulus: tuple[int, ...]):
-    """Product of two encodings by schoolbook multiplication and reduction;
-    slow, used only to find a generator before the tables exist."""
+    """Product of two encodings without the tables, used only to find a
+    generator before they exist: for p = 2 a carry-less product by
+    shift-and-reduce (_times_x on one slot), otherwise schoolbook
+    multiplication of digit lists and reduction."""
     mod = list(modulus)
+    if p == 2:
+        top, red = 1 << (m - 1), _value(mod[:-1], 2)
+
+        def mul(a: int, b: int) -> int:
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a = _times_x(a, top, m, red)
+            return r
+
+        return mul
 
     def mul(a: int, b: int) -> int:
         return _value(_pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), mod, p), p)
@@ -218,18 +286,63 @@ def _int_pow(mul, a: int, e: int) -> int:
     return r
 
 
+def _x_multiples(v: int, top: int, m: int, red: int) -> list[int]:
+    """[v, v*x, .., v*x^(m-1)] for the packed vector v, each one _times_x
+    of the last.  v times a constant c, symbol by symbol, is the XOR of
+    these over the set bits of c, since multiplying is GF(2)-linear."""
+    out = [v]
+    for _ in range(m - 1):
+        v = _times_x(v, top, m, red)
+        out.append(v)
+    return out
+
+
+def _times_constant(multiples: list[int], c: int) -> int:
+    """A packed vector times c, from its _x_multiples."""
+    acc = 0
+    while c:
+        low = c & -c
+        acc ^= multiples[low.bit_length() - 1]
+        c ^= low
+    return acc
+
+
+# powers per packed tile in _gf2_powers: ints of 4 to 16 KB
+_TILE = 4096
+
+
+def _gf2_powers(m: int, modulus: tuple[int, ...], g: int) -> list[int]:
+    """g^0 .. g^(q-2) in GF(2^m), in packed tiles of B = min(q - 1, _TILE)
+    powers.
+
+    The first tile is built by doubling: with g^0 .. g^(size-1) in, the
+    next size powers are those times g^size.  Each later tile is the first
+    one times g^(j*B), from the first one's multiples by x^b, formed once.
+    Doubling one int all the way to q - 1 powers was five times slower at
+    m = 20, where its ints reach megabytes.
+    """
+    n = (1 << m) - 1
+    s, red, width = _slot_width(m), _value(modulus[:-1], 2), min(n, _TILE)
+    top, mul = _slot_tops(s, m, width), _int_mul(2, m, modulus)
+    tile, size, g_size = 1, 1, g
+    while size < width:
+        count = min(size, width - size)
+        new = _x_multiples(tile & (1 << s * count) - 1, top, m, red)
+        tile |= _times_constant(new, g_size) << s * size
+        size += count
+        g_size = mul(g_size, g_size)
+    powers, multiples, c = _unpack(tile, s, width), _x_multiples(tile, top, m, red), g_size
+    while len(powers) < n:  # width is _TILE here, a power of two, so g_size = g^width
+        powers += _unpack(_times_constant(multiples, c), s, width)
+        c = mul(c, g_size)
+    del powers[n:]
+    return powers
+
+
 def _times_x_walk(p: int, m: int, modulus: tuple[int, ...], start: int, count: int) -> list[int]:
-    """Encodings of start * x^j for 0 <= j < count, by shift-and-reduce."""
+    """Encodings of start * x^j for 0 <= j < count in GF(p^m), p odd, by
+    shifting the digits up and folding the top one back through the modulus."""
     out = [start]
-    if p == 2:
-        red, top, v = _value(modulus, 2), 1 << m, start
-        for _ in range(count - 1):
-            v <<= 1
-            if v & top:
-                v ^= red
-            out.append(v)
-        return out
-    # odd p: shift the digits up and fold the top one back through the modulus
     negmod = [(-a) % p for a in modulus[:-1]]
     place = [p**j for j in range(m)]
     digits = _digits(start, p, m)
@@ -249,11 +362,12 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]):
     included.  For odd p, zech[i] = log(1 + g^i) (log[0] where that sum is
     zero), stored twice over so that any index in (-2n, 2n) reads it mod n.
 
-    For m > 1 the powers come from shift-and-reduce walks: x generates the
-    subgroup of order d = ord(x) and index e = n / d, which also contains
-    g^e = x^j0.  The coset g^r <x> (r < e) is walked from g^r by
-    multiplying by x, and g^(r + e*k) = g^r * x^(j0*k mod d).  Only the e
-    coset leaders and the search for g use full multiplication.
+    For p = 2 the powers come from _gf2_powers.  For odd p and m > 1 they
+    come from shift-and-reduce walks: x generates the subgroup of order
+    d = ord(x) and index e = n / d, which also contains g^e = x^j0.  The
+    coset g^r <x> (r < e) is walked from g^r by multiplying by x, and
+    g^(r + e*k) = g^r * x^(j0*k mod d).  Only the e coset leaders and the
+    search for g use full multiplication.
     """
     q = p**m
     n = q - 1
@@ -262,7 +376,9 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]):
     g = next(
         v for v in range(1, q) if all(_int_pow(mul, v, n // f) != 1 for f in factors)
     )
-    if m == 1:
+    if p == 2:
+        powers = _gf2_powers(m, modulus, g)
+    elif m == 1:
         powers = [1] * n
         for i in range(1, n):
             powers[i] = powers[i - 1] * g % p
@@ -506,13 +622,13 @@ class Field:
 
         In characteristic 2, multiplying by a constant is GF(2)-linear, so
         the work moves into set-up: each row is packed once into one int,
-        symbol j at bits [m*j, m*j + m), and row * x^b is kept for b < m.
-        Each comes from the previous one by a packed shift-and-reduce: the
-        slots whose top bit is set get the modulus (without x^m) folded back
-        in, which one carry-free product places in every such slot.  A
-        combination is then the XOR of row * x^b over the set bits b of each
-        coefficient, unpacked by shift and mask.  Odd p runs the axpy loop:
-        packing base-p digits was slower there, since digit sums carry.
+        symbol j in the byte-aligned slot [s*j, s*j + m) with s the smallest
+        of 8, 16 and 32 that is at least m (_pack), and row * x^b is kept
+        for b < m, each one a packed shift-and-reduce (_times_x) of the
+        last.  A combination is then the XOR of row * x^b over the set bits
+        b of each coefficient, unpacked through its bytes (_unpack).  Odd p
+        runs the axpy loop: packing base-p digits was slower there, since
+        digit sums carry.
         """
         if self.p != 2:
             axpy = self.axpy
@@ -525,30 +641,20 @@ class Field:
                 return out
 
             return combine
-        m = self.m
-        red = _value(self.modulus[:-1], 2)
-        top = ((1 << m * n) - 1) // ((1 << m) - 1) << (m - 1)  # top bit of every slot
-        tables = []
-        for row in rows:
-            v = 0
-            for x in reversed(row):
-                v = v << m | x
-            times_x = [v]
-            for _ in range(m - 1):
-                hi = v & top
-                v = (v ^ hi) << 1 ^ (hi >> (m - 1)) * red
-                times_x.append(v)
-            tables.append(times_x)
-        mask, shifts = (1 << m) - 1, range(0, m * n, m)
+        m, s = self.m, _slot_width(self.m)
+        red, top = _value(self.modulus[:-1], 2), _slot_tops(s, m, n)
+        tables = [_x_multiples(_pack(row, s), top, m, red) for row in rows]
 
         def combine(coeffs):
             acc = 0
             for c, times_x in zip(coeffs, tables):
+                # _times_constant inlined: a call per coefficient made a
+                # flagship combination about 30% slower
                 while c:
                     low = c & -c
                     acc ^= times_x[low.bit_length() - 1]
                     c ^= low
-            return [acc >> s & mask for s in shifts]
+            return _unpack(acc, s, n)
 
         return combine
 

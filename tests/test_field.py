@@ -591,23 +591,74 @@ def test_exp_log_tables_consistent_at_the_cap():
         field_mod._TABLES.pop((f.p, f.m, f.modulus), None)  # about 100 MB
 
 
+def _primes_dividing(n):
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + ([n] if n > 1 else [])
+
+
+@pytest.mark.parametrize(
+    "m,modulus",
+    [(m, None) for m in range(1, 17)]
+    + [(4, [1, 1, 1, 1, 1]), (8, [1, 1, 0, 1, 1, 0, 0, 0, 1]), (12, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1])],
+)
+def test_gf2_tables_match_a_walk_by_g(m, modulus):
+    """_build_tables in characteristic 2 entry for entry against a slow
+    reference: g is the smallest element none of whose powers (q - 1)/f,
+    f a prime factor of q - 1, is one in the coefficient oracle; g^i comes
+    from g^(i - 1) by one oracle multiplication, and log inverts the walk.
+    The non-default moduli make x non-primitive: of order 5, 51 and 45."""
+    f = Field(2, m, modulus)
+    ref, n = _CoefficientOracle(2, m, f.modulus), f.q - 1
+    primes = _primes_dividing(n)
+    want_g = next(
+        v for v in range(1, f.q) if all(ref.pow(ref.vec(v), n // d) != ref.one for d in primes)
+    )
+    walk, x, step = [], ref.one, ref.vec(want_g)
+    for _ in range(n):
+        walk.append(ref.value(x))
+        x = ref.mul(x, step)
+    assert x == ref.one and len(set(walk)) == n
+    want_log = [2 * n] * f.q
+    for i, v in enumerate(walk):
+        want_log[v] = i
+    exp, log, zech, g = field_mod._build_tables(2, m, f.modulus)
+    assert g == want_g
+    assert exp == walk + walk + [0] * (2 * n + 1)
+    assert log == want_log
+    assert zech is None
+
+
 # --- Field.combiner against the axpy loop it replaces in encode ----------------
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 5), (2, 16), (3, 1), (3, 5), (5, 2), (3, 4)])
+@pytest.mark.parametrize(
+    "p,m",
+    [(2, 1), (2, 2), (2, 5), (2, 8), (2, 9), (2, 16), (2, 17), (2, 20), (3, 1), (3, 5), (5, 2), (3, 4)],
+)
 def test_combiner_matches_the_axpy_loop(p, m, axpy_combination, combination_messages):
     """On seeded rows holding 0 and q - 1 among random entries; a single
     coefficient x^b gives its row times x^b entry by entry, which in
-    characteristic 2 is a packed table entry of the kernel."""
+    characteristic 2 is a packed table entry of the kernel.  m = 8, 9, 16,
+    17 and 20 fill an 8-, 16- or 32-bit slot or leave it partly empty."""
     f, rng = Field(p, m), Xorshift64Star(100 * p + m)
-    for k, n in [(1, 1), (4, 7), (9, 33)]:
-        rows = [[rng.below(f.q) for _ in range(n)] for _ in range(k)]
-        rows[0][0], rows[-1][-1] = 0, f.q - 1
-        combine = f.combiner(rows, n)
-        for coeffs in combination_messages(f, k, rng):
-            assert combine(coeffs) == axpy_combination(f, rows, n, coeffs)
-        for b in range(m):
-            for i, row in enumerate(rows):
-                single = [0] * i + [p**b] + [0] * (k - 1 - i)
-                assert combine(single) == [f.mul(p**b, x) for x in row]
-    assert f.combiner([], 3)([]) == [0, 0, 0]
+    try:
+        for k, n in [(1, 1), (4, 7), (9, 33)]:
+            rows = [[rng.below(f.q) for _ in range(n)] for _ in range(k)]
+            rows[0][0], rows[-1][-1] = 0, f.q - 1
+            combine = f.combiner(rows, n)
+            for coeffs in combination_messages(f, k, rng):
+                assert combine(coeffs) == axpy_combination(f, rows, n, coeffs)
+            for b in range(m):
+                for i, row in enumerate(rows):
+                    single = [0] * i + [p**b] + [0] * (k - 1 - i)
+                    assert combine(single) == [f.mul(p**b, x) for x in row]
+        assert f.combiner([], 3)([]) == [0, 0, 0]
+    finally:
+        if m > 16:  # about 25 MB of tables at m = 17, 100 MB at m = 20
+            field_mod._TABLES.pop((f.p, f.m, f.modulus), None)
