@@ -1,7 +1,8 @@
 """Subgroups of the affine maps x -> a*x + b over a finite field.
 
 A subgroup H acting on the field partitions it into orbits (iter_orbits lists
-them lazily).  The monic annihilator g of a free orbit, one of size |H|, has
+them lazily; fixed_points tells which are free without walking any).  The
+monic annihilator g of a free orbit, one of size |H|, has
 g(h(x)) = a^|H| g(x) = g(x) for every h: x -> a*x + b in H, so g is constant
 on every orbit (a "good polynomial" in the locally-recoverable-code sense),
 which is what makes these groups useful for block structure.
@@ -168,6 +169,13 @@ class AglSubgroup:
         """The orbit of alpha (an encoding or an element), ascending."""
         (x,) = self.field.ints((alpha,))
         return sorted({self.apply(t, x) for t in self.maps})
+
+    def fixed_points(self) -> set[int]:
+        """{b/(1 - a) : a*x + b in the group, a != 1}, in O(|H|): the only point
+        each such map fixes (a translation fixes none).  A point's orbit has
+        the full size |H| exactly when the point is not in this set."""
+        fld = self.field
+        return {fld.mul(b, fld.inv(fld.sub(1, a))) for a, b in self.maps if a != 1}
 
     def descriptor(self) -> dict:
         digits = partial(_digits, p=self.field.p, m=self.field.m)
@@ -373,8 +381,10 @@ def _term_differences(subgroup: AglSubgroup, t: AffineMap, terms, width: int) ->
 
 
 def stabilizer_splitter(subgroup: AglSubgroup, terms):
-    """The map coeffs -> stabilizer_split(subgroup, gamma) for
-    gamma = sum_i coeffs[i] * terms[i], coeffs a list of encodings.
+    """The map coeffs -> (Theta, moved) for gamma = sum_i coeffs[i] * terms[i],
+    coeffs a list of encodings: Theta = {t : gamma(t(x)) == gamma(x) as
+    polynomials}, and moved the pairs (t, gamma(t(x)) - gamma(x)) of every
+    other t, in subgroup order, each difference nonzero.
 
     Composition is linear in the outer polynomial, so gamma(t(x)) - gamma(x)
     is sum_i coeffs[i] * (terms[i](t(x)) - terms[i](x)).  Each term is
@@ -402,11 +412,8 @@ def stabilizer_splitter(subgroup: AglSubgroup, terms):
     return split
 
 
-def stabilizer_split(
-    subgroup: AglSubgroup, gamma: Polynomial
-) -> tuple[AglSubgroup, list[tuple[AffineMap, Polynomial]]]:
-    """Theta = {t : gamma(t(x)) == gamma(x) as polynomials}, and the nonzero
-    difference gamma(t(x)) - gamma(x) of every other t, in subgroup order.
+def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:
+    """Stabilizer {t : gamma(t(x)) == gamma(x) as polynomials}.
 
     This is stabilizer_splitter with gamma as its only term: gamma is
     composed with each map once, and t lies in Theta exactly when its
@@ -414,9 +421,4 @@ def stabilizer_split(
     """
     if gamma.is_zero():
         raise InputError("the stabilizer of the zero polynomial is everything")
-    return stabilizer_splitter(subgroup, [gamma])([1])
-
-
-def theta_subgroup(subgroup: AglSubgroup, gamma: Polynomial) -> AglSubgroup:
-    """Stabilizer {t : gamma(t(x)) == gamma(x) as polynomials}."""
-    return stabilizer_split(subgroup, gamma)[0]
+    return stabilizer_splitter(subgroup, [gamma])([1])[0]

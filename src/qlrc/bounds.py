@@ -6,8 +6,9 @@ evaluated degree, and a spectral bound that exploits how the zeros of a
 codeword spread across orbit blocks.  The spectral route goes through the
 Schreier graph of a block under the symbol-fixing subgroup of each
 codeword, whose second eigenvalue is known exactly, and the expander mixing
-lemma.  Everything numeric is guarded by exact rational arithmetic when an
-integer threshold is extracted.
+lemma.  Every integer threshold is extracted by an exact test in integer
+arithmetic, and the block graph's spectrum is certified from the cosets of
+the stabilizer, on which the graph's non-edges lie.
 
 Every certified number passes construct.structure_problem, the
 deterministic checks of verify_instance, first: css_params calls it, and the
@@ -29,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 # theta_subgroup stays importable from here: perfbench times bounds.theta_subgroup
 from .agl import AglSubgroup, stabilizer_splitter, theta_subgroup  # noqa: F401
@@ -85,10 +85,11 @@ def weight_bound(n: int, r: int, theta_order: int, ell: int) -> BoundValue:
     """Spectral weight bound for a codeword whose stabilizer has the given order.
 
     real value:  n * (1 - t/(2(r+1)) - sqrt(t^2/(4(r+1)^2) + mu/(r+1) * (ell-1)/n))
-    with t = theta_order and mu = r+1-t.  The integer ceiling is certified
-    with exact rational arithmetic so that a bound landing on an integer is
-    not bumped up by float fuzz.  Non-positive bounds are clamped to 1 and
-    flagged vacuous (any nonzero codeword has weight >= 1).
+    with t = theta_order and mu = r+1-t, each quotient of two integers rounded
+    once.  The integer ceiling is certified by an exact integer test so that
+    a bound landing on an integer is not bumped up by float fuzz.
+    Non-positive bounds are clamped to 1 and flagged vacuous (any nonzero
+    codeword has weight >= 1).
     """
     if ell < 1:
         raise InputError(f"largest degree ell = {ell} must be >= 1")
@@ -96,14 +97,14 @@ def weight_bound(n: int, r: int, theta_order: int, ell: int) -> BoundValue:
     if not 1 <= theta_order <= big_r:
         raise InputError(f"stabilizer order {theta_order} outside [1, {big_r}]")
     mu = big_r - theta_order
-    a_term = Fraction(n) - Fraction(n * theta_order, 2 * big_r)
-    radicand = Fraction(theta_order**2, 4 * big_r * big_r) + Fraction(mu * (ell - 1), big_r * n)
-    real = float(a_term) - n * math.sqrt(radicand)
+    top = n * (2 * big_r - theta_order)  # 2R times n*(1 - t/(2R))
+    radicand = theta_order**2 * n + 4 * big_r * mu * (ell - 1)  # 4R^2*n times the root's argument
+    real = top / (2 * big_r) - n * math.sqrt(radicand / (4 * big_r * big_r * n))
 
     def value_le(t: int) -> bool:
-        # bound <= t  <=>  a_term - t <= n * sqrt(radicand)
-        d = a_term - t
-        return d <= 0 or d * d <= n * n * radicand
+        # bound <= t  <=>  top - 2R*t <= 2R*n*sqrt(radicand/(4R^2*n)) = sqrt(n*radicand)
+        d = top - 2 * big_r * t
+        return d <= 0 or d * d <= n * radicand
 
     t = math.ceil(real - 1e-9)
     while not value_le(t):
@@ -137,7 +138,7 @@ def singleton_optimal(n: int, kappa: int, delta: int, r: int) -> bool:
     if (n + kappa) % 2:
         raise InputError("n + kappa must be even for a CSS-style instance")
     half = (n + kappa) // 2
-    rhs = r + 2 + half - math.ceil(Fraction(half, r)) * (r + 1)
+    rhs = r + 2 + half - -(-half // r) * (r + 1)  # -(-half // r) is ceil(half / r)
     return 2 <= delta <= rhs
 
 
@@ -397,86 +398,68 @@ class SchreierGraph:
 def schreier_graph(orbit, subgroup: AglSubgroup, theta: AglSubgroup) -> SchreierGraph:
     """Build the block graph generated by the maps outside the stabilizer.
 
-    The orbit must be a single full-size (free) orbit of the subgroup and
-    theta a proper subgroup of it.  The complement generating set is closed
-    under inverses because theta, a subgroup, is, so the graph is
-    undirected; freeness rules out both self-loops and
-    repeated edges, and the adjacency matrix is the all-ones matrix minus
-    the corresponding stabilizer graph.
+    The orbit must be a single full-size (free) orbit of the subgroup, so
+    none of the subgroup's fixed points, and theta a proper subgroup of it.
+    Then each vertex x is joined to every vertex outside its theta-coset
+    {s(x) : s in theta}; the returned graph passes second_eigenvalue's
+    certificate of exactly that.
     """
     field, apply = subgroup.field, subgroup.apply
     verts = sorted(set(field.ints(orbit)))
     if len(verts) != len(subgroup):
         raise NotRegular(f"orbit size {len(verts)} != subgroup order {len(subgroup)}")
-    sub_set = set(subgroup.maps)
     theta_set = set(theta.maps)
-    if not theta_set < sub_set:
+    if not theta_set < set(subgroup.maps):
         raise InputError("theta must be a proper subgroup of the acting subgroup")
+    unfree = subgroup.fixed_points().intersection(verts)
+    if unfree:
+        raise NotRegular(f"action is not free at {field.show(min(unfree))}")
     gens = [t for t in subgroup if t not in theta_set]
-    for x in verts:
-        if len({apply(f, x) for f in subgroup}) != len(subgroup):
-            raise NotRegular(f"action is not free at {field.show(x)}")
-
     idx = {x: i for i, x in enumerate(verts)}
-    size = len(verts)
-
-    def adj_from(maps):
-        mat = [[0] * size for _ in range(size)]
-        for i, x in enumerate(verts):
-            for t in maps:
-                y = apply(t, x)
-                if y not in idx:
-                    raise NotRegular("generating set walks out of the orbit")
-                mat[i][idx[y]] = 1
-        return mat
-
-    mat = adj_from(gens)
-    stab_mat = adj_from(theta_set)
-    for i in range(size):
-        for j in range(size):
-            if mat[i][j] + stab_mat[i][j] != 1:
-                raise ConstructionError("graph plus stabilizer graph is not all-ones")
-        if sum(mat[i]) != len(gens):
-            raise ConstructionError("graph is not regular of the expected degree")
-
-    return SchreierGraph(
-        vertices=tuple(verts),
-        adjacency=tuple(tuple(row) for row in mat),
-        mu=len(gens),
-        theta_order=len(theta_set),
-    )
+    mat = [[0] * len(verts) for _ in verts]
+    for i, x in enumerate(verts):
+        for t in gens:
+            y = apply(t, x)
+            if y not in idx:
+                raise NotRegular("generating set walks out of the orbit")
+            mat[i][idx[y]] = 1
+    adjacency = tuple(tuple(row) for row in mat)
+    _check_coset_graph(adjacency, len(theta_set))
+    return SchreierGraph(tuple(verts), adjacency, mu=len(gens), theta_order=len(theta_set))
 
 
-def _matmul(x, y):
-    size = len(x)
-    return [[sum(x[i][m] * y[m][j] for m in range(size)) for j in range(size)] for i in range(size)]
+def _check_coset_graph(a, t: int) -> None:
+    """Raise ConstructionError unless the square matrix a is J minus the
+    cliques on a partition of its R rows into sets of t < R: every entry is
+    0 or 1, the zeros of row i are t vertices including i, and every vertex
+    among them has the same zeros."""
+    size = len(a)
+    if not 0 < t < size:
+        raise ConstructionError(f"stabilizer order {t} is not in [1, {size - 1}]")
+    zeros = []
+    for i, row in enumerate(a):
+        if len(row) != size or not set(row) <= {0, 1}:
+            raise ConstructionError(f"adjacency row {i} is not {size} entries of 0 or 1")
+        zeros.append(frozenset(j for j, v in enumerate(row) if not v))
+        if len(zeros[i]) != t or i not in zeros[i]:
+            raise ConstructionError(f"row {i} is not zero at exactly {t} vertices, itself one")
+    for i, z in enumerate(zeros):
+        if any(zeros[j] != z for j in z):
+            raise ConstructionError(f"the zeros of row {i} are not a coset: their rows differ")
 
 
 def second_eigenvalue(graph: SchreierGraph) -> float:
     """Largest |eigenvalue| after removing one copy of the top (degree) one.
 
-    With R vertices and t = |Theta| the adjacency matrix A is J minus the
-    cliques on Theta's cosets, so its spectrum is {R - t (simple), -t, 0}.
-    This is certified in integer arithmetic: A symmetric and
-    A(A + tI)(A - (R - t)I) = 0 put every eigenvalue in {R - t, -t, 0};
-    tr A = 0 and tr A^2 = R(R - t) then force R - t to be simple and -t to
-    occur.  The answer is t exactly; any failed identity raises.
+    With R vertices and t = |Theta|, _check_coset_graph certifies that the
+    adjacency matrix A is J minus R/t >= 2 cliques J_t, up to ordering.
+    These commute with J, so the all-ones vector has eigenvalue R - t, the
+    differences of coset indicators -t, and the vectors summing to zero on
+    every coset 0: the spectrum is {R - t (simple), -t, 0}, and the answer
+    is t exactly.
     """
-    a = graph.adjacency
-    size, t = len(a), graph.theta_order
-    top = size - t
-    if any(a[i][j] != a[j][i] for i in range(size) for j in range(i)):
-        raise ConstructionError("adjacency matrix is not symmetric")
-    a2 = _matmul(a, a)
-    p = [[a2[i][j] + t * a[i][j] for j in range(size)] for i in range(size)]
-    pa = _matmul(p, a)
-    if any(pa[i][j] != top * p[i][j] for i in range(size) for j in range(size)):
-        raise ConstructionError(f"A(A + {t}I)(A - {top}I) is not zero")
-    if sum(a[i][i] for i in range(size)) != 0:
-        raise ConstructionError("adjacency matrix has a nonzero trace")
-    if sum(a2[i][i] for i in range(size)) != size * top:
-        raise ConstructionError(f"tr A^2 != {size} * {top}")
-    return float(t)
+    _check_coset_graph(graph.adjacency, graph.theta_order)
+    return float(graph.theta_order)
 
 
 # ---------------------------------------------------------------------------

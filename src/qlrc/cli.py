@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .agl import orbits, subgroup_from_generators, subspace_basis
+from .agl import subgroup_from_generators, subspace_basis
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import Field, json_text, prime_power
 from .rng import Xorshift64Star
@@ -215,14 +215,13 @@ def _cmd_search(args) -> int:
     except ValueError:
         raise InputError(f"--modulus {args.modulus!r} is not a list of integers") from None
     fld = Field(p, m, modulus)
-    everything = range(q)
     prim = fld.primitive_element().v  # 1 in GF(2)
 
     rows = []
     seen: set[frozenset] = set()
     for d in _divisors(m):
         qd = p**d
-        basis = subspace_basis(fld, d, everything)  # canonical K-basis of the field
+        basis = subspace_basis(fld, d, range(q))  # canonical K-basis of the field
         k_gen = fld.power(prim, (q - 1) // (qd - 1))  # 1 when qd = 2
         for e in _divisors(qd - 1):
             m_gen = fld.power(k_gen, (qd - 1) // e)
@@ -235,7 +234,8 @@ def _cmd_search(args) -> int:
                 if key in seen:
                     continue
                 seen.add(key)
-                n_max = sum(len(o) for o in orbits(sub, everything) if len(o) == order)
+                # the full-size orbits cover every point but the subgroup's fixed points
+                n_max = q - len(sub.fixed_points())
                 if n_max == 0:
                     continue
                 rows.append((order - 1, d, e, qd**s, n_max))

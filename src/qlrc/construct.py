@@ -294,9 +294,9 @@ class EvaluationSet:
 
 def _resolve_alpha(subgroup: AglSubgroup, alpha):
     if alpha == "auto":
-        order = len(subgroup)
+        fixed = subgroup.fixed_points()
         for x in range(subgroup.field.q):
-            if len(subgroup.orbit(x)) == order:
+            if x not in fixed:
                 return x
         raise InputError("subgroup has no full-size orbit at all")
     return alpha
@@ -311,7 +311,7 @@ def build_evaluation_set(
     """Pick blocks from the subgroup's full-size orbits and solve multipliers.
 
     domain selects the evaluation points: "full_field" uses every field
-    element (all orbits must then have full size), "orbits" takes the first
+    element (the subgroup must then fix no point), "orbits" takes the first
     n/(r+1) full-size orbits in canonical order (all when n is None) and
     stops there, and an explicit element list, enumerated over its own
     elements only, must be exactly a union of full-size orbits.
@@ -330,9 +330,9 @@ def build_evaluation_set(
     if isinstance(domain, str) and domain == "full_field":
         if n is not None and n != fld.q:
             raise InputError(f"full_field implies n = {fld.q}, got {n}")
-        chosen = list(iter_orbits(subgroup))
-        if any(len(orb) != size for orb in chosen):
+        if subgroup.fixed_points():
             raise InputError("full-size orbits do not cover the field; use domain='orbits'")
+        chosen = list(iter_orbits(subgroup))
     elif isinstance(domain, str) and domain == "orbits":
         if n is not None and n % size != 0:
             raise BadDimension(f"n = {n} is not a multiple of the block size {size}")
@@ -340,7 +340,7 @@ def build_evaluation_set(
         chosen = list(full if n is None else itertools.islice(full, max(n // size, 0)))
         want = len(chosen) if n is None else n // size
         if want < 1 or len(chosen) < want:
-            total = len(chosen) + sum(1 for _ in full)
+            total = (fld.q - len(subgroup.fixed_points())) // size
             raise InputError(
                 f"requested {want} blocks but the subgroup has {total} full-size orbits"
             )
@@ -633,8 +633,11 @@ def repair(inst: CodeInstance, received, z: int) -> FieldElement:
     linear combination of the r survivors.  Its coefficients are computed on
     z's first repair and cached on the instance per position; a repair then
     reads exactly the r in-block coordinates and does r multiply-adds.  The
-    caller guarantees the rest of the word is intact.
+    caller guarantees the rest of the word is intact.  Raises
+    LengthMismatch, before any read, when the word does not hold n symbols.
     """
+    if len(received) != inst.n:
+        raise LengthMismatch(f"received word length {len(received)} != n = {inst.n}")
     if not 0 <= z < inst.n:
         raise InputError(f"position {z} out of range")
     if received[z] is not None:

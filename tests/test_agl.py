@@ -564,6 +564,49 @@ def test_descriptor_roundtrip_mb_and_explicit():
     assert subgroup_from_descriptor(f, d2) == sub
 
 
+def _short_orbit_points(sub):
+    """The points whose orbit is smaller than the group, by walking each orbit."""
+    return {x for x in range(sub.field.q) if len(sub.orbit(x)) < len(sub)}
+
+
+def test_fixed_points_match_orbit_enumeration_on_search_subgroups(monkeypatch, capsys):
+    """x is a fixed point of some map of H exactly when its orbit is short,
+    on every (M, B) subgroup that `qlrc search` builds."""
+    import qlrc.cli
+
+    built = []
+
+    def recording(*args):
+        built.append(subgroup_from_generators(*args))
+        return built[-1]
+
+    monkeypatch.setattr(qlrc.cli, "subgroup_from_generators", recording)
+    for q in (8, 9, 16, 25, 27, 32, 49, 64, 81):
+        built.clear()
+        assert main(["search", "--q", str(q)]) == 0
+        assert built, q
+        for sub in built:
+            assert sub.fixed_points() == _short_orbit_points(sub), (q, len(sub))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["inst32", "inst8", "inst7", "inst4", "inst9x"])
+def test_fixed_points_match_orbit_enumeration_on_instances(request, name):
+    """The instances' subgroups, inst9x's being its image in GF(81)."""
+    sub = request.getfixturevalue(name).eval_set.good.subgroup
+    assert sub.fixed_points() == _short_orbit_points(sub)
+
+
+def test_fixed_points_of_a_conjugate():
+    """{x -> a(x - c) + c : a in M} fixes c and nothing else; over GF(9),
+    c = x is not -c, so b/(a - 1) in place of b/(1 - a) would show."""
+    f = Field(3, 2)
+    c = f.gen().value()
+    m4 = [f.power(f.primitive_element().value(), 2 * i) for i in range(4)]
+    sub = AglSubgroup(f, [(a, f.mul(c, f.sub(1, a))) for a in m4])
+    assert sub.fixed_points() == _short_orbit_points(sub) == {c}
+
+
 def test_orbit_of_fixed_base_point():
     f = Field(2, 5)
     sub = _additive32(f)

@@ -2,10 +2,15 @@
 
 import itertools
 import json
+import math
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qlrc
 import qlrc.field
 from qlrc import (
     AffineMap,
@@ -111,6 +116,58 @@ def test_weight_bound_ceiling_certified_exactly():
         assert bv.real <= bv.ceiling + 1e-9
         if not bv.vacuous:
             assert bv.ceiling - 1 < bv.real + 1e-9
+
+
+def _fraction_weight_bound(n, r, theta, ell):
+    """weight_bound in exact rationals, the way it was first written."""
+    big_r = r + 1
+    a_term = Fraction(n) - Fraction(n * theta, 2 * big_r)
+    radicand = Fraction(theta**2, 4 * big_r**2) + Fraction((big_r - theta) * (ell - 1), big_r * n)
+    real = float(a_term) - n * math.sqrt(radicand)
+
+    def value_le(t):
+        d = a_term - t
+        return d <= 0 or d * d <= n * n * radicand
+
+    t = math.ceil(real - 1e-9)
+    while not value_le(t):
+        t += 1
+    while value_le(t - 1):
+        t -= 1
+    return repr(real), max(t, 1), t < 1
+
+
+def test_integer_bounds_match_a_fraction_reference():
+    """The integer-only weight_bound keeps every bit of real, its ceiling and
+    its vacuous flag, and singleton_optimal its ceil(half / r)."""
+    for n in [*range(1, 13), 31, 32, 63, 64, 255, 1000, 4096, 65535, 1 << 20]:
+        for r in (1, 2, 3, 4, 6, 7, 15):
+            ells = sorted({1, 2, max(n // 2, 1), max(n - r - 1, 1), n})
+            for theta in range(1, r + 2):
+                for ell in ells:
+                    bv = weight_bound(n, r, theta, ell)
+                    want = _fraction_weight_bound(n, r, theta, ell)
+                    assert (repr(bv.real), bv.ceiling, bv.vacuous) == want, (n, r, theta, ell)
+    for n in range(1, 30):
+        for kappa in range(-n, n + 1, 2):
+            half = (n + kappa) // 2
+            for r in range(1, 8):
+                rhs = r + 2 + half - math.ceil(Fraction(half, r)) * (r + 1)
+                for delta in range(0, 8):
+                    assert singleton_optimal(n, kappa, delta, r) == (2 <= delta <= rhs)
+
+
+def test_package_import_leaves_fractions_out():
+    """Bound ceilings are plain integer tests: importing the package and its
+    CLI loads neither fractions nor decimal."""
+    src = str(Path(qlrc.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qlrc, qlrc.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_weight_bound_rejects_bad_arguments():
@@ -450,6 +507,26 @@ def test_second_eigenvalue_rejects_tampered_adjacency(inst32):
     bad = SchreierGraph(g.vertices, tuple(map(tuple, adj)), g.mu, g.theta_order)
     with pytest.raises(ConstructionError):
         second_eigenvalue(bad)
+
+
+@pytest.mark.parametrize(
+    "adjacency, theta_order",
+    [
+        (((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), 2),  # not a 0/1 matrix
+        (((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)), 2),  # K4: cosets of 1
+        (((0, 0, 1, 1), (0, 0, 1), (1, 1, 0, 0), (1, 1, 0, 0)), 2),  # a ragged row
+        (((0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0)), 2),  # zeros not cosets
+        (((0, 2, 0, 2), (2, 0, 2, 0), (0, 2, 0, 2), (2, 0, 2, 0)), 2),  # twice K_{2,2}
+        (((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0)), 2),  # self-loops
+    ],
+    ids=["weighted", "K4", "ragged", "directed", "doubled", "loops"],
+)
+def test_second_eigenvalue_rejects_non_coset_graphs(adjacency, theta_order):
+    """Only J minus the cliques on a partition into sets of theta_order is
+    certified; the old cubic identity passed the weighted matrix."""
+    graph = SchreierGraph((0, 1, 2, 3), adjacency, mu=4 - theta_order, theta_order=theta_order)
+    with pytest.raises(ConstructionError):
+        second_eigenvalue(graph)
 
 
 def test_schreier_graph_rejects_partial_orbit(inst32):

@@ -604,9 +604,12 @@ def test_bounds_past_the_cap_exits_5_when_a_gap_remains(tmp_path, translation_in
 
 
 def test_bounds_sweep_csv_structure(capsys):
+    """The sweep the benchmark runs, byte for byte as its goldens hold it."""
     rc = main(["bounds", "--sweep-kappa", "--n", "63", "--r", "6", "--q", "64"])
     assert rc == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    out = capsys.readouterr().out
+    assert out == json.loads((SHIPPED.parent / "goldens.json").read_text())["sweep_stdout"]
+    lines = out.strip().split("\n")
     assert lines[0] == "kappa,degree_bound,agl_bound"
     rows = [tuple(int(x) for x in line.split(",")) for line in lines[1:]]
     assert len(rows) == 23
@@ -735,6 +738,7 @@ SEARCH_SHA256 = {
     64: "ca8e645e68f2077e72111970877c0af8faf85e1b24196db534207096080e9192",
     81: "fbbfdce1e1d089bb1abf0a48dbdcb02cd3b3354152033f8d33699e44905abf27",
     256: "7533b8d898f0b92d1f27506ed505fdd49e4a3ba466ddb71a01d881063a32aad7",
+    4096: "4373c09f15e662cbbfb6e5d82b862d9b2879bc11bb7d628417e45d07001a3973",
 }
 
 

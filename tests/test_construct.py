@@ -711,6 +711,16 @@ def test_repair_error_paths(inst8):
         repair(inst8, rec, 0)
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_repair_rejects_a_word_of_the_wrong_length(inst8, delta):
+    """A short word once raised IndexError and a long one was repaired."""
+    rec = list(encode(inst8, [inst8.field.one()] * inst8.k))
+    rec[0] = None
+    rec = rec[:-1] if delta < 0 else rec + [inst8.field.one()]
+    with pytest.raises(LengthMismatch, match=rf"^received word length {8 + delta} != n = 8$"):
+        repair(inst8, rec, 0)
+
+
 def test_repair_on_extended_instance(inst9x):
     f = inst9x.field
     rng = Xorshift64Star(67)
