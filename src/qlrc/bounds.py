@@ -509,7 +509,9 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
 
     A sample is a uniform message, redrawn while it is zero at every row
     outside D (dual_positions certifies D = C-perp first, so those are
-    exactly the messages of words in D), and its word is encode(inst, m).
+    exactly the messages of words in D), and its word is encode's
+    combination of m on integer encodings (CodeInstance._encoder), whose
+    weight and zero positions are read off the ints.
     Its non-block-constant part gamma is sum c_ij x^i g^j over the pairs of
     s1, linear in the message's coefficients c_ij there, and so is
     gamma(t(x)) - gamma(x) for each map t of the subgroup.  Before the first
@@ -555,7 +557,7 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         coeffs = [rng.below(fld.q) for _ in s_pairs]
         while not any(coeffs[i] for i in outside):
             coeffs = [rng.below(fld.q) for _ in s_pairs]
-        word = encode(inst, coeffs)
+        word = inst._encoder(coeffs)
         s1_coeffs = [coeffs[idx] for idx in s1_idx]
         gamma = Polynomial._from_ints(fld, gamma_of(s1_coeffs))
         if gamma.is_zero():
@@ -565,7 +567,7 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         t_ord = len(theta)
         mu = len(sub) - t_ord
         bv = bound_at.get(t_ord) or weight_bound(n, r, t_ord, ell)
-        weight = sum(1 for w in word if not w.is_zero())
+        weight = n - word.count(0)
         if weight < bv.ceiling:
             failures.append(
                 f"trial {trial}: weight {weight} below bound {bv.ceiling} at stabilizer {t_ord}"
@@ -584,7 +586,7 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
         if bigg.is_zero() or gdeg > min(mu * (int(gamma.degree) - 1), cap):
             failures.append(f"trial {trial}: quotient product degree {gdeg} exceeds its cap")
 
-        zero_idx = [i for i, w in enumerate(word) if w.is_zero()]
+        zero_idx = [i for i, w in enumerate(word) if not w]
         zero_set = {es.points[i] for i in zero_idx}
         pair_count = 0
         for i in zero_idx:

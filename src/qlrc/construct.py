@@ -14,8 +14,9 @@ and rank k and D = C-perp follow from the monomials' degrees, not elimination.
 
 An instance holds its points, multipliers and generator rows as integer
 encodings over its field (see field.py), and every check and kernel works
-on those.  A FieldElement is made only where the API hands an element out:
-the word of encode and the symbol of repair.
+on those.  A FieldElement is handed out only by the API: the word of encode
+and the symbol of repair, both through Field.from_ints or from_int, so over
+a field of at most 256 elements they are the field's shared elements.
 """
 
 from __future__ import annotations
@@ -595,9 +596,10 @@ def encode(inst: CodeInstance, message) -> list[FieldElement]:
 
     message holds elements or int encodings, coerced as Field.ints does.
     The rows are combined by the instance's Field.combiner, built on the
-    first encode: XORs of bit-packed rows in characteristic 2, axpy passes
-    for odd p.  Raises LengthMismatch when the message length is not k or
-    a generator row's length is not n, before any arithmetic.
+    first encode: XORs of bit-packed rows in characteristic 2, read from
+    product tables when m <= 8, and axpy passes for odd p.  The word comes
+    from Field.from_ints.  Raises LengthMismatch when the message length is
+    not k or a generator row's length is not n, before any arithmetic.
     """
     if len(message) != inst.k:
         raise LengthMismatch(f"message length {len(message)} != k = {inst.k}")
@@ -653,7 +655,7 @@ def repair(inst: CodeInstance, received, z: int) -> FieldElement:
             raise BlockIncomplete(f"position {i} in the repair block is also missing")
         syms.append(sym)
     fld = inst.field
-    return FieldElement(fld, fld.dot(coeffs, fld.ints(syms)))
+    return fld.from_int(fld.dot(coeffs, fld.ints(syms)))
 
 
 # ---------------------------------------------------------------------------

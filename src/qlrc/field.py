@@ -9,8 +9,9 @@ first arithmetic use of a field and shared by every Field with the same
 (p, m, modulus).  In characteristic 2 the powers of the primitive element
 are built a block at a time, as big-int words: a vector of encodings is one
 int with symbol j in a byte-aligned slot (8, 16 or 32 bits), and the same
-packed layout and times-x kernel serve Field.combiner.  Odd p walks cosets
-of x digit by digit.  Field orders are capped at 2**20 because everything
+packed layout and times-x kernel serve Field.combiner, which for m <= 8
+keeps each row's products with every constant.  Odd p walks cosets of x
+digit by digit.  Field orders are capped at 2**20 because everything
 downstream (orbit enumeration, codeword scans, root counting) iterates over
 field elements.
 
@@ -18,7 +19,10 @@ Code instances and affine-map subgroups store their elements as these
 integers and work on them through the Field's integer operations (add, mul,
 sqrt, axpy, dot, horner, ...); FieldElement objects appear only at the
 public API, and each of their operators is one call to the integer
-operation of the same name after the field check.
+operation of the same name after the field check.  from_ints and
+from_int, which hand out encode's word and repair's symbol, return a
+field's shared elements when q <= 256, one per value and built on first
+use; elements are never written after construction, so sharing is safe.
 Specs and dumps carry elements as lists of exactly m digits; json_element
 and json_int are the one reader of their JSON values, and json_text, which
 writes the bytes of json.dumps(sort_keys=True, indent=2), their one writer.
@@ -468,6 +472,9 @@ class Field:
                 _TABLES[key] = _build_tables(*key)
             self._exp, self._log, self._zech, self._g = _TABLES[key]
             return self.__dict__[name]
+        if name == "_elements":  # from_ints' shared elements, for q <= 256
+            self._elements = [FieldElement(self, v) for v in range(self.q)]
+            return self._elements
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- identity ----------------------------------------------------------
@@ -530,8 +537,15 @@ class Field:
         ]
 
     def from_ints(self, values) -> list[FieldElement]:
-        """Elements for integer encodings already known to lie in [0, q)."""
-        return [FieldElement(self, v) for v in values]
+        """Elements for integer encodings already known to lie in [0, q).
+        When q <= 256 they are this Field's shared elements, one per value."""
+        if self.q > 256:
+            return [FieldElement(self, v) for v in values]
+        return list(map(self._elements.__getitem__, values))
+
+    def from_int(self, v: int) -> FieldElement:
+        """from_ints([v])[0], without the list."""
+        return FieldElement(self, v) if self.q > 256 else self._elements[v]
 
     # -- arithmetic on integer encodings -------------------------------------
 
@@ -626,9 +640,14 @@ class Field:
         of 8, 16 and 32 that is at least m (_pack), and row * x^b is kept
         for b < m, each one a packed shift-and-reduce (_times_x) of the
         last.  A combination is then the XOR of row * x^b over the set bits
-        b of each coefficient, unpacked through its bytes (_unpack).  Odd p
-        runs the axpy loop: packing base-p digits was slower there, since
-        digit sums carry.
+        b of each coefficient, unpacked through its bytes (_unpack).  When
+        m <= 8 each row keeps its products with every c < 2^m instead, the
+        table for c < 2^(b+1) being the one for c < 2^b followed by it XOR
+        row * x^b, so a coefficient costs one lookup and one XOR; the
+        tables hold k * 2^m packed rows, about 16 MB at q = 256, n = 256,
+        k = 200, so wider fields keep the bit loop.  Odd p runs the axpy
+        loop: packing base-p digits was slower there, since digit sums
+        carry.
         """
         if self.p != 2:
             axpy = self.axpy
@@ -644,6 +663,20 @@ class Field:
         m, s = self.m, _slot_width(self.m)
         red, top = _value(self.modulus[:-1], 2), _slot_tops(s, m, n)
         tables = [_x_multiples(_pack(row, s), top, m, red) for row in rows]
+        if m <= 8:
+            for i, times_x in enumerate(tables):
+                products = [0]
+                for x in times_x:
+                    products += [t ^ x for t in products]
+                tables[i] = products
+
+            def combine(coeffs):
+                acc = 0
+                for c, products in zip(coeffs, tables):
+                    acc ^= products[c]
+                return _unpack(acc, s, n)
+
+            return combine
 
         def combine(coeffs):
             acc = 0

@@ -634,6 +634,24 @@ def test_encode_matches_the_axpy_loop(
             assert encode(inst, f.from_ints(msg)) == word
 
 
+def test_encode_and_repair_hand_out_shared_elements(inst32, inst9x, axpy_combination):
+    """On the flagship and the GF(9) -> GF(81) code, encode's word equals the
+    axpy reference element by element, each symbol is the field's shared
+    element for its value, and so is the symbol repair returns."""
+    for inst in (inst32, inst9x):
+        f, rng = inst.field, Xorshift64Star(inst.n + 1)
+        for _ in range(10):
+            msg = [rng.below(f.q) for _ in range(inst.k)]
+            word = encode(inst, msg)
+            want = axpy_combination(f, inst.matrix_c, inst.n, msg)
+            assert word == [FieldElement(f, v) for v in want]
+            assert all(a is b for a, b in zip(word, f.from_ints(want)))
+            z = rng.below(inst.n)
+            received = list(word)
+            received[z] = None
+            assert repair(inst, received, z) is word[z]
+
+
 def test_encode_rejects_bad_messages(inst8, inst32):
     f, k = inst8.field, inst8.k
     for wrong in (k - 1, k + 1):

@@ -19,6 +19,7 @@ from qlrc import Field, Xorshift64Star, field_from_descriptor
 from qlrc import field as field_mod
 from qlrc.errors import InputError
 from qlrc.field import (
+    FieldElement,
     FieldMismatch,
     FieldTooLarge,
     NotPrime,
@@ -662,3 +663,30 @@ def test_combiner_matches_the_axpy_loop(p, m, axpy_combination, combination_mess
     finally:
         if m > 16:  # about 25 MB of tables at m = 17, 100 MB at m = 20
             field_mod._TABLES.pop((f.p, f.m, f.modulus), None)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_combiner_product_table_holds_every_multiple(m):
+    """Up to m = 8 a one-row combination reads one product-table entry: for
+    every c in [0, q) it is the row times c, entry by entry, on a row
+    holding 0, q - 1 and seeded values."""
+    f, rng = Field(2, m), Xorshift64Star(700 + m)
+    row = [0, f.q - 1] + [rng.below(f.q) for _ in range(13)]
+    combine = f.combiner([row], len(row))
+    for c in range(f.q):
+        assert combine([c]) == [f.mul(c, x) for x in row]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 5), (2, 8), (3, 2), (3, 5), (5, 3), (2, 9), (3, 6)])
+def test_from_ints_shares_one_element_per_value_up_to_256(p, m):
+    """Up to q = 256 from_ints and from_int hand out one shared element per
+    value, equal to a fresh FieldElement and hashed alike; above that,
+    fresh equal ones."""
+    f = Field(p, m)
+    values = [0, 1, f.q // 2, f.q - 1]
+    first, again = f.from_ints(values), f.from_ints(values)
+    for v, a, b in zip(values, first, again):
+        fresh = FieldElement(f, v)
+        assert a == b == fresh and hash(a) == hash(b) == hash(fresh)
+        assert a.field is f and a.v == v and f.from_int(v) == a
+        assert (a is b) == (f.q <= 256) == (f.from_int(v) is a)
