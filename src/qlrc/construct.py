@@ -597,7 +597,9 @@ def encode(inst: CodeInstance, message) -> list[FieldElement]:
     message holds elements or int encodings, coerced as Field.ints does.
     The rows are combined by the instance's Field.combiner, built on the
     first encode: XORs of bit-packed rows in characteristic 2, read from
-    product tables when m <= 8, and axpy passes for odd p.  The word comes
+    product tables when m <= 8; for odd p, sums of byte-digit product
+    tables in fields of at most 256 elements (GF(243) and p >= 131 aside)
+    and axpy passes elsewhere.  The word comes
     from Field.from_ints.  Raises LengthMismatch when the message length is
     not k or a generator row's length is not n, before any arithmetic.
     """

@@ -10,10 +10,11 @@ first arithmetic use of a field and shared by every Field with the same
 are built a block at a time, as big-int words: a vector of encodings is one
 int with symbol j in a byte-aligned slot (8, 16 or 32 bits), and the same
 packed layout and times-x kernel serve Field.combiner, which for m <= 8
-keeps each row's products with every constant.  Odd p walks cosets of x
-digit by digit.  Field orders are capped at 2**20 because everything
-downstream (orbit enumeration, codeword scans, root counting) iterates over
-field elements.
+keeps each row's products with every constant; for odd p it keeps them
+too, in most fields of at most 256 elements, with one byte per digit.  Odd
+p walks cosets of x digit by digit.  Field orders are capped at 2**20
+because everything downstream (orbit enumeration, codeword scans, root
+counting) iterates over field elements.
 
 Code instances and affine-map subgroups store their elements as these
 integers and work on them through the Field's integer operations (add, mul,
@@ -241,6 +242,19 @@ def _slot_tops(s: int, m: int, count: int) -> int:
     return ((1 << s * count) - 1) // ((1 << s) - 1) << (m - 1)
 
 
+def _digit_codec(p: int, m: int):
+    """Field.combiner's byte-digit layout for odd p, with M the smallest of
+    1, 2, 4 and 8 that is at least m: digit i of symbol j of a packed
+    vector is byte M*j + i of its little-endian bytes.  Returns each
+    encoding's M bytes, the map back to encodings from a symbol's M bytes
+    read in native byte order (the memoryview cast that decodes, format
+    fmt), fmt, and the 256-byte table of b mod p.  Requires m <= 8."""
+    size, fmt = 1 << (m - 1).bit_length(), "BHIQ"[(m - 1).bit_length()]
+    codes = [bytes(_digits(v, p, m) + [0] * (size - m)) for v in range(p**m)]
+    decode = dict(zip(memoryview(b"".join(codes)).cast(fmt), range(p**m)))
+    return codes, decode, fmt, bytes(b % p for b in range(256))
+
+
 def _times_x(v: int, top: int, m: int, red: int) -> int:
     """Every symbol of the packed vector v times x in GF(2^m); top marks
     bit m - 1 of every slot (_slot_tops), red is the modulus without x^m.
@@ -430,8 +444,10 @@ class Field:
     integer encodings (add, sub, neg, mul, inv, sqrt, subfield_elements and
     the list kernels axpy, dot, horner and combiner) for loops that would
     otherwise allocate an element per operation.  combiner fixes its rows
-    and returns a function of the coefficients; in characteristic 2 it
-    combines whole rows as XORs of packed integers.
+    and returns a function of the coefficients; it combines whole rows as
+    packed integers, by XOR in characteristic 2 and by adding byte digits
+    for odd p in fields of at most 256 elements, p >= 131 and GF(243)
+    aside.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -475,6 +491,9 @@ class Field:
         if name == "_elements":  # from_ints' shared elements, for q <= 256
             self._elements = [FieldElement(self, v) for v in range(self.q)]
             return self._elements
+        if name == "_digit_codec":  # combiner's odd-p packing
+            self._digit_codec = _digit_codec(self.p, self.m)
+            return self._digit_codec
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- identity ----------------------------------------------------------
@@ -645,11 +664,61 @@ class Field:
         table for c < 2^(b+1) being the one for c < 2^b followed by it XOR
         row * x^b, so a coefficient costs one lookup and one XOR; the
         tables hold k * 2^m packed rows, about 16 MB at q = 256, n = 256,
-        k = 200, so wider fields keep the bit loop.  Odd p runs the axpy
-        loop: packing base-p digits was slower there, since digit sums
-        carry.
+        k = 200, so wider fields keep the bit loop.
+
+        For odd p each digit gets a byte of its own, so packed rows add
+        digit by digit without carries while no byte passes 255: symbol j
+        takes bytes [M*j, M*j + M), M the smallest of 1, 2, 4 and 8 that is
+        at least m, and bytes.translate through a 256-byte table of b mod p
+        reduces every digit at once (_digit_codec).  Each row keeps its
+        products with every c < q: for c = c' + d * p^i with c' < p^i the
+        entry is entry c' plus row * d * x^i, the multiples of row * x^i
+        reduced as they are formed and the sums not, so an entry's digits
+        are at most m * (p - 1).  A combination adds one entry per
+        coefficient, reduces before the digit sums could pass a byte, then
+        decodes once: translate, cast to M-byte symbols, and a dict from
+        those to encodings, built through the same cast so that it holds in
+        either byte order.  The tables apply when (m + 1) * (p - 1) <= 255,
+        so a reduced sum and an entry fit a byte, and q * M <= 512, so a
+        table row is at most twice one of GF(256); of the odd q <= 256 that
+        leaves out GF(243) and the prime fields p >= 131, which, like every
+        larger field, run one axpy pass per nonzero coefficient.
         """
-        if self.p != 2:
+        p, m, q = self.p, self.m, self.q
+        log_width = (m - 1).bit_length()  # bytes per odd-p symbol: 1 << log_width
+        if p != 2 and (m + 1) * (p - 1) <= 255 and q << log_width <= 512:
+            codes, decode, fmt, modp = self._digit_codec
+            size = n << log_width
+            exp, log = self._exp, self._log
+
+            def reduce(v: int) -> int:
+                return int.from_bytes(v.to_bytes(size, "little").translate(modp), "little")
+
+            tables = []
+            for row in rows:
+                products = [0]
+                for i in range(m):
+                    li = log[p**i]
+                    x = int.from_bytes(b"".join([codes[exp[log[v] + li]] for v in row]), "little")
+                    steps = [x]  # row * d * x^i for d = 1 .. p - 1, reduced
+                    for _ in range(p - 2):
+                        steps.append(reduce(steps[-1] + x))
+                    products += [t + s for s in steps for t in products]
+                tables.append(products)
+            # an entry's digits are at most m * (p - 1), a reduced sum's p - 1
+            first, span = 255 // (m * (p - 1)), (256 - p) // (m * (p - 1))
+
+            def combine(coeffs):
+                acc = sum(map(list.__getitem__, tables[:first], coeffs[:first]))
+                for j in range(first, len(tables), span):
+                    acc = reduce(acc) + sum(
+                        map(list.__getitem__, tables[j : j + span], coeffs[j : j + span])
+                    )
+                digits = acc.to_bytes(size, "little").translate(modp)
+                return list(map(decode.__getitem__, memoryview(digits).cast(fmt)))
+
+            return combine
+        if p != 2:
             axpy = self.axpy
 
             def combine(coeffs):
@@ -660,7 +729,7 @@ class Field:
                 return out
 
             return combine
-        m, s = self.m, _slot_width(self.m)
+        s = _slot_width(m)
         red, top = _value(self.modulus[:-1], 2), _slot_tops(s, m, n)
         tables = [_x_multiples(_pack(row, s), top, m, red) for row in rows]
         if m <= 8:
@@ -838,11 +907,29 @@ def json_text(obj) -> str:
     json's indenting encoder is pure Python.  Here a list whose entries are
     all ints, such as an element's digits, is rendered once per distinct
     content and depth and reused; the memo checks the entries' class, since
-    True == 1 and 1.0 == 1 would otherwise share a key.  Other leaves go
-    through json.dumps itself.
+    True == 1 and 1.0 == 1 would otherwise share a key.  A list whose
+    entries are all lists of ints (a generator row, the points, u, blocks,
+    s1) is written in one pass: its classes are checked in C, and each
+    distinct entry's text, separator included, is rendered once per depth
+    and the texts appended by one extend.  No row is joined into a string
+    of its own, which would hold a second copy of a large dump's rows.
+    Other leaves go through json.dumps itself.
     """
     memo: dict[tuple, str] = {}
+    entries: dict[int, dict[tuple, str]] = {}  # depth -> ints -> ",\n" + indent + text
     out: list[str] = []
+
+    def ints(key: tuple, depth: int) -> str:
+        text = memo.get((key, depth))
+        if text is None:
+            inner = "\n" + "  " * (depth + 1)
+            text = memo[key, depth] = (
+                "[" + inner + ("," + inner).join(map(int.__repr__, key))
+                + "\n" + "  " * depth + "]"
+                if key
+                else "[]"
+            )
+        return text
 
     def write(o, depth: int) -> None:
         if isinstance(o, (list, tuple)):
@@ -851,14 +938,19 @@ def json_text(obj) -> str:
                 return
             inner = "\n" + "  " * (depth + 1)
             if all(x.__class__ is int for x in o):
-                key = (tuple(o), depth)
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = (
-                        "[" + inner + ("," + inner).join(map(int.__repr__, o))
-                        + "\n" + "  " * depth + "]"
-                    )
-                out.append(text)
+                out.append(ints(tuple(o), depth))
+                return
+            if set(map(type, o)) == {list} and set(
+                map(type, itertools.chain.from_iterable(o))
+            ) <= {int}:
+                texts, keys = entries.setdefault(depth, {}), list(map(tuple, o))
+                for key in set(keys).difference(texts):
+                    texts[key] = "," + inner + ints(key, depth + 1)
+                out.append("[")
+                start = len(out)
+                out.extend(map(texts.__getitem__, keys))
+                out[start] = out[start][1:]  # the first entry has no comma
+                out.append("\n" + "  " * depth + "]")
                 return
             out.append("[")
             sep = inner

@@ -180,6 +180,15 @@ JSON_TREES = [
     {"a": [3, 4], "b": [[3, 4]], "c": [[[3, 4]]], "d": [3, 4]},  # one int list at three depths
     [None, False, True, 0, "", [None, False]],
     ([1, 2], (1, 2)),
+    # lists of lists that the list-of-int-lists pass must reject or render as json does
+    [[1, 0], [True, 0]],
+    [[1, 0], [1.0, 0]],
+    [[1, 0], (1, 0)],
+    [[1, 0], []],
+    [[], []],
+    [[[1, 0]], [1, 0]],
+    {"a": [[3, 4], [5, 6]], "b": [[[3, 4], [5, 6]]], "c": [3, 4]},  # one int list at two depths
+    [[(i * 7 + j) % 5 for j in range(10)] for i in range(1024)],  # a 1024 x 10 digit matrix
 ]
 
 
@@ -638,15 +647,26 @@ def test_gf2_tables_match_a_walk_by_g(m, modulus):
 # --- Field.combiner against the axpy loop it replaces in encode ----------------
 
 
+# every odd field of at most 256 elements, each GF(p^m) as (p, m)
+ODD_FIELDS = [
+    (p, m) for p in range(3, 257, 2) if field_mod.smallest_prime_factor(p) == p
+    for m in range(1, 9) if p**m <= 256
+]
+
+
 @pytest.mark.parametrize(
     "p,m",
-    [(2, 1), (2, 2), (2, 5), (2, 8), (2, 9), (2, 16), (2, 17), (2, 20), (3, 1), (3, 5), (5, 2), (3, 4)],
+    [(2, 1), (2, 2), (2, 5), (2, 8), (2, 9), (2, 16), (2, 17), (2, 20), (3, 6)] + ODD_FIELDS,
 )
 def test_combiner_matches_the_axpy_loop(p, m, axpy_combination, combination_messages):
     """On seeded rows holding 0 and q - 1 among random entries; a single
-    coefficient x^b gives its row times x^b entry by entry, which in
-    characteristic 2 is a packed table entry of the kernel.  m = 8, 9, 16,
-    17 and 20 fill an 8-, 16- or 32-bit slot or leave it partly empty."""
+    coefficient x^b gives its row times x^b entry by entry, which is a
+    packed table entry of the kernel.  m = 8, 9, 16, 17 and 20 fill an 8-,
+    16- or 32-bit slot or leave it partly empty.  Odd p covers every field
+    up to 256 elements, on the product tables and, for GF(243), GF(131) and
+    the larger primes, on the axpy loop; 300 rows cross the odd-p tables'
+    reduction cadence, with the zero, all-(q - 1) and single-digit messages
+    and seeded ones."""
     f, rng = Field(p, m), Xorshift64Star(100 * p + m)
     try:
         for k, n in [(1, 1), (4, 7), (9, 33)]:
@@ -659,6 +679,20 @@ def test_combiner_matches_the_axpy_loop(p, m, axpy_combination, combination_mess
                 for i, row in enumerate(rows):
                     single = [0] * i + [p**b] + [0] * (k - 1 - i)
                     assert combine(single) == [f.mul(p**b, x) for x in row]
+        if p != 2:
+            k, n = 300, 5
+            rows = [[rng.below(f.q) for _ in range(n)] for _ in range(k)]
+            rows[0][0], rows[-1][-1] = 0, f.q - 1
+            combine = f.combiner(rows, n)
+            singles = [
+                [0] * i + [p**b] + [0] * (k - 1 - i) for i in (0, 150, k - 1) for b in range(m)
+            ]
+            randoms = [[rng.below(f.q) for _ in range(k)] for _ in range(3)]
+            for coeffs in [[0] * k, [f.q - 1] * k] + singles + randoms:
+                assert combine(coeffs) == axpy_combination(f, rows, n, coeffs)
+            full = [[f.q - 1] * n] * k  # every digit p - 1, the largest digit sums
+            for coeffs in ([1] * k, [f.q - 1] * k):
+                assert f.combiner(full, n)(coeffs) == axpy_combination(f, full, n, coeffs)
         assert f.combiner([], 3)([]) == [0, 0, 0]
     finally:
         if m > 16:  # about 25 MB of tables at m = 17, 100 MB at m = 20
@@ -672,6 +706,21 @@ def test_combiner_product_table_holds_every_multiple(m):
     holding 0, q - 1 and seeded values."""
     f, rng = Field(2, m), Xorshift64Star(700 + m)
     row = [0, f.q - 1] + [rng.below(f.q) for _ in range(13)]
+    combine = f.combiner([row], len(row))
+    for c in range(f.q):
+        assert combine([c]) == [f.mul(c, x) for x in row]
+
+
+@pytest.mark.parametrize(
+    "p,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2), (127, 1)]
+)
+def test_combiner_odd_product_table_holds_every_multiple(p, m, monkeypatch):
+    """For odd p the product tables hold every multiple too: a one-row
+    combination is the row times c for every c in [0, q), without an axpy
+    pass, on a row holding 0, q - 1 and seeded values."""
+    f, rng = Field(p, m), Xorshift64Star(900 + 10 * p + m)
+    row = [0, f.q - 1] + [rng.below(f.q) for _ in range(13)]
+    monkeypatch.setattr(f, "axpy", None)  # the table path never calls it
     combine = f.combiner([row], len(row))
     for c in range(f.q):
         assert combine([c]) == [f.mul(c, x) for x in row]
