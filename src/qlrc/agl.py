@@ -388,20 +388,23 @@ def stabilizer_splitter(subgroup: AglSubgroup, terms):
 
     Composition is linear in the outer polynomial, so gamma(t(x)) - gamma(x)
     is sum_i coeffs[i] * (terms[i](t(x)) - terms[i](x)).  Each term is
-    composed with each map once, here, and each map keeps its term
-    differences as the rows of one Field.combiner; a split is then one
-    combination per map.  The caller rules out a zero gamma.
+    composed with each map but the identity once, here, and each such map
+    keeps its term differences as the rows of one Field.combiner; a split
+    is then one combination per map.  The identity's differences are all
+    zero, so it is kept in Theta at its place without one.  The caller
+    rules out a zero gamma.
     """
     field = subgroup.field
     width = max((len(term.coeffs) for term in terms), default=0)
     differences = [
-        (t, field.combiner(_term_differences(subgroup, t, terms, width), width)) for t in subgroup
+        (t, t != (1, 0) and field.combiner(_term_differences(subgroup, t, terms, width), width))
+        for t in subgroup
     ]
 
     def split(coeffs):
         kept, moved = [], []
         for t, combine in differences:
-            diff = combine(coeffs)
+            diff = combine(coeffs) if combine else ()
             if any(diff):
                 moved.append((t, Polynomial._from_ints(field, diff)))
             else:

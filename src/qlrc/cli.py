@@ -9,6 +9,7 @@ failure, 4 verification failure, 5 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -249,7 +250,10 @@ def _cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qlrc parser, built on the first call and shared after it: a parse
+    leaves no state on it, and help text is laid out when it is printed."""
     parser = argparse.ArgumentParser(
         prog="qlrc",
         description="Locally recoverable codes containing their duals, and the "

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,10 +19,12 @@ from qlrc import (
     repair,
     subgroup_from_MB,
 )
+from qlrc import cli
 from qlrc.cli import main
 from qlrc.errors import InputError
 
-SHIPPED = Path(__file__).resolve().parent.parent / "perfbench" / "dumps"
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = ROOT / "perfbench" / "dumps"
 
 
 @pytest.fixture()
@@ -815,3 +820,66 @@ def test_output_flag_writes_file(dump8, tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["n"] == 8
+
+
+# `qlrc --help` at 80 columns, as the parser printed it when it was built on every call
+HELP_80 = """\
+usage: qlrc [-h] {construct,verify,bounds,repair,search} ...
+
+Locally recoverable codes containing their duals, and the quantum code
+parameters and distance bounds that follow from them.
+
+positional arguments:
+  {construct,verify,bounds,repair,search}
+    construct           build an instance from a JSON spec
+    verify              re-run every structural check on a dump
+    bounds              distance bounds for an instance or a kappa sweep
+    repair              erase coordinates and repair them from blocks
+    search              list subgroup choices and achievable (n, r)
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def _fresh_qlrc(*argv):
+    """(exit code, stdout) of `python -m qlrc.cli argv` in a new process, 80 columns wide."""
+    env = dict(os.environ, COLUMNS="80")
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlrc.cli", *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_parse_error_leaves_the_shared_parser_as_new(capsys):
+    """An argparse exit on the shared parser changes nothing that a later
+    call sees: verify then prints what it prints in a fresh process."""
+    with pytest.raises(SystemExit) as err:
+        main(["construct"])  # --spec is required
+    assert err.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+    argv = ["verify", "--instance", str(SHIPPED / "q8_n8_k5.json"), "--trials", "5"]
+    assert main(argv) == 0
+    assert _fresh_qlrc(*argv) == (0, capsys.readouterr().out)
+
+
+def test_help_text_is_unchanged(monkeypatch, capsys):
+    """The width is read when help is printed, not when the parser is built."""
+    assert _fresh_qlrc("--help") == (0, HELP_80)
+    cli.build_parser()  # built before the width below is set
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == HELP_80
