@@ -396,15 +396,16 @@ def stabilizer_splitter(subgroup: AglSubgroup, terms):
     """
     field = subgroup.field
     width = max((len(term.coeffs) for term in terms), default=0)
-    differences = [
-        (t, t != (1, 0) and field.combiner(_term_differences(subgroup, t, terms, width), width))
-        for t in subgroup
-    ]
+
+    def combiner(t):
+        return field.combiner(_term_differences(subgroup, t, terms, width), width)
+
+    differences = [(t, None if t == (1, 0) else combiner(t)) for t in subgroup]
 
     def split(coeffs):
         kept, moved = [], []
         for t, combine in differences:
-            diff = combine(coeffs) if combine else ()
+            diff = () if combine is None else combine(coeffs)
             if any(diff):
                 moved.append((t, Polynomial._from_ints(field, diff)))
             else:

@@ -90,16 +90,15 @@ class MultiplierSolution:
 
 def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
     """The Lagrange weights w_i = prod_{j != i} (x_i - x_j)^-1 of distinct
-    nodes, on integer encodings, in O(N^2) field additions for N nodes.
+    nodes, on integer encodings; the only place these products are formed.
 
     sum_i w_i f(x_i) is the x^(N-1) coefficient of the interpolant of f on
     the N nodes, so it vanishes when deg f <= N - 2, and w spans the kernel
     of the (N - 1) x N Vandermonde.  The multiplier solve takes square roots
     of w over all points, the gate compares u^2 with it and repair reads it
-    over a block; the first two read it off the fibres of g instead where
-    _fibre_denominators applies.  Each w_i is one exp lookup of a sum of
-    logs of x_i - x_j over every j: j = i adds log[0] = 2(q - 1), which
-    vanishes mod q - 1.  Raises DegenerateSet when nodes repeat.
+    over a block.  Each w_i is one exp lookup of a sum of logs of x_i - x_j
+    over every j: j = i adds log[0] = 2(q - 1), which vanishes mod q - 1.
+    Raises DegenerateSet when nodes repeat.
     """
     if len(set(xs)) != len(xs):
         raise DegenerateSet("evaluation points repeat")
@@ -108,60 +107,10 @@ def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
     return [exp[-sum(log[add(x, y)] for y in negs) % order] for x in xs]
 
 
-def _fibre_denominators(fld: Field, xs, blocks, g: Polynomial) -> list[int] | None:
-    """The Lagrange weights of _lagrange_denominators on the nodes xs, in
-    O(n * R + u^2), or None unless the nodes are distinct, the blocks
-    partition range(n) into u blocks of size R = deg g >= 1, and g takes
-    one value gamma_b on each block b.
-
-    Then g - gamma_b, of degree R, has exactly the R points of b as its
-    roots: g - gamma_b = lc * prod_{a in b} (x - a), lc the leading
-    coefficient of g, and the u values are distinct.  So the node
-    polynomial is P = lc^-u * prod_b (g - gamma_b).  At a in
-    b every term of P' vanishes but the one in which g - gamma_b is
-    differentiated: P'(a) = lc^-u * g'(a) * prod_{b' != b} (gamma_b - gamma_b'),
-    and w_a = 1 / P'(a).  g'(a) = lc * prod (a - a') over the other a' in b
-    is not zero, and the product over b' is the inverse of the Lagrange
-    weight of gamma_b among the u values.
-    """
-    n, size = len(xs), g.degree
-    if size < 1 or len(set(xs)) != n or any(len(blk) != size for blk in blocks):
-        return None
-    if sorted(i for blk in blocks for i in blk) != list(range(n)):
-        return None
-    horner, coeffs = fld.horner, g.coeffs
-    gammas = []
-    for blk in blocks:
-        values = {horner(coeffs, xs[i]) for i in blk}
-        if len(values) != 1:
-            return None
-        gammas += values
-    slope = [fld.mul(i % fld.p, c) for i, c in enumerate(coeffs)][1:]  # g'
-    log, exp, order = fld._log, fld._exp, fld.q - 1
-    lc_u = log[coeffs[-1]] * len(blocks)
-    w = [0] * n
-    for blk, wb in zip(blocks, _lagrange_denominators(fld, gammas)):
-        top = lc_u + log[wb]
-        for i in blk:
-            w[i] = exp[(top - log[horner(slope, xs[i])]) % order]
-    return w
-
-
 def solve_multipliers(fld: Field, points) -> MultiplierSolution:
     """A nowhere-zero u with sum u_i^2 * a_i^j = 0 for all j <= n - 2.
 
-    points are distinct elements of fld or their integer encodings; the
-    square roots are taken by _square_roots from _lagrange_denominators.
-    """
-    points = list(points)
-    if len(points) < 2:
-        raise InputError("need at least two evaluation points")
-    xs = fld.ints(points)
-    return _square_roots(fld, xs, _lagrange_denominators(fld, xs))
-
-
-def _square_roots(fld: Field, xs: list[int], v: list[int]) -> MultiplierSolution:
-    """The multipliers of the nodes xs from their Lagrange weights v.
+    points are elements of fld or their integer encodings.
 
     The square vector is forced up to scaling: u_i^2 must be proportional to
     v_i = prod_{j != i} (a_i - a_j)^{-1}.  In characteristic 2 every element
@@ -172,6 +121,12 @@ def _square_roots(fld: Field, xs: list[int], v: list[int]) -> MultiplierSolution
     is a square.  The result is certified by multiplier-power-sums, one of
     the checks build_code runs.
     """
+    points = list(points)
+    if len(points) < 2:
+        raise InputError("need at least two evaluation points")
+    xs = fld.ints(points)
+    v = _lagrange_denominators(fld, xs)
+
     embedding = None
     out_field = fld
     out_points = xs
@@ -404,9 +359,7 @@ def build_evaluation_set(
     # orbits come sorted inside and listed by smallest member, and so do the blocks
     blocks = tuple(tuple(index[x] for x in b) for b in chosen)
 
-    # the blocks are whole fibres of g, which _fibre_denominators checks
-    w = _fibre_denominators(fld, points, blocks, good.g) or _lagrange_denominators(fld, points)
-    sol = _square_roots(fld, points, w)
+    sol = solve_multipliers(fld, points)
     if sol.extended:
         emb, big, sub = sol.embedding, sol.field, good.subgroup
         # a field embedding maps the group sub onto a group: no proof is needed
@@ -507,17 +460,14 @@ class CodeInstance:
         The power sums sum_z u_z^2 a_z^e vanish for e <= n - 2 exactly when
         u^2 lies in the kernel of the (n - 1) x n Vandermonde.  On distinct
         points that kernel is spanned by the Lagrange weights w, none zero,
-        so the premise holds when u_z^2 / w_z is one value for every z.  w
-        comes from _fibre_denominators where its own premises hold on the
-        stored points, blocks and g, else from _lagrange_denominators."""
+        so the premise holds when u_z^2 / w_z is one value for every z."""
         es, n, pairs, rows = self.eval_set, self.n, self.exps.s_pairs, self.matrix_c
         fld, unmet = es.field, {}
         if len(set(es.points)) != n:
             unmet["distinct"] = "evaluation points repeat"
             unmet["power-sums"] = "power sums not certified: evaluation points repeat"
         else:
-            w = _fibre_denominators(fld, es.points, es.blocks, es.good.g)
-            w = w or _lagrange_denominators(fld, es.points)
+            w = _lagrange_denominators(fld, es.points)
             if len({fld.mul(fld.mul(x, x), fld.inv(wz)) for x, wz in zip(es.u, w)}) > 1:
                 unmet["power-sums"] = "weighted power sums do not vanish up to degree n - 2"
         if 0 in es.u:

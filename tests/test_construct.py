@@ -38,8 +38,6 @@ from qlrc.construct import (
 from qlrc.errors import ConstructionError, InputError
 from qlrc.field import FieldElement, FieldMismatch
 
-import test_gate_mutations as gate_mutations
-
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -327,15 +325,15 @@ def test_build_runs_the_block_check(monkeypatch):
 def test_build_runs_the_power_sum_check(monkeypatch, tmp_path, capsys):
     """A multiplier vector with one entry changed stops the build and makes
     qlrc construct exit 3; scaling all of u would keep the power sums."""
-    roots = construct._square_roots  # the multiplier solve's last step, on either weights path
+    solve = construct.solve_multipliers
 
-    def one_entry_off(fld, points, weights):
-        sol = roots(fld, points, weights)
+    def one_entry_off(fld, points):
+        sol = solve(fld, points)
         square = sol.field.mul(sol.u[0], sol.u[0])
         other = next(x for x in range(1, sol.field.q) if sol.field.mul(x, x) != square)
         return dataclasses.replace(sol, u=(other, *sol.u[1:]))
 
-    monkeypatch.setattr(construct, "_square_roots", one_entry_off)
+    monkeypatch.setattr(construct, "solve_multipliers", one_entry_off)
     wrong = "multiplier-power-sums: weighted power sums do not vanish up to degree n - 2"
     f8 = Field(2, 3)
     sub = subgroup_from_MB(f8, 1, {f8.one()}, {f8.zero(), f8.one(), f8.gen(), f8.gen() + f8.one()})
@@ -844,97 +842,6 @@ def test_lagrange_denominators_serve_the_multiplier_solve():
                 assert f.from_value(w) * prod == f.one()
         with pytest.raises(DegenerateSet):
             construct._lagrange_denominators(f, [1, 2, 1])
-
-
-def _fibre_path(es):
-    """Whether _fibre_denominators reads es's weights off the fibres of g;
-    where it does, they are the weights of the dense loop."""
-    fibre = construct._fibre_denominators(es.field, es.points, es.blocks, es.good.g)
-    if fibre is not None:
-        assert fibre == construct._lagrange_denominators(es.field, es.points)
-    return fibre is not None
-
-
-@pytest.mark.parametrize("name", sorted(p.stem for p in (PERFBENCH / "specs").glob("*.json")))
-def test_fibre_weights_match_the_dense_loop_on_the_specs(name):
-    inst = instance_from_spec(json.loads((PERFBENCH / "specs" / f"{name}.json").read_text()))
-    assert _fibre_path(inst.eval_set)
-
-
-@pytest.mark.parametrize("fixture", ["inst32", "inst8", "inst7", "inst4", "inst9x"])
-def test_fibre_weights_match_the_dense_loop_on_the_fixtures(request, fixture):
-    assert _fibre_path(request.getfixturevalue(fixture).eval_set)
-
-
-def test_fibre_weights_match_the_dense_loop_on_the_gate_mutants():
-    taken = fallback = 0
-    for path in gate_mutations.SHIPPED:
-        dump = json.loads(path.read_text())
-        for _, mutant in gate_mutations._mutants(dump, Xorshift64Star(gate_mutations.SEED)):
-            try:
-                es = instance_from_dump(mutant).eval_set
-            except InputError:
-                continue
-            if _fibre_path(es):
-                taken += 1
-            else:
-                fallback += 1
-    assert taken > 200 and fallback > 30
-
-
-def test_a_fresh_build_reads_its_weights_off_the_fibres(monkeypatch, sub32):
-    """The multiplier solve and the gate's premise each run the dense loop
-    over the 8 values of g only, never over the 32 points."""
-    sizes = []
-    dense = construct._lagrange_denominators
-
-    def recording(fld, xs):
-        sizes.append(len(xs))
-        return dense(fld, xs)
-
-    monkeypatch.setattr(construct, "_lagrange_denominators", recording)
-    build_code(build_evaluation_set(sub32), 19)
-    assert sizes == [8, 8]
-
-
-def _off_the_fibres(inst, edit):
-    """inst with one block swapped across two fibres, two blocks resized, or
-    g moved off constancy, its multipliers and points untouched."""
-    es = inst.eval_set
-    blocks = [list(b) for b in es.blocks]
-    g = es.good.g
-    if edit == "swap":
-        blocks[0][0], blocks[1][0] = blocks[1][0], blocks[0][0]
-    elif edit == "size":
-        blocks[1].append(blocks[0].pop())
-    else:
-        g = g + Polynomial.x(inst.field)
-    bad = dataclasses.replace(
-        es, blocks=tuple(map(tuple, blocks)), good=dataclasses.replace(es.good, g=g)
-    )
-    return dataclasses.replace(inst, eval_set=bad)
-
-
-@pytest.mark.parametrize("edit", ["swap", "size", "g"])
-def test_premises_fall_back_to_the_dense_loop_off_the_fibres(monkeypatch, inst32, edit):
-    bad = _off_the_fibres(inst32, edit)
-    es = bad.eval_set
-    assert construct._fibre_denominators(es.field, es.points, es.blocks, es.good.g) is None
-    assert "power-sums" not in bad._premises[0]  # the points and u are those of a valid instance
-    monkeypatch.setattr(construct, "_fibre_denominators", lambda *args: None)
-    assert bad._premises == _off_the_fibres(inst32, edit)._premises
-
-
-def test_fibre_weights_of_a_scaled_g():
-    """2g over GF(9) is not monic, but it has the same fibres: its weights
-    come from them, with lc = 2, and the gate's premises hold."""
-    f9 = Field(3, 2)
-    sub = subgroup_from_MB(f9, 1, {f9.one()}, {f9.zero(), f9.one(), f9.from_value(2)})
-    es = build_evaluation_set(sub)
-    scaled = dataclasses.replace(es, good=dataclasses.replace(es.good, g=es.good.g * f9.from_value(2)))
-    assert _fibre_path(scaled)
-    inst = build_code(es, 5)
-    assert "power-sums" not in dataclasses.replace(inst, eval_set=scaled)._premises[0]
 
 
 def _survivor_weights(es, z):
