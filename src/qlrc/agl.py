@@ -75,8 +75,8 @@ class AglSubgroup:
     own proof and store their maps through _proven, which alone sets
     subfield_degree: the degree of K when the maps are {a*x + b : a in M,
     b in B}, as subgroup_from_MB or an MB descriptor showed, so that the
-    descriptor reads M and B back from the maps.  apply, compose and inverse
-    take any map over the field.
+    descriptor reads M and B back from the maps.  apply and compose take any
+    map over the field.
     """
 
     def __init__(self, field: Field, maps):
@@ -139,11 +139,6 @@ class AglSubgroup:
     def compose(self, s: AffineMap, t: AffineMap) -> AffineMap:
         """s after t: x -> s(t(x))."""
         return AffineMap(self.field.mul(s.a, t.a), self.apply(s, t.b))
-
-    def inverse(self, t: AffineMap) -> AffineMap:
-        fld = self.field
-        ai = fld.inv(t.a)
-        return AffineMap(ai, fld.neg(fld.mul(ai, t.b)))
 
     def polynomial(self, t: AffineMap) -> Polynomial:
         """a*x + b as a polynomial over the field."""

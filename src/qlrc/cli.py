@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .agl import subgroup_from_generators, subspace_basis
+from .agl import _k_span
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
 from .field import Field, json_text, prime_power
 from .rng import Xorshift64Star
@@ -209,37 +209,36 @@ def _divisors(n: int) -> list[int]:
 
 
 def _cmd_search(args) -> int:
+    """List each H = {a*x + b : a in M, b in B} by its shape (e, B): B one
+    of the K-spans that the greedy K-basis of the field grows, K of degree d,
+    and M the only subgroup of order e of the cyclic units; the first d to
+    reach a shape lists it.  A map a*x + b with a != 1 fixes only b/(1 - a),
+    which lies in the K-subspace B, since (1 - a)^-1 lies in K; and
+    a*x + (1 - a)*beta fixes each beta in B.  So H fixes exactly B when e > 1
+    and no point when e = 1: n_max, the points with a free orbit, is q - |B|
+    or q, and never 0, since e > 1 and B the whole field make |H| = e*q > q.
+    """
     q = args.q
     p, m = prime_power(q)
     try:
-        modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+        modulus = None if args.modulus is None else [int(c) for c in args.modulus.split(",")]
     except ValueError:
         raise InputError(f"--modulus {args.modulus!r} is not a list of integers") from None
     fld = Field(p, m, modulus)
-    prim = fld.primitive_element().v  # 1 in GF(2)
 
     rows = []
-    seen: set[frozenset] = set()
+    seen: set[tuple[int, frozenset]] = set()
     for d in _divisors(m):
         qd = p**d
-        basis = subspace_basis(fld, d, range(q))  # canonical K-basis of the field
-        k_gen = fld.power(prim, (q - 1) // (qd - 1))  # 1 when qd = 2
+        spans = [frozenset({0})]
+        spans += (frozenset(span) for _, span in _k_span(fld, fld.subfield_elements(d), range(q)))
         for e in _divisors(qd - 1):
-            m_gen = fld.power(k_gen, (qd - 1) // e)
-            for s in range(0, m // d + 1):
-                order = e * qd**s
-                if order < 3 or order > q:
+            for B in spans:
+                order = e * len(B)
+                if order < 3 or order > q or (e, B) in seen:
                     continue
-                sub = subgroup_from_generators(fld, d, m_gen, basis[:s])
-                key = frozenset(sub.maps)
-                if key in seen:
-                    continue
-                seen.add(key)
-                # the full-size orbits cover every point but the subgroup's fixed points
-                n_max = q - len(sub.fixed_points())
-                if n_max == 0:
-                    continue
-                rows.append((order - 1, d, e, qd**s, n_max))
+                seen.add((e, B))
+                rows.append((order - 1, d, e, len(B), q - len(B) if e > 1 else q))
     rows.sort()
     out = [
         "# one canonical K-subspace per dimension; conjugate subgroups are omitted",

@@ -27,10 +27,11 @@ from qlrc.agl import (
     NotSubspace,
     _cyclic_generator,
     subgroup_from_generators,
+    subspace_basis,
 )
 from qlrc.cli import main
 from qlrc.errors import InputError
-from qlrc.field import field_from_descriptor
+from qlrc.field import field_from_descriptor, prime_power
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,16 +54,11 @@ def test_affine_compose_matches_pointwise():
         assert ambient.apply(st, x) == ambient.apply(s, ambient.apply(t, x))
 
 
-def test_affine_inverse_and_identity():
+def test_affine_identity():
     f = Field(3, 2)
     ambient = AglSubgroup(f, [AffineMap(1, 0)])
-    rng = Xorshift64Star(29)
     ident = AffineMap(1, 0)
     assert all(ambient.apply(ident, x) == x for x in range(f.q))
-    for _ in range(50):
-        t = AffineMap(1 + rng.below(f.q - 1), rng.below(f.q))
-        assert ambient.compose(t, ambient.inverse(t)) == ident
-        assert ambient.compose(ambient.inverse(t), t) == ident
 
 
 def test_affine_map_rejects_zero_slope():
@@ -86,7 +82,7 @@ def test_as_polynomial_evaluates_like_the_map():
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (2, 5), (3, 4)])
 def test_int_map_kernels_match_element_arithmetic(p, m):
-    """apply, compose, inverse and orbit on integer encodings agree with the
+    """apply, compose and orbit on integer encodings agree with the
     same maps worked in FieldElement arithmetic, kept here as the reference;
     a subgroup lists its maps by (a, b) as values, and a stabilizer keeps
     its parent's order."""
@@ -106,8 +102,6 @@ def test_int_map_kernels_match_element_arithmetic(p, m):
         assert ambient.apply(t, x) == ref_apply(t, x).value()
         ref_st = (el(s.a) * el(t.a), el(s.a) * el(t.b) + el(s.b))
         assert ambient.compose(s, t) == tuple(c.value() for c in ref_st)
-        ai = el(t.a).inv()
-        assert ambient.inverse(t) == (ai.value(), (-(ai * el(t.b))).value())
 
     prime = f.subfield_elements(1)
     x = Polynomial.x(f)
@@ -155,32 +149,80 @@ def _accepted(field, maps) -> bool:
     return True
 
 
-def _search_groups(q, monkeypatch):
-    """The subgroups that qlrc search builds over GF(q), none of them proven
-    by closure: they come through AglSubgroup._proven."""
-    built = []
-    proven = AglSubgroup._proven
+def _inverse(field, t):
+    ai = field.inv(t.a)
+    return AffineMap(ai, field.neg(field.mul(ai, t.b)))
 
-    def record(field, maps, subfield_degree=None):
-        built.append(proven(field, maps, subfield_degree))
-        return built[-1]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(AglSubgroup, "_proven", record)
-        assert main(["search", "--q", str(q)]) == 0
-    return built
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _reference_search(q):
+    """The former qlrc search loop, kept as a reference: it builds the
+    subgroup of every candidate (d, e, s), drops each map set it has seen
+    and reads n_max off the fixed points.  Its rows, sorted, and every
+    group it built."""
+    p, m = prime_power(q)
+    fld = Field(p, m)
+    prim = fld.primitive_element().v
+    rows, built, seen = [], [], set()
+    for d in _divisors(m):
+        qd = p**d
+        basis = subspace_basis(fld, d, range(q))
+        for e in _divisors(qd - 1):
+            m_gen = fld.power(prim, (q - 1) // e)
+            for s in range(m // d + 1):
+                order = e * qd**s
+                if order < 3 or order > q:
+                    continue
+                built.append(subgroup_from_generators(fld, d, m_gen, basis[:s]))
+                key = frozenset(built[-1].maps)
+                if key in seen:
+                    continue
+                seen.add(key)
+                n_max = q - len(built[-1].fixed_points())
+                if n_max:
+                    rows.append((order - 1, d, e, qd**s, n_max))
+    return sorted(rows), built
+
+
+def _search_groups(q, capsys):
+    """The subgroup of each row that qlrc search lists over GF(q), rebuilt
+    from the row's (d, e, b_order): M = <prim^((q - 1)/e)> and B the span of
+    the first s vectors of the field's greedy K-basis, |B| = (p^d)^s.  None
+    of them is proven by closure: they come through AglSubgroup._proven.
+    The rows are the reference loop's, one for one, and the groups are the
+    ones it built."""
+    assert main(["search", "--q", str(q)]) == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    rows = [tuple(map(int, line.split(","))) for line in lines]
+    ref_rows, ref_built = _reference_search(q)
+    assert rows == ref_rows
+    p, m = prime_power(q)
+    fld = Field(p, m)
+    prim = fld.primitive_element().v
+    groups = []
+    for r, d, e, b_order, n_max in rows:
+        s = [p ** (d * i) for i in range(m // d + 1)].index(b_order)
+        basis = subspace_basis(fld, d, range(q))[:s]
+        sub = subgroup_from_generators(fld, d, fld.power(prim, (q - 1) // e), basis)
+        assert len(sub) == r + 1 and q - len(sub.fixed_points()) == n_max
+        groups.append(sub)
+    assert {sub.maps for sub in groups} == {sub.maps for sub in ref_built}
+    return groups
 
 
 @pytest.mark.parametrize("q", [8, 9, 16])
-def test_closure_check_matches_the_exhaustive_check(q, monkeypatch):
-    """The groups that qlrc search builds, each of them with one map and its
+def test_closure_check_matches_the_exhaustive_check(q, capsys):
+    """The groups that qlrc search lists, each of them with one map and its
     inverse removed, with the identity removed, or with one outside map and
     its inverse added, random sets with and without their inverses and with
     and without the identity, and products <s><t> of two cyclic groups get
     the verdict of the exhaustive check from the closure check alone.  A
     product is a set that few generators reach, closed only when its
     factors commute as sets."""
-    groups = [(sub.field, set(sub.maps)) for sub in _search_groups(q, monkeypatch)]
+    groups = [(sub.field, set(sub.maps)) for sub in _search_groups(q, capsys)]
     fld = groups[0][0]
     identity = AffineMap(1, 0)
     ambient = AglSubgroup(fld, [identity])
@@ -200,12 +242,12 @@ def test_closure_check_matches_the_exhaustive_check(q, monkeypatch):
     for _, maps in groups:
         h = sorted(maps)[1 + rng.below(len(maps) - 1)]
         t = random_map()
-        cases += [maps, maps - {h, ambient.inverse(h)}, maps - {identity}]
-        cases.append(maps | {t, ambient.inverse(t)})
+        cases += [maps, maps - {h, _inverse(fld, h)}, maps - {identity}]
+        cases.append(maps | {t, _inverse(fld, t)})
     for _ in range(300):
         picked = {random_map() for _ in range(1 + rng.below(6))}
-        cases.append({identity} | picked | {ambient.inverse(t) for t in picked})
-        cases.append((picked | {ambient.inverse(t) for t in picked}) - {identity})
+        cases.append({identity} | picked | {_inverse(fld, t) for t in picked})
+        cases.append((picked | {_inverse(fld, t) for t in picked}) - {identity})
         cases.append({identity} | {random_map() for _ in range(1 + rng.below(12))})
         cases.append({random_map() for _ in range(1 + rng.below(12))} - {identity})
     for _ in range(60):
@@ -569,25 +611,14 @@ def _short_orbit_points(sub):
     return {x for x in range(sub.field.q) if len(sub.orbit(x)) < len(sub)}
 
 
-def test_fixed_points_match_orbit_enumeration_on_search_subgroups(monkeypatch, capsys):
+def test_fixed_points_match_orbit_enumeration_on_search_subgroups(capsys):
     """x is a fixed point of some map of H exactly when its orbit is short,
-    on every (M, B) subgroup that `qlrc search` builds."""
-    import qlrc.cli
-
-    built = []
-
-    def recording(*args):
-        built.append(subgroup_from_generators(*args))
-        return built[-1]
-
-    monkeypatch.setattr(qlrc.cli, "subgroup_from_generators", recording)
+    on every (M, B) subgroup that `qlrc search` lists."""
     for q in (8, 9, 16, 25, 27, 32, 49, 64, 81):
-        built.clear()
-        assert main(["search", "--q", str(q)]) == 0
-        assert built, q
-        for sub in built:
+        groups = _search_groups(q, capsys)
+        assert groups, q
+        for sub in groups:
             assert sub.fixed_points() == _short_orbit_points(sub), (q, len(sub))
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", ["inst32", "inst8", "inst7", "inst4", "inst9x"])
@@ -712,13 +743,12 @@ def test_specs_build_closed_subgroups(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [25, 27, 32, 64])
-def test_search_builds_closed_subgroups(q, monkeypatch, capsys):
-    """Every group that qlrc search builds from an MB pair is closed; for
+def test_search_builds_closed_subgroups(q, capsys):
+    """Every group that qlrc search lists from an MB pair is closed; for
     q in {8, 9, 16} the closure-check test above proves this already."""
-    built = _search_groups(q, monkeypatch)
-    capsys.readouterr()
-    assert built
-    for sub in built:
+    groups = _search_groups(q, capsys)
+    assert groups
+    for sub in groups:
         _assert_closed(sub)
 
 

@@ -22,6 +22,7 @@ from qlrc import (
 from qlrc import cli
 from qlrc.cli import main
 from qlrc.errors import InputError
+from qlrc.field import prime_power
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ROOT / "perfbench" / "dumps"
@@ -756,12 +757,47 @@ def test_search_listing_is_frozen(capsys, q):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[q]
 
 
+# the listings of every prime power 3 <= q <= 1024, concatenated in ascending q
+SEARCH_UP_TO_1024_SHA256 = "2fe0651cce06e5cfba902cd9ac04d054a520f4d86a4d5ffea3cbfc58bcfd41b2"
+
+
+def test_search_listings_up_to_1024_are_frozen(capsys):
+    """sha256 recorded while n_max was read off each subgroup's maps, over
+    197 fields: every one of them, not the ten pinned above."""
+    listings = []
+    for q in range(3, 1025):
+        try:
+            prime_power(q)
+        except InputError:
+            continue
+        assert main(["search", "--q", str(q)]) == 0
+        listings.append(capsys.readouterr().out)
+    assert len(listings) == 197
+    digest = hashlib.sha256("".join(listings).encode()).hexdigest()
+    assert digest == SEARCH_UP_TO_1024_SHA256
+
+
+@pytest.mark.parametrize(
+    "q,modulus", [(16, "1,0,0,1,1"), (27, "2,0,1,1"), (64, "1,0,0,0,0,1,1"), (81, "2,0,0,1,1")]
+)
+def test_search_listing_does_not_depend_on_the_modulus(capsys, q, modulus):
+    """Each modulus here differs from the default one; the field and its
+    subgroups are the same up to isomorphism, and so is the listing."""
+    assert Field(*prime_power(q)).modulus != tuple(int(c) for c in modulus.split(","))
+    assert main(["search", "--q", str(q), "--modulus", modulus]) == 0
+    given = capsys.readouterr().out
+    assert main(["search", "--q", str(q)]) == 0
+    assert given == capsys.readouterr().out
+
+
 def test_search_rejects_non_prime_power(capsys):
     assert main(["search", "--q", "12"]) == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("modulus", ["1,1", "a,b"], ids=["reducible", "not-integers"])
+@pytest.mark.parametrize(
+    "modulus", ["1,1", "a,b", ""], ids=["reducible", "not-integers", "empty"]
+)
 def test_search_rejects_a_bad_modulus(capsys, modulus):
     assert main(["search", "--q", "4", "--modulus", modulus]) == 2
     assert capsys.readouterr().err.startswith("error:")
