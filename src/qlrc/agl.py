@@ -194,8 +194,9 @@ class AglSubgroup:
 class GoodPolynomial:
     """The annihilator g of the free orbit of base_point, constant on every orbit.
 
-    base_point is an integer encoding.  The generating subgroup is kept
-    around because the block check and the spectral distance bounds need it.
+    base_point is an integer encoding.  Locality needs only g, constant on
+    each block; the subgroup is kept for the orbit half of the block check
+    and for the spectral distance bounds.
     """
 
     g: Polynomial
@@ -348,8 +349,8 @@ def good_polynomial(subgroup: AglSubgroup, alpha) -> GoodPolynomial:
     """The monic annihilator of the orbit of alpha, which must be free.
 
     Raises NotRegularOrbit when the orbit is smaller than the group.  No
-    other orbit is enumerated or evaluated here: constancy on the blocks in
-    use is checked by construct.blocks_problem.
+    other orbit is enumerated or evaluated here: construct._fibre_problem
+    checks that g is constant on the blocks in use.
     """
     field = subgroup.field
     (alpha,) = field.ints((alpha,))

@@ -197,7 +197,7 @@ def _cmd_repair(args) -> int:
     print(f"{len(reads) - wrong}/{len(reads)} {noun}, {reads_note}")
     if wrong:
         raise VerificationError(f"{wrong} repairs returned a wrong symbol")
-    r = inst.exps.r
+    r = inst.exps.r  # the locality the dump claims, not inst.r, read off the blocks repaired
     over = sum(count > r for count in reads)
     if over:
         raise VerificationError(f"{over} repairs read more than r = {r} symbols")
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="re-run every structural check on a dump")
     v.add_argument("--instance", required=True, help="path to an instance dump JSON")
     v.add_argument("--trials", type=int, default=100, help="repair trials (default 100)")
-    v.add_argument("--seed", type=int, default=None, help="audit seed (default: instance seed)")
+    v.add_argument("--seed", type=int, default=None, help="repair-trial seed (default: the dump's)")
 
     b = sub.add_parser("bounds", help="distance bounds for an instance or a kappa sweep")
     b.add_argument("--instance", help="path to an instance dump JSON")

@@ -1,16 +1,18 @@
-"""Dual-containing evaluation codes with locality from orbit partitions.
+"""Dual-containing evaluation codes with locality from the fibres of g.
 
-The pipeline: pick a subgroup H of affine maps with |H| = r + 1, take an
+The pipeline: pick a subgroup H of affine maps of order R, take an
 evaluation set A that is a union of full-size orbits (blocks), solve for a
 multiplier vector u with sum_i u_i^2 * a_i^j = 0 for all j <= n - 2, and
 evaluate two nested spans of monomials x^i * g(x)^j through the weighted
 evaluation map f -> (u_1 f(a_1), ..., u_n f(a_n)).  The inner span T is
 orthogonal to the outer span S under the weighting, which makes the big
-code contain its own dual; the block structure of g gives every coordinate
-a repair group of size r.  _structure_checks certify an instance once,
-built or loaded: build_code raises on the first that fails, verify_instance
-reports them all, bounds certifies nothing that structure_problem rejects,
-and rank k and D = C-perp follow from the monomials' degrees, not elimination.
+code contain its own dual.  g has degree R and each block is a whole fibre
+of g, which alone gives every coordinate a repair group of size r = R - 1;
+that blocks are H-orbits matters only to the spectral bound and the audit.
+_structure_checks certify an instance once, built or loaded: build_code
+raises on the first that fails, verify_instance reports them all, bounds
+certifies nothing that structure_problem rejects, and rank k and
+D = C-perp follow from the monomials' degrees, not elimination.
 
 An instance holds its points, multipliers and generator rows as integer
 encodings over its field (see field.py), and every check and kernel works
@@ -155,24 +157,14 @@ def solve_multipliers(fld: Field, points) -> MultiplierSolution:
 
 def _smallest_pairs(count: int, r: int) -> list[tuple[int, int]]:
     """First `count` pairs (i, j), 1 <= i <= r-1, ordered by i + j*(r+1)."""
-    pairs: list[tuple[int, int]] = []
-    j = 0
-    while len(pairs) < count:
-        for i in range(1, r):
-            pairs.append((i, j))
-            if len(pairs) == count:
-                break
-        j += 1
-    return pairs
+    return [(1 + t % (r - 1), t // (r - 1)) for t in range(count)]
 
 
 def _largest_degree_closed_form(count: int, r: int) -> int | None:
     if count == 0:
         return None
     full, rem = divmod(count, r - 1)
-    if rem == 0:
-        return (r + 1) * full - 2
-    return (r + 1) * full + rem
+    return (r + 1) * full + (rem or -2)
 
 
 @dataclass(frozen=True)
@@ -208,36 +200,35 @@ class ExponentSets:
 
 
 def check_shape(n: int, r: int) -> None:
-    """Raise unless the locality r is at least 2 and r + 1 divides n > 0."""
+    """Raise unless the locality r is at least 2 and the block size r + 1 divides n > 0."""
+    R = r + 1
     if r < 2:
         raise LocalityTooSmall(f"locality {r} < 2")
     if n <= 0:
         raise BadDimension(f"block length n = {n} must be positive")
-    if n % (r + 1) != 0:
-        raise BadDimension(f"block size {r + 1} does not divide n = {n}")
+    if n % R != 0:
+        raise BadDimension(f"block size {R} does not divide n = {n}")
 
 
 def exponent_sets(n: int, k: int, r: int) -> ExponentSets:
     """Exponent sets for an [n, k] code with locality r.
 
-    Requires (r+1) | n and n/2 < k <= n*r/(r+1).
+    Requires the block size R = r + 1 to divide n, and n/2 < k <= n*r/R.
     """
     check_shape(n, r)
-    u_count = n // (r + 1)
-    if not (2 * k > n and k * (r + 1) <= n * r):
+    R = r + 1
+    u_count = n // R
+    if not (2 * k > n and k * R <= n * r):
         raise BadDimension(f"k = {k} outside (n/2, n*r/(r+1)] for n = {n}, r = {r}")
 
     s1 = _smallest_pairs(k - u_count, r)
-    ell = max(i + j * (r + 1) for i, j in s1)
+    ell = max(i + j * R for i, j in s1)
     if ell != _largest_degree_closed_form(k - u_count, r):
         raise ConstructionError("largest-degree closed form disagrees with enumeration")
 
     t_count = n - k - u_count
     t1 = s1[:t_count]
-    if t_count:
-        ell_prime = max(i + j * (r + 1) for i, j in t1)
-    else:
-        ell_prime = None
+    ell_prime = max((i + j * R for i, j in t1), default=None)
     if ell_prime != _largest_degree_closed_form(t_count, r):
         raise ConstructionError("largest-degree closed form disagrees with enumeration")
     if ell_prime is not None and ell + ell_prime > n - 2:
@@ -258,7 +249,7 @@ class EvaluationSet:
     Points and multipliers are integer encodings over `field`.  Points are
     in canonical ascending order of the base field (inherited through the
     embedding when the instance was extended); blocks are index tuples into
-    `points`, each a full-size orbit of the subgroup behind `good`.
+    `points`, each a fibre of g and a full-size orbit of `good.subgroup`.
     """
 
     field: Field
@@ -274,8 +265,20 @@ class EvaluationSet:
         return len(self.points)
 
     @property
+    def block_size(self) -> int:
+        """R, read off the first block; _fibre_problem holds deg g and every block to it."""
+        return len(self.blocks[0])
+
+    @property
     def r(self) -> int:
-        return len(self.blocks[0]) - 1
+        """The locality: a block of R points with local distance 2 repairs from R - 1."""
+        return self.block_size - 1
+
+    @cached_property
+    def _g_values(self) -> tuple[int, ...]:
+        """g at each point, found once for the rows, the fibres and the ring check."""
+        fld, coeffs = self.field, self.good.g.coeffs
+        return tuple(fld.horner(coeffs, x) for x in self.points)
 
     @cached_property
     def _block_table(self) -> dict[int, tuple[int, ...]]:
@@ -313,7 +316,7 @@ def build_evaluation_set(
 
     domain selects the evaluation points: "full_field" uses every field
     element (the subgroup must then fix no point), "orbits" takes the first
-    n/(r+1) full-size orbits in canonical order (all when n is None) and
+    n/|H| full-size orbits in canonical order (all when n is None) and
     stops there, and an explicit element list, enumerated over its own
     elements only, must be exactly a union of full-size orbits.
 
@@ -380,37 +383,39 @@ def build_evaluation_set(
     )
 
 
-def blocks_problem(es: EvaluationSet) -> str | None:
-    """The block structure that locality rests on, or what is wrong with it.
-
-    g has degree r + 1; the blocks partition range(n) into blocks of size
-    r + 1; the subgroup H has order r + 1; and every block is a free orbit
-    of H on which g is constant.  Last, alpha has a free orbit and g is its
-    monic annihilator, which is what good_polynomial builds from alpha.
-    Everything is recomputed from the points, blocks, g, H and alpha of the
-    set, so a reloaded dump is checked as built.
-    """
-    n, r = es.n, es.r
-    g = es.good.g
-    if g.degree != r + 1:
-        return f"block polynomial degree {g.degree} != {r + 1}"
+def _fibre_problem(es: EvaluationSet) -> str | None:
+    """What breaks locality, or None: g has degree R, the block size; the
+    blocks partition range(n) into sets of size R; and g is constant on
+    each, so a block of distinct points is a whole fibre of g and a codeword
+    divided by u is a polynomial of degree at most R - 2 on it, all that
+    repair needs (Tamo and Barg).  Read from points, blocks and g alone."""
+    n, size, g = es.n, es.block_size, es.good.g
+    if g.degree != size:
+        return f"block polynomial degree {g.degree} != {size}"
     if sorted(i for blk in es.blocks for i in blk) != list(range(n)) or any(
-        len(blk) != r + 1 for blk in es.blocks
+        len(blk) != size for blk in es.blocks
     ):
-        return f"blocks do not partition the {n} positions into blocks of size {r + 1}"
-    sub = es.good.subgroup
-    if len(sub) != r + 1:
-        return f"subgroup order {len(sub)} != block size {r + 1}"
+        return f"blocks do not partition the {n} positions into blocks of size {size}"
+    values = es._g_values
+    bad = next((blk for blk in es.blocks if len({values[i] for i in blk}) != 1), None)
+    return None if bad is None else f"block {bad} sees several values of g"
+
+
+def _orbit_problem(es: EvaluationSet) -> str | None:
+    """What ties the fibres to the subgroup H, or None: H has order R, every
+    block is a free H-orbit, alpha has a free orbit and g is its monic
+    annihilator, as good_polynomial builds it.  Only the spectral bound and
+    the audit read H; locality does not."""
+    size, sub, g = es.block_size, es.good.subgroup, es.good.g
+    if len(sub) != size:
+        return f"subgroup order {len(sub)} != block size {size}"
     for blk in es.blocks:
-        orbit = sub.orbit(es.points[blk[0]])
-        if orbit != sorted(es.points[i] for i in blk):
+        if sub.orbit(es.points[blk[0]]) != sorted(es.points[i] for i in blk):
             return f"block {blk} is not a free orbit of the subgroup"
-        if len({es.field.horner(g.coeffs, es.points[i]) for i in blk}) != 1:
-            return f"block {blk} sees several values of g"
     alpha = es.good.base_point
     orbit = sub.orbit(alpha) if alpha is not None else []
     shown = None if alpha is None else es.field.show(alpha)
-    if len(orbit) != r + 1:
+    if len(orbit) != size:
         return f"alpha {shown} does not have a free orbit"
     if g.coeffs[-1] != 1 or any(es.field.horner(g.coeffs, x) for x in orbit):
         return f"g is not the monic annihilator of the orbit of alpha {shown}"
@@ -452,10 +457,9 @@ class CodeInstance:
         return tuple(_check(name, fn) for name, fn in _structure_checks(self))
 
     @cached_property
-    def _premises(self) -> tuple[dict[str, str], int, int]:
-        """(unmet, d, v) from the raw instance, found once: each failing premise
-        of the gate's degree arguments with what is wrong, d = deg g and v
-        the number of values g takes on the points.
+    def _premises(self) -> dict[str, str]:
+        """Each failing premise of the gate's degree arguments with what is
+        wrong, found once from the raw instance.
 
         The power sums sum_z u_z^2 a_z^e vanish for e <= n - 2 exactly when
         u^2 lies in the kernel of the (n - 1) x n Vandermonde.  On distinct
@@ -483,7 +487,7 @@ class CodeInstance:
             bad = next((p for p, row in zip(pairs, rows) if by_pair[p] != row), None)
             if bad is not None:
                 unmet["rows"] = f"S row {bad} does not match its evaluation"
-        return unmet, es.good.g.degree, len({fld.horner(es.good.g.coeffs, x) for x in es.points})
+        return unmet
 
     @cached_property
     def _encoder(self):
@@ -537,12 +541,11 @@ def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tupl
 
     Rows are pointwise products: row(i, j) is row(i - 1, j) times a_z, or
     row(0, j - 1) times g(a_z), starting from row(0, 0) = u.  g is evaluated
-    once per point and every other entry costs one multiplication.  Pairs
-    are walked in (j, i) order, and exponent_sets lists the pair each one is
-    built from.
+    once per point, in EvaluationSet._g_values, and every other entry costs
+    one multiplication.  Pairs are walked in (j, i) order, and exponent_sets
+    lists the pair each one is built from.
     """
-    mul = es.field.mul
-    gs = [es.field.horner(es.good.g.coeffs, x) for x in es.points]
+    mul, gs = es.field.mul, es._g_values
     rows: dict[tuple[int, int], tuple] = {(0, 0): es.u}
     for i, j in sorted(exps.s_pairs, key=lambda p: p[::-1]):
         if i:
@@ -688,10 +691,8 @@ def instance_from_spec(spec: dict) -> CodeInstance:
     subgroup = subgroup_from_descriptor(fld, sub_desc)
     if len(subgroup) != r + 1:
         raise InputError(f"subgroup order {len(subgroup)} does not match r + 1 = {r + 1}")
-    es = build_evaluation_set(subgroup, alpha=alpha, domain=domain, n=n)
-    if es.n != n:
-        raise InputError(f"evaluation domain produced n = {es.n}, spec says {n}")
-    return build_code(es, k, seed=seed)
+    # every domain of build_evaluation_set enforces n
+    return build_code(build_evaluation_set(subgroup, alpha=alpha, domain=domain, n=n), k, seed=seed)
 
 
 def instance_to_dump(inst: CodeInstance) -> dict:
@@ -801,7 +802,7 @@ def _structure_checks(inst: CodeInstance) -> list:
     es, exps, fld, n, k = inst.eval_set, inst.exps, inst.field, inst.n, inst.k
 
     def unmet(*names):  # what is wrong with the first named premise that fails
-        return next(filter(None, map(inst._premises[0].get, names)), None)
+        return next(filter(None, map(inst._premises.get, names)), None)
 
     def chk_power_sums():
         # the multiplier solve decides the extension, so the flag is checked here
@@ -828,7 +829,7 @@ def _structure_checks(inst: CodeInstance) -> list:
         rows_d = set(inst.matrix_d)
         if not len(inst.matrix_d) == len(rows_d) == n - k or not rows_d <= set(inst.matrix_c):
             return f"dual generator is not {n - k} distinct rows of the big generator"
-        problem, d = unmet("distinct", "nonzero", "g", "rows"), inst._premises[1]
+        problem, d = unmet("distinct", "nonzero", "g", "rows"), es.good.g.degree
         if not problem and len({i + j * d for i, j in exps.s_pairs if i + j * d < n}) != k:
             problem = f"the degrees i + {d}j are not {k} distinct values below {n}"
         return problem and f"rank {k} not certified: {problem}"
@@ -842,7 +843,7 @@ def _structure_checks(inst: CodeInstance) -> list:
         problem = unmet("power-sums", "g", "rows")
         if problem:
             return f"D inside C-perp not certified: {problem}"
-        _, d, v = inst._premises
+        d, v = es.good.g.degree, len(set(es._g_values))
         pair_of = dict(zip(inst.matrix_c, exps.s_pairs))
         if not set(inst.matrix_d) <= pair_of.keys():
             return "D inside C-perp not certified: a dual row is not a row of the big generator"
@@ -874,8 +875,8 @@ def _structure_checks(inst: CodeInstance) -> list:
         powers span dimension min(u, v) (Vandermonde): v < u is dependent,
         v = u is every function of g(a), a ring, and v > u leaves g^u out.
         u = 1 spans the constants.  Block constancy forces v = u: blocks
-        sharing a value c would give g - c 2(r + 1) roots."""
-        values = inst._premises[2]
+        sharing a value c would give g - c twice deg g roots."""
+        values = len(set(es._g_values))
         if len(es.blocks) != 1 and values != len(es.blocks):
             return f"g takes {values} values on the points, not one per block ({len(es.blocks)})"
         return unmet("distinct")
@@ -884,7 +885,7 @@ def _structure_checks(inst: CodeInstance) -> list:
         ("multiplier-power-sums", chk_power_sums),
         ("generator-ranks", chk_ranks),
         ("dual-containment", chk_containment),
-        ("block-polynomial-constancy", lambda: blocks_problem(es)),
+        ("block-polynomial-constancy", lambda: _fibre_problem(es) or _orbit_problem(es)),
         ("generator-row-consistency", chk_rows_match),
         ("quotient-ring-closure", chk_ring),
     ]

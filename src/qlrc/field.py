@@ -762,10 +762,6 @@ class Field:
 
     # -- derived structure ---------------------------------------------------
 
-    def primitive_element(self) -> FieldElement:
-        """Canonically smallest element of multiplicative order q-1."""
-        return FieldElement(self, self._g)
-
     def subfield_elements(self, d: int) -> list[int]:
         """Encodings of the unique subfield of order p**d (requires d | m), ascending."""
         if self.m % d != 0:

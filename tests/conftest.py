@@ -10,6 +10,13 @@ import json
 import pytest
 
 from qlrc import Field, build_code, build_evaluation_set, instance_to_dump, subgroup_from_MB
+from qlrc.field import FieldElement
+
+
+def primitive_element(fld: Field) -> FieldElement:
+    """The canonically smallest element of multiplicative order q - 1, the
+    generator whose powers fill the field's exp table."""
+    return FieldElement(fld, fld._g)
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +73,7 @@ def inst9x():
     legitimately moves to GF(81); exercises the extended path end to end.
     """
     f9 = Field(3, 2)
-    g = f9.primitive_element()
+    g = primitive_element(f9)
     m4 = {g ** (2 * i) for i in range(4)}
     sub = subgroup_from_MB(f9, 2, m4, {f9.zero()})
     return build_code(build_evaluation_set(sub, domain="orbits", n=8), 5)

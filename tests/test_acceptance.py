@@ -31,6 +31,8 @@ from qlrc import (
 from qlrc.cli import main
 from qlrc.linalg import dot, rank, solve_in_span
 
+from conftest import primitive_element
+
 
 def _report(num: int, failures: list, summary: str, elapsed: float, budget: float) -> None:
     status = "FAIL" if failures else "PASS"
@@ -45,7 +47,7 @@ def _prefix_subspace(field: Field, size: int):
 
 def _mult_subgroup(field: Field, e: int):
     """The order-e subgroup of the nonzero elements, as affine maps a*x."""
-    g = field.primitive_element()
+    g = primitive_element(field)
     gen = g ** ((field.q - 1) // e)
     m = {gen**i for i in range(e)}
     return subgroup_from_MB(field, field.m, m, {field.zero()})
@@ -53,7 +55,7 @@ def _mult_subgroup(field: Field, e: int):
 
 def _mixed_subgroup(field: Field, d: int):
     """All maps a*x + b with a, b drawn from the degree-d subfield (a != 0)."""
-    g = field.primitive_element()
+    g = primitive_element(field)
     sub_order = field.p**d
     w = g ** ((field.q - 1) // (sub_order - 1))
     k_star = {w**i for i in range(sub_order - 1)}

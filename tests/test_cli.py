@@ -24,6 +24,8 @@ from qlrc.cli import main
 from qlrc.errors import InputError
 from qlrc.field import prime_power
 
+from conftest import primitive_element
+
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ROOT / "perfbench" / "dumps"
 
@@ -130,7 +132,7 @@ def test_undecodable_gg_file_exits_2(tmp_path, capsys, data):
 
 def test_construct_extended_field_flagged(tmp_path, capsys):
     f9 = Field(3, 2)
-    g9 = f9.primitive_element()
+    g9 = primitive_element(f9)
     m4 = {g9 ** (2 * i) for i in range(4)}
     sub = subgroup_from_MB(f9, 2, m4, {f9.zero()})
     spec = {
@@ -401,6 +403,51 @@ def test_malformed_specs_exit_2(tmp_path, capsys, edit):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+_WHOLE_GF8 = [[a, b, c] for c in (0, 1) for b in (0, 1) for a in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"n": 4}, "full_field implies n = 8, got 4"),
+        ({"evaluation_domain": "orbits", "n": 6}, "n = 6 is not a multiple of the block size 4"),
+        (
+            {"evaluation_domain": "orbits", "n": 12},
+            "requested 3 blocks but the subgroup has 2 full-size orbits",
+        ),
+        (
+            {"evaluation_domain": "orbits", "n": 0},
+            "requested 0 blocks but the subgroup has 2 full-size orbits",
+        ),
+        (
+            {"evaluation_domain": "orbits", "n": -4},
+            "requested -1 blocks but the subgroup has 2 full-size orbits",
+        ),
+        ({"evaluation_domain": "fibres"}, "unknown evaluation domain 'fibres'"),
+        ({"evaluation_domain": _WHOLE_GF8, "n": 4}, "explicit domain size disagrees with n"),
+        ({"r": 2}, "subgroup order 4 does not match r + 1 = 3"),
+    ],
+    ids=[
+        "full-field-n",
+        "orbits-n-6",
+        "orbits-n-12",
+        "orbits-n-0",
+        "orbits-n-negative",
+        "fibres",
+        "explicit-n",
+        "r-vs-subgroup",
+    ],
+)
+def test_spec_shape_errors_exit_2(tmp_path, capsys, edit, message):
+    """Each evaluation domain enforces the spec's n, and the subgroup order
+    must be r + 1: a spec that breaks either exits 2 with what is wrong."""
+    spec = json.loads((SHIPPED.parent / "specs" / "q8_n8_k5.json").read_text())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, **edit}))
+    assert main(["construct", "--spec", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("m", [20000, 10**8])

@@ -38,6 +38,8 @@ from qlrc.construct import (
 from qlrc.errors import ConstructionError, InputError
 from qlrc.field import FieldElement, FieldMismatch
 
+from conftest import primitive_element
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -220,7 +222,7 @@ def _subgroup_cases():
     cases = []
     for p, m in [(2, 3), (3, 2), (2, 4), (3, 3)]:
         f = Field(p, m)
-        one, a, g = f.one(), f.gen(), f.primitive_element()
+        one, a, g = f.one(), f.gen(), primitive_element(f)
         prime = set(f.from_ints(f.subfield_elements(1)))
         span = {x + c * a for x in prime for c in prime} if m > 2 else prime
         cases.append((f"GF({f.q}) additive", subgroup_from_MB(f, 1, {one}, span)))
@@ -299,7 +301,7 @@ def test_build_runs_the_block_check(monkeypatch):
     degree argument of dual-containment fails first on it; the same instance,
     built past the gate, still fails block-polynomial-constancy."""
     f8, f9 = Field(2, 3), Field(3, 2)
-    a, g = f8.gen(), f9.primitive_element()
+    a, g = f8.gen(), primitive_element(f9)
     additive = subgroup_from_MB(f8, 1, {f8.one()}, {f8.zero(), f8.one(), a, a + f8.one()})
     mult = subgroup_from_MB(f9, 2, {g ** (2 * i) for i in range(4)}, {f9.zero()})
     assert not build_evaluation_set(additive).extended
@@ -952,7 +954,7 @@ def _premise_holds(fld, points, u):
     good = GoodPolynomial(Polynomial.one(fld), None, None)
     es = construct.EvaluationSet(fld, tuple(points), (), tuple(u), good, False, fld)
     inst = construct.CodeInstance(es, 5, exponent_sets(8, 5, 3), (), ())
-    return "power-sums" not in inst._premises[0]
+    return "power-sums" not in inst._premises
 
 
 def _assert_premise_matches_the_loop(fld, points, u, rng):
@@ -1030,12 +1032,45 @@ def test_tampered_dual_rows_fail(tampered_dual_dumps):
 
 def test_blocks_that_are_not_orbits_fail_constancy(inst8):
     """Swapping the translation basis {1, a} for {1, a^2} leaves g constant
-    on the dumped blocks, but they are no longer orbits of the subgroup."""
+    on the dumped blocks, but they are no longer orbits of the subgroup.
+    Each block is still a whole fibre of g, all that locality needs: the
+    fibre half of the check passes and the orbit half names the block."""
     bad = json.loads(json.dumps(instance_to_dump(inst8)))
     bad["subgroup"]["B_basis"] = [[1, 0, 0], [0, 0, 1]]
-    by_name = {c.name: c for c in verify_instance(instance_from_dump(bad), trials=5)}
+    inst = instance_from_dump(bad)
+    by_name = {c.name: c for c in verify_instance(inst, trials=5)}
     assert [name for name, c in by_name.items() if not c.ok] == ["block-polynomial-constancy"]
     assert "not a free orbit" in by_name["block-polynomial-constancy"].detail
+    assert construct._fibre_problem(inst.eval_set) is None
+    detail = construct._orbit_problem(inst.eval_set)
+    assert detail == "block (0, 1, 2, 3) is not a free orbit of the subgroup"
+
+
+def test_points_swapped_across_blocks_fail_the_fibre_half_first():
+    """Swapping points 0 and 4 of the shipped [8,5]_8 dump puts a point of
+    each block into the other: the blocks are neither fibres of g nor
+    orbits, and the fibre half, checked first, names the first block."""
+    bad = json.loads((PERFBENCH / "dumps" / "q8_n8_k5.json").read_text())
+    bad["points"][0], bad["points"][4] = bad["points"][4], bad["points"][0]
+    checks = {c.name: c for c in verify_instance(instance_from_dump(bad), trials=5)}
+    detail = checks["block-polynomial-constancy"].detail
+    assert detail == "block (0, 1, 2, 3) sees several values of g"
+
+
+def test_g_is_evaluated_once_per_point(monkeypatch):
+    """A build, and a load plus verify, evaluate g n + R times: once per
+    point for the rows, the fibre check and the ring check together, and
+    once per point of alpha's orbit for the annihilator check."""
+    calls = []
+    horner = Field.horner
+    monkeypatch.setattr(Field, "horner", lambda self, c, x: calls.append(x) or horner(self, c, x))
+    spec = json.loads((PERFBENCH / "specs" / "q8_n8_k5.json").read_text())
+    instance_from_spec(spec)
+    assert len(calls) == 8 + 4
+    calls.clear()
+    dump = json.loads((PERFBENCH / "dumps" / "q8_n8_k5.json").read_text())
+    assert all(c.ok for c in verify_instance(instance_from_dump(dump), trials=5))
+    assert len(calls) == 8 + 4
 
 
 def test_blocks_that_do_not_partition_fail_constancy(inst8):
@@ -1079,8 +1114,9 @@ def test_g_must_be_monic():
     two = f9.from_value(2)
     scaled = dataclasses.replace(es.good, g=es.good.g * two)
     bad = dataclasses.replace(es, good=scaled)
-    assert construct.blocks_problem(es) is None
-    assert "not the monic annihilator" in construct.blocks_problem(bad)
+    assert construct._fibre_problem(es) is construct._orbit_problem(es) is None
+    assert construct._fibre_problem(bad) is None
+    assert "not the monic annihilator" in construct._orbit_problem(bad)
 
 
 def _old_ring_closure_ok(inst) -> bool:

@@ -28,6 +28,8 @@ from qlrc.field import (
     json_text,
 )
 
+from conftest import primitive_element
+
 
 def test_default_moduli_are_canonical_smallest():
     # frozen: smallest irreducible by ascending integer encoding
@@ -249,7 +251,7 @@ def test_primitive_element_frozen_and_maximal_order():
     frozen = {(2, 3): 2, (2, 4): 2, (2, 5): 2, (3, 2): 4, (3, 3): 3, (5, 2): 6, (7, 1): 3}
     for (p, m), val in frozen.items():
         f = Field(p, m)
-        g = f.primitive_element()
+        g = primitive_element(f)
         assert g.value() == val
         q = p**m
         seen = set()
@@ -592,7 +594,7 @@ def test_exp_log_tables_consistent_at_the_cap():
         assert log[0] == 2 * n
         assert all(log[exp[i]] == i for i in range(n))
         assert all(exp[log[v]] == v for v in range(1, f.q))
-        g = ref.vec(f.primitive_element().value())
+        g = ref.vec(primitive_element(f).value())
         rng = Xorshift64Star(20)
         for _ in range(200):
             i = rng.below(n)
