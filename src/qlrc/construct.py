@@ -97,9 +97,9 @@ def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
     sum_i w_i f(x_i) is the x^(N-1) coefficient of the interpolant of f on
     the N nodes, so it vanishes when deg f <= N - 2, and w spans the kernel
     of the (N - 1) x N Vandermonde.  The multiplier solve takes square roots
-    of w over all points, the gate compares u^2 with it and repair reads it
-    over a block.  Each w_i is one exp lookup of a sum of logs of x_i - x_j
-    over every j: j = i adds log[0] = 2(q - 1), which vanishes mod q - 1.
+    of w over all points and the gate compares u^2 with it.  Each w_i is one
+    exp lookup of a sum of logs of x_i - x_j over every j: j = i adds
+    log[0] = 2(q - 1), which vanishes mod q - 1.
     Raises DegenerateSet when nodes repeat.
     """
     if len(set(xs)) != len(xs):
@@ -280,21 +280,6 @@ class EvaluationSet:
         fld, coeffs = self.field, self.good.g.coeffs
         return tuple(fld.horner(coeffs, x) for x in self.points)
 
-    @cached_property
-    def _block_table(self) -> dict[int, tuple[int, ...]]:
-        """Position -> the first block that lists it."""
-        table: dict[int, tuple[int, ...]] = {}
-        for blk in self.blocks:
-            for i in blk:
-                table.setdefault(i, blk)
-        return table
-
-    def block_of(self, z: int) -> tuple[int, ...]:
-        blk = self._block_table.get(z)
-        if blk is None:
-            raise InputError(f"position {z} is not covered by any block")
-        return blk
-
 
 def _resolve_alpha(subgroup: AglSubgroup, alpha):
     if alpha == "auto":
@@ -338,10 +323,12 @@ def build_evaluation_set(
             raise InputError("full-size orbits do not cover the field; use domain='orbits'")
         chosen = list(iter_orbits(subgroup))
     elif isinstance(domain, str) and domain == "orbits":
+        if n is not None and n <= 0:
+            raise BadDimension(f"block length n = {n} must be positive")
         if n is not None and n % size != 0:
             raise BadDimension(f"n = {n} is not a multiple of the block size {size}")
         full = (orb for orb in iter_orbits(subgroup) if len(orb) == size)
-        chosen = list(full if n is None else itertools.islice(full, max(n // size, 0)))
+        chosen = list(full if n is None else itertools.islice(full, n // size))
         want = len(chosen) if n is None else n // size
         if want < 1 or len(chosen) < want:
             total = (fld.q - len(subgroup.fixed_points())) // size
@@ -502,10 +489,28 @@ class CodeInstance:
         return self.field.combiner(self.matrix_c, n)
 
     @cached_property
-    def _repair_coeffs(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Erased position -> (its block mates, their repair weights), filled
-        by repair on each position's first repair."""
-        return {}
+    def _repair_weights(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Position z -> (its block mates i in block order, -u_i * u_z^-1 for
+        each), in one pass over the blocks; the first block listing z decides.
+
+        u * 1_B, u on a block B and 0 elsewhere, is a parity check: g is
+        constant on each block and takes one value per block (_fibre_problem,
+        quotient-ring-closure), so 1_B = P(g) on the points for some P of
+        degree below b, the number of blocks, and u * 1_B is a combination of
+        the s2 rows u * g^j of T, which spans D = C-perp (generator-ranks,
+        dual-containment).  So sum_{i in B} u_i y_i = 0 on every codeword y;
+        no point is read.  A zero u_z gives zero weights, and a block naming
+        a position outside range(n) covers none: damage stays in its block."""
+        fld, u, table = self.field, self.eval_set.u, {}
+        for blk in self.eval_set.blocks:
+            if not all(0 <= i < len(u) for i in blk):
+                continue
+            for z in blk:
+                if z not in table:
+                    scale = fld.neg(fld.inv(u[z])) if u[z] else 0
+                    mates = tuple(i for i in blk if i != z)
+                    table[z] = mates, tuple(fld.mul(scale, u[i]) for i in mates)
+        return table
 
     @property
     def kappa(self) -> int:
@@ -612,47 +617,23 @@ def encode(inst: CodeInstance, message) -> list[FieldElement]:
     return fld.from_ints(inst._encoder(fld.ints(message)))
 
 
-def _repair_coefficients(es: EvaluationSet, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """z's block mates and the weights that repair z from them.
-
-    With w the Lagrange weights of z's whole block B, sum_{i in B} w_i f(a_i)
-    is zero for deg f <= |B| - 2, and a codeword divided by u agrees with
-    such an f on B.  So y_z = sum c_i y_i over the mates i, with
-    c_i = -u_z * w_z^-1 * w_i * u_i^-1.  Raises DegenerateSet when B repeats
-    a point and ZeroInverse on a zero multiplier among the mates, so only
-    the positions whose block is damaged fail.
-    """
-    fld = es.field
-    block = es.block_of(z)
-    mates = tuple(i for i in block if i != z)
-    if not mates:
-        raise BlockIncomplete(f"position {z} has no block mates")
-    w = dict(zip(block, _lagrange_denominators(fld, [es.points[i] for i in block])))
-    scale = fld.neg(fld.mul(es.u[z], fld.inv(w[z])))
-    return mates, tuple(fld.mul(fld.mul(scale, w[i]), fld.inv(es.u[i])) for i in mates)
-
-
 def repair(inst: CodeInstance, received, z: int) -> FieldElement:
-    """Recover the erased coordinate z from the r survivors in its block.
-
-    Divided by its multipliers, the codeword agrees on a block with a
-    polynomial of degree at most r - 1, so the erased symbol is a fixed
-    linear combination of the r survivors.  Its coefficients are computed on
-    z's first repair and cached on the instance per position; a repair then
-    reads exactly the r in-block coordinates and does r multiply-adds.  The
-    caller guarantees the rest of the word is intact.  Raises
-    LengthMismatch, before any read, when the word does not hold n symbols.
-    """
+    """Recover the erased coordinate z from the r survivors in its block, by
+    the weights of CodeInstance._repair_weights: one lookup, r reads and one
+    Field.dot.  The caller guarantees the rest of the word is intact.  Raises
+    LengthMismatch, before any read, when the word does not hold n symbols."""
     if len(received) != inst.n:
         raise LengthMismatch(f"received word length {len(received)} != n = {inst.n}")
     if not 0 <= z < inst.n:
         raise InputError(f"position {z} out of range")
     if received[z] is not None:
         raise InputError(f"position {z} holds a symbol; nothing to repair")
-    cache = inst._repair_coeffs
-    if z not in cache:
-        cache[z] = _repair_coefficients(inst.eval_set, z)
-    mates, coeffs = cache[z]
+    entry = inst._repair_weights.get(z)
+    if entry is None:
+        raise InputError(f"position {z} is not covered by any block")
+    mates, weights = entry
+    if not mates:
+        raise BlockIncomplete(f"position {z} has no block mates")
     syms = []
     for i in mates:
         sym = received[i]
@@ -660,7 +641,7 @@ def repair(inst: CodeInstance, received, z: int) -> FieldElement:
             raise BlockIncomplete(f"position {i} in the repair block is also missing")
         syms.append(sym)
     fld = inst.field
-    return fld.from_int(fld.dot(coeffs, fld.ints(syms)))
+    return fld.from_int(fld.dot(weights, fld.ints(syms)))
 
 
 # ---------------------------------------------------------------------------

@@ -775,10 +775,13 @@ class Field:
 
         The embedding sends the generator of this field to the canonically
         smallest root of this field's modulus inside GF(q^2); it respects
-        addition and multiplication.
+        addition and multiplication.  The field is immutable, so the pair is
+        built on the first call and shared by every later one.
         """
-        big = Field(self.p, 2 * self.m)
-        return big, Embedding(self, big)
+        if "_extension" not in self.__dict__:
+            big = Field(self.p, 2 * self.m)
+            self._extension = big, Embedding(self, big)
+        return self._extension
 
     # -- square roots --------------------------------------------------------
 

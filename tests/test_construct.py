@@ -170,6 +170,11 @@ def test_exponent_degrees_all_distinct():
 # --- evaluation sets and codes -------------------------------------------------
 
 
+def _block_of(es, z):
+    """The first block of es that lists position z."""
+    return next(blk for blk in es.blocks if z in blk)
+
+
 def test_evaluation_set_structure(inst32):
     es = inst32.eval_set
     vals = list(es.points)
@@ -180,7 +185,7 @@ def test_evaluation_set_structure(inst32):
     for blk in es.blocks:
         assert len(blk) == 4
         for i in blk:
-            assert es.block_of(i) == blk
+            assert _block_of(es, i) == blk
     assert all(u != 0 for u in es.u)
 
 
@@ -276,9 +281,10 @@ def test_orbits_domain_error_names_the_true_orbit_count():
     """GF(27) under x -> +-x + b, b in GF(3): one short orbit, four free ones."""
     f = Field(3, 3)
     sub = subgroup_from_MB(f, 1, {f.one(), -f.one()}, set(f.subfield_elements(1)))
-    for n in (30, 0):
-        with pytest.raises(InputError, match="the subgroup has 4 full-size orbits"):
-            build_evaluation_set(sub, domain="orbits", n=n)
+    with pytest.raises(InputError, match="requested 5 blocks but the subgroup has 4 full-size orbits"):
+        build_evaluation_set(sub, domain="orbits", n=30)
+    with pytest.raises(BadDimension, match="^block length n = 0 must be positive$"):
+        build_evaluation_set(sub, domain="orbits", n=0)
     with pytest.raises(BadDimension):
         build_evaluation_set(sub, domain="orbits", n=9)
 
@@ -293,6 +299,25 @@ def test_full_field_rejects_a_fixed_point():
     with pytest.raises(InputError, match="not a union of full-size orbits"):
         build_evaluation_set(sub, domain=list(f.elements()))
     assert build_evaluation_set(sub, domain="orbits").n == 7
+
+
+def test_extended_build_embeds_the_base_field_once(monkeypatch):
+    """The multiplier solve and the gate's power-sum check both ask the base
+    field for GF(q^2); the pair is built on the first ask, once per Field."""
+    made = []
+
+    class Counted(construct.Embedding):
+        def __init__(self, src, dst):
+            made.append(src)
+            super().__init__(src, dst)
+
+    monkeypatch.setattr("qlrc.field.Embedding", Counted)
+    f9 = Field(3, 2)
+    g = primitive_element(f9)
+    sub = subgroup_from_MB(f9, 2, {g ** (2 * i) for i in range(4)}, {f9.zero()})
+    inst = build_code(build_evaluation_set(sub, domain="orbits", n=8), 5)
+    assert inst.eval_set.extended and made == [f9]
+    assert f9.extend() is f9.extend() and made == [f9]
 
 
 def test_build_runs_the_block_check(monkeypatch):
@@ -712,7 +737,7 @@ def test_repair_reads_only_the_block(inst32):
         rec[z] = None
         reads.clear()
         assert repair(inst32, rec, z) == word[z]
-        block = set(inst32.eval_set.block_of(z))
+        block = set(_block_of(inst32.eval_set, z))
         assert len(reads) == inst32.r
         assert set(reads) == block - {z}
 
@@ -758,7 +783,7 @@ def _interpolated_repair(inst, word, z):
     multipliers: the Lagrange repair, kept here as the reference."""
     es, f = inst.eval_set, inst.field
     points, u = f.from_ints(es.points), f.from_ints(es.u)
-    mates = [i for i in es.block_of(z) if i != z]
+    mates = [i for i in _block_of(es, z) if i != z]
     lam = poly.interpolate([(points[i], word[i] / u[i]) for i in mates])
     return u[z] * lam(points[z])
 
@@ -777,8 +802,8 @@ def test_repair_matches_interpolation_at_every_position(inst32, inst8, inst7, in
 
 def test_repair_needs_no_polynomial_arithmetic(inst32, monkeypatch):
     """Every position of a fresh copy repairs exactly with interpolation and
-    polynomial products disabled, and again from the cached coefficients
-    with field inversion disabled as well."""
+    polynomial products disabled, and again from the weight table with
+    field inversion disabled as well."""
     fresh = dataclasses.replace(inst32)
 
     def boom(*args, **kwargs):
@@ -798,24 +823,53 @@ def test_repair_needs_no_polynomial_arithmetic(inst32, monkeypatch):
         monkeypatch.setattr(type(f.one()), "inv", boom)
 
 
-def test_repair_coefficients_are_cached_per_position(inst8):
+def test_repair_weight_table_lists_block_mates_and_the_first_block_wins(inst8):
+    """Keys are range(n); z's entry is its first block's other positions in
+    block order, each weighted -u_i / u_z.  A block naming a position
+    outside range(n) lists none: position 7 then has no entry and its
+    repair says so, while block 0, listed in another order, still repairs."""
+    f, u = inst8.field, inst8.field.from_ints(inst8.eval_set.u)
     fresh = dataclasses.replace(inst8)
-    word = encode(fresh, [fresh.field.one()] * fresh.k)
-    for z in (5, 0, 5):
-        rec = list(word)
-        rec[z] = None
-        assert repair(fresh, rec, z) == word[z]
-    assert sorted(fresh._repair_coeffs) == [0, 5]
-    mates, coeffs = fresh._repair_coeffs[0]
-    assert mates == (1, 2, 3) and len(coeffs) == 3
+    assert sorted(fresh._repair_weights) == list(range(8))
+    for z, (mates, weights) in fresh._repair_weights.items():
+        assert mates == tuple(i for i in _block_of(inst8.eval_set, z) if i != z)
+        assert f.from_ints(weights) == [-u[i] / u[z] for i in mates]
+    es = dataclasses.replace(inst8.eval_set, blocks=((2, 0, 3, 1), (3, 4, 5, 6), (7, 8)))
+    damaged = dataclasses.replace(inst8, eval_set=es)
+    table = damaged._repair_weights
+    assert sorted(table) == list(range(7))
+    assert table[0][0] == (2, 3, 1) and table[3][0] == (2, 0, 1) and table[6][0] == (3, 4, 5)
+    word = encode(damaged, [f.one()] * damaged.k)
+    assert repair(damaged, [None, *word[1:]], 0) == word[0]
+    with pytest.raises(InputError, match="^position 7 is not covered by any block$"):
+        repair(damaged, [*word[:7], None], 7)
 
 
-def test_block_of_reads_the_first_block_listing_a_position(inst8):
-    es = dataclasses.replace(inst8.eval_set, blocks=((0, 1, 2, 3), (3, 4, 5, 6)))
-    assert es.block_of(3) == (0, 1, 2, 3)
-    assert es.block_of(6) == (3, 4, 5, 6)
-    with pytest.raises(InputError, match="not covered"):
-        es.block_of(7)
+def test_multiplied_block_indicators_are_parity_checks(inst32, inst8, inst7, inst4, inst9x):
+    """u * 1_B, u on the block B and 0 elsewhere, is orthogonal to every row
+    of G_C: the identity repair solves for the erased symbol."""
+    for inst in (inst32, inst8, inst7, inst4, inst9x):
+        f, u = inst.field, inst.eval_set.u
+        for blk in inst.eval_set.blocks:
+            check = [u[i] if i in blk else 0 for i in range(inst.n)]
+            assert all(f.dot(check, row) == 0 for row in inst.matrix_c), (inst.summary(), blk)
+
+
+def test_repair_reads_no_point(inst32, monkeypatch):
+    """With every point of a copy set to 0 and _lagrange_denominators
+    disabled, every position still repairs exactly: the weights come from
+    u alone.  The Lagrange repair raised DegenerateSet here."""
+    pointless = dataclasses.replace(inst32.eval_set, points=(0,) * inst32.n)
+    blind = dataclasses.replace(inst32, eval_set=pointless)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("repair must not reach this")
+
+    monkeypatch.setattr(construct, "_lagrange_denominators", boom)
+    rng = Xorshift64Star(79)
+    word = encode(blind, [rng.below(blind.field.q) for _ in range(blind.k)])
+    for z in range(blind.n):
+        assert repair(blind, [*word[:z], None, *word[z + 1 :]], z) == word[z]
 
 
 def _distinct_values(rng, q, size):
@@ -849,10 +903,10 @@ def test_lagrange_denominators_serve_the_multiplier_solve():
 def _survivor_weights(es, z):
     """c_i = u_z u_i^-1 prod_{j in S - i} (a_z - a_j) / (a_i - a_j) over z's
     block mates S, the Lagrange coefficients on the survivors alone: the
-    repair weights before they were read off the whole block's Lagrange
-    weights, kept here as the reference."""
+    repair weights before they were read off u, kept here as the
+    reference."""
     f, xs, u = es.field, es.points, es.u
-    mates = [i for i in es.block_of(z) if i != z]
+    mates = [i for i in _block_of(es, z) if i != z]
     out = []
     for i in mates:
         c = f.mul(u[z], f.inv(u[i]))
@@ -867,9 +921,9 @@ def test_repair_weights_match_the_survivor_lagrange_form(inst32, inst8, inst7, i
     for inst in (inst32, inst8, inst7, inst4, inst9x):
         es = inst.eval_set
         for z in range(inst.n):
-            mates, coeffs = construct._repair_coefficients(es, z)
-            assert mates == tuple(i for i in es.block_of(z) if i != z)
-            assert coeffs == _survivor_weights(es, z), (inst.summary(), z)
+            mates, weights = inst._repair_weights[z]
+            assert mates == tuple(i for i in _block_of(es, z) if i != z)
+            assert weights == _survivor_weights(es, z), (inst.summary(), z)
 
 
 # --- verification and dumps -----------------------------------------------------
