@@ -823,17 +823,35 @@ def test_repair_needs_no_polynomial_arithmetic(inst32, monkeypatch):
         monkeypatch.setattr(type(f.one()), "inv", boom)
 
 
-def test_repair_weight_table_lists_block_mates_and_the_first_block_wins(inst8):
-    """Keys are range(n); z's entry is its first block's other positions in
-    block order, each weighted -u_i / u_z.  A block naming a position
-    outside range(n) lists none: position 7 then has no entry and its
-    repair says so, while block 0, listed in another order, still repairs."""
+def test_repair_coefficients_are_cached_per_position(inst8):
+    """A fresh copy builds its weight table on the first repair and keeps it:
+    keys are range(n), z's entry is its block's other positions in block
+    order, each weighted -u_i / u_z."""
     f, u = inst8.field, inst8.field.from_ints(inst8.eval_set.u)
     fresh = dataclasses.replace(inst8)
-    assert sorted(fresh._repair_weights) == list(range(8))
-    for z, (mates, weights) in fresh._repair_weights.items():
+    assert "_repair_weights" not in vars(fresh)
+    word = encode(fresh, [f.one()] * fresh.k)
+    tables = []
+    for z in (5, 0, 5):
+        rec = list(word)
+        rec[z] = None
+        assert repair(fresh, rec, z) == word[z]
+        tables.append(vars(fresh)["_repair_weights"])
+    assert tables[0] is tables[1] is tables[2]
+    assert sorted(tables[0]) == list(range(8))
+    mates, weights = tables[0][0]
+    assert mates == (1, 2, 3) and len(weights) == 3
+    for z, (mates, weights) in tables[0].items():
         assert mates == tuple(i for i in _block_of(inst8.eval_set, z) if i != z)
         assert f.from_ints(weights) == [-u[i] / u[z] for i in mates]
+
+
+def test_block_of_reads_the_first_block_listing_a_position(inst8):
+    """A position's repair reads the first block that lists it.  A block
+    naming a position outside range(n) lists none: position 7 then has no
+    entry and its repair says so, while block 0, listed in another order,
+    still repairs."""
+    f = inst8.field
     es = dataclasses.replace(inst8.eval_set, blocks=((2, 0, 3, 1), (3, 4, 5, 6), (7, 8)))
     damaged = dataclasses.replace(inst8, eval_set=es)
     table = damaged._repair_weights
