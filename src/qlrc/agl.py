@@ -29,7 +29,6 @@ input, through Field.ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -190,8 +189,7 @@ class AglSubgroup:
         }
 
 
-@dataclass(frozen=True)
-class GoodPolynomial:
+class GoodPolynomial(NamedTuple):
     """The annihilator g of the free orbit of base_point, constant on every orbit.
 
     base_point is an integer encoding.  Locality needs only g, constant on

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 # theta_subgroup stays importable from here: perfbench times bounds.theta_subgroup
 from .agl import AglSubgroup, stabilizer_splitter, theta_subgroup  # noqa: F401
@@ -74,8 +74,7 @@ def degree_bound(n: int, r: int, ell: int | None) -> int:
     return min(r + 1, n - ell)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     real: float
     ceiling: int
     vacuous: bool
@@ -146,8 +145,7 @@ def singleton_optimal(n: int, kappa: int, delta: int, r: int) -> bool:
 # instance-level parameters
 
 
-@dataclass(frozen=True)
-class QlrcParams:
+class QlrcParams(NamedTuple):
     """Parameters of the quantum code cut from a dual-containing instance."""
 
     n: int
@@ -164,7 +162,7 @@ class QlrcParams:
     delta_exact: int | None = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def css_params(inst: CodeInstance, delta_exact: int | None = None) -> QlrcParams:
@@ -283,8 +281,7 @@ WITNESS_SETS = 4
 WITNESS_SEED = 1
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A message and its word m . G_C, a word of C outside D."""
 
     message: tuple[FieldElement, ...]
@@ -385,8 +382,7 @@ def exact_distance(inst: CodeInstance, cap: int = 1 << 24) -> int:
 # Schreier graphs and their spectra
 
 
-@dataclass(frozen=True)
-class SchreierGraph:
+class SchreierGraph(NamedTuple):
     """Graph on one block: x ~ t(x) for t in the generating set H minus Theta."""
 
     vertices: tuple[int, ...]
@@ -466,8 +462,7 @@ def second_eigenvalue(graph: SchreierGraph) -> float:
 # per-codeword audit of the spectral machinery
 
 
-@dataclass(frozen=True)
-class AuditTrial:
+class AuditTrial(NamedTuple):
     weight: int
     theta_order: int
     bound_real: float
@@ -479,8 +474,7 @@ class AuditTrial:
     root_count: int
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     trials: tuple[AuditTrial, ...]
     min_weight: int
     failures: tuple[str, ...]

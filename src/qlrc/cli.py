@@ -13,7 +13,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import replace
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
@@ -126,7 +125,7 @@ def _cmd_bounds(args) -> int:
     inst = construct_mod.instance_from_dump(_load_json(args.instance))
     params = bounds_mod.css_params(inst)  # exit 4 unless verify's deterministic checks pass
     if args.brute_force:
-        params = replace(params, delta_exact=bounds_mod.exact_distance(inst, cap=args.cap))
+        params = params._replace(delta_exact=bounds_mod.exact_distance(inst, cap=args.cap))
     _emit(json_text(params.to_json_dict()) + "\n", args.output)
     return 0
 

@@ -24,8 +24,8 @@ a field of at most 256 elements they are the field's shared elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 from .agl import (
     AffineMap,
@@ -75,8 +75,7 @@ class BlockIncomplete(InputError):
 # multipliers
 
 
-@dataclass(frozen=True)
-class MultiplierSolution:
+class MultiplierSolution(NamedTuple):
     """Multiplier vector u over `field`, possibly a quadratic extension.
 
     When `extended` is set the evaluation points were embedded into the
@@ -167,8 +166,7 @@ def _largest_degree_closed_form(count: int, r: int) -> int | None:
     return (r + 1) * full + (rem or -2)
 
 
-@dataclass(frozen=True)
-class ExponentSets:
+class ExponentSets(NamedTuple):
     """The monomial exponents (i, j) for x^i * g^j defining S and T.
 
     s2 contains the pure powers of g shared by both spans; t1 is an initial
@@ -242,16 +240,7 @@ def exponent_sets(n: int, k: int, r: int) -> ExponentSets:
 # evaluation sets
 
 
-@dataclass(frozen=True)
-class EvaluationSet:
-    """Ordered evaluation points, their block partition, and multipliers.
-
-    Points and multipliers are integer encodings over `field`.  Points are
-    in canonical ascending order of the base field (inherited through the
-    embedding when the instance was extended); blocks are index tuples into
-    `points`, each a fibre of g and a full-size orbit of `good.subgroup`.
-    """
-
+class _EvaluationSetFields(NamedTuple):
     field: Field
     points: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
@@ -259,6 +248,17 @@ class EvaluationSet:
     good: GoodPolynomial
     extended: bool
     base_field: Field
+
+
+class EvaluationSet(_EvaluationSetFields):
+    """Ordered evaluation points, their block partition, and multipliers.
+
+    Points and multipliers are integer encodings over `field`.  Points are
+    in canonical ascending order of the base field (inherited through the
+    embedding when the instance was extended); blocks are index tuples into
+    `points`, each a fibre of g and a full-size orbit of `good.subgroup`.
+    Fields are read-only; a copy from _replace has nothing cached.
+    """
 
     @property
     def n(self) -> int:
@@ -413,16 +413,17 @@ def _orbit_problem(es: EvaluationSet) -> str | None:
 # the code itself
 
 
-@dataclass(frozen=True)
-class CodeInstance:
-    """An [n, k] evaluation code C with its dual D = C-perp inside it; rows hold int encodings."""
-
+class _CodeInstanceFields(NamedTuple):
     eval_set: EvaluationSet
     k: int
     exps: ExponentSets
     matrix_c: tuple[tuple[int, ...], ...]
     matrix_d: tuple[tuple[int, ...], ...]
     seed: int = 1
+
+
+class CodeInstance(_CodeInstanceFields):
+    """An [n, k] evaluation code C with its dual D = C-perp inside it; rows hold int encodings."""
 
     @property
     def n(self) -> int:
@@ -760,8 +761,7 @@ def instance_from_dump(d: dict) -> CodeInstance:
     return CodeInstance(eval_set=es, k=k, exps=exps, matrix_c=mc, matrix_d=md, seed=seed)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -836,7 +836,7 @@ def _structure_checks(inst: CodeInstance) -> list:
 
     def chk_rows_match():
         want = exponent_sets(n, inst.k, inst.r)  # r as the blocks say
-        wrong = [f.name for f in fields(exps) if getattr(exps, f.name) != getattr(want, f.name)]
+        wrong = [name for name in exps._fields if getattr(exps, name) != getattr(want, name)]
         if wrong:
             return f"stored {', '.join(wrong)} disagree with exponent_sets({n}, {inst.k}, {inst.r})"
         problem = unmet("rows")

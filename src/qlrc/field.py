@@ -44,6 +44,7 @@ encoding orders polynomials over GF(p) when a default modulus is selected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -198,9 +199,17 @@ def _default_modulus(p: int, m: int) -> list[int]:
     """Smallest (by integer encoding) monic irreducible of degree m."""
     for v in range(p**m):
         cand = _digits(v, p, m) + [1]
-        if _is_irreducible(cand, p):
+        if _checked_modulus(p, m, tuple(cand)):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+@functools.cache
+def _checked_modulus(p: int, m: int, modulus: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    """The modulus of Field(p, m, modulus), None if reducible, found once per process."""
+    if modulus is None:
+        return tuple(_default_modulus(p, m))
+    return modulus if _is_irreducible(list(modulus), p) else None
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +477,13 @@ class Field:
         self.m = m
         self.q = q
         if modulus is None:
-            modulus = _default_modulus(p, m)
+            modulus = _checked_modulus(p, m, None)
         else:
             if not all(0 <= c < p for c in modulus):
                 raise InputError(f"modulus coefficients {modulus} outside [0, {p})")
             if len(_ptrim(list(modulus))) - 1 != m or modulus[-1] != 1:
                 raise InputError(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(modulus, p):
+            if not _checked_modulus(p, m, tuple(modulus)):  # None is cached, not the exception
                 raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
         self._add_table: list[list[int]] | None = None

@@ -1,7 +1,6 @@
 """Pipeline behavior: multipliers, exponent sets, code construction, repair,
 dumps, and the named verification checks (including mutation failures)."""
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -358,7 +357,7 @@ def test_build_runs_the_power_sum_check(monkeypatch, tmp_path, capsys):
         sol = solve(fld, points)
         square = sol.field.mul(sol.u[0], sol.u[0])
         other = next(x for x in range(1, sol.field.q) if sol.field.mul(x, x) != square)
-        return dataclasses.replace(sol, u=(other, *sol.u[1:]))
+        return sol._replace(u=(other, *sol.u[1:]))
 
     monkeypatch.setattr(construct, "solve_multipliers", one_entry_off)
     wrong = "multiplier-power-sums: weighted power sums do not vanish up to degree n - 2"
@@ -524,12 +523,12 @@ def test_gate_fails_the_row_mutants_on_its_own(inst32, inst8, inst7, inst4, inst
         f, es, rows_d = inst.field, inst.eval_set, inst.matrix_d
         u = (next(x for x in range(1, f.q) if x != es.u[0]), *es.u[1:])
         mutants = [
-            dataclasses.replace(inst, matrix_c=(inst.matrix_c[1], *inst.matrix_c[1:])),
-            dataclasses.replace(inst, eval_set=dataclasses.replace(es, u=u)),
+            inst._replace(matrix_c=(inst.matrix_c[1], *inst.matrix_c[1:])),
+            inst._replace(eval_set=es._replace(u=u)),
         ]
         if len(rows_d) > 1:
             summed = tuple(map(f.add, rows_d[0], rows_d[1]))
-            mutants.append(dataclasses.replace(inst, matrix_d=(summed, *rows_d[1:])))
+            mutants.append(inst._replace(matrix_d=(summed, *rows_d[1:])))
         for mutant in mutants:
             assert _gate(mutant) == (False, False)
 
@@ -612,7 +611,7 @@ def test_int_kernels_match_elementwise_reference(inst32):
                 ref = ref + a * b
             assert linalg.dot(u, v) == ref
         gen = _random_matrix(rng, f, inst.k - 2, inst.n)
-        other = dataclasses.replace(inst, matrix_c=tuple(tuple(f.ints(row)) for row in gen))
+        other = inst._replace(matrix_c=tuple(tuple(f.ints(row)) for row in gen))
         for _ in range(10):
             msg = [rng.element(f) for _ in range(inst.k)]
             word = [f.zero()] * inst.n
@@ -698,7 +697,7 @@ def test_encode_names_the_first_ragged_generator_row(inst8):
     rows = [list(row) for row in inst8.matrix_c]
     rows[3].pop()
     rows[4].append(0)
-    ragged = dataclasses.replace(inst8, matrix_c=tuple(map(tuple, rows)))
+    ragged = inst8._replace(matrix_c=tuple(map(tuple, rows)))
     for msg in ([0] * inst8.k, [1] * inst8.k, [0, 0, 0, 0, 1]):
         with pytest.raises(LengthMismatch, match=r"^generator_c row 3 has length 7 != n = 8$"):
             encode(ragged, msg)
@@ -804,7 +803,7 @@ def test_repair_needs_no_polynomial_arithmetic(inst32, monkeypatch):
     """Every position of a fresh copy repairs exactly with interpolation and
     polynomial products disabled, and again from the weight table with
     field inversion disabled as well."""
-    fresh = dataclasses.replace(inst32)
+    fresh = inst32._replace()
 
     def boom(*args, **kwargs):
         raise AssertionError("repair must not reach this")
@@ -828,7 +827,7 @@ def test_repair_coefficients_are_cached_per_position(inst8):
     keys are range(n), z's entry is its block's other positions in block
     order, each weighted -u_i / u_z."""
     f, u = inst8.field, inst8.field.from_ints(inst8.eval_set.u)
-    fresh = dataclasses.replace(inst8)
+    fresh = inst8._replace()
     assert "_repair_weights" not in vars(fresh)
     word = encode(fresh, [f.one()] * fresh.k)
     tables = []
@@ -852,8 +851,8 @@ def test_block_of_reads_the_first_block_listing_a_position(inst8):
     entry and its repair says so, while block 0, listed in another order,
     still repairs."""
     f = inst8.field
-    es = dataclasses.replace(inst8.eval_set, blocks=((2, 0, 3, 1), (3, 4, 5, 6), (7, 8)))
-    damaged = dataclasses.replace(inst8, eval_set=es)
+    es = inst8.eval_set._replace(blocks=((2, 0, 3, 1), (3, 4, 5, 6), (7, 8)))
+    damaged = inst8._replace(eval_set=es)
     table = damaged._repair_weights
     assert sorted(table) == list(range(7))
     assert table[0][0] == (2, 3, 1) and table[3][0] == (2, 0, 1) and table[6][0] == (3, 4, 5)
@@ -877,8 +876,8 @@ def test_repair_reads_no_point(inst32, monkeypatch):
     """With every point of a copy set to 0 and _lagrange_denominators
     disabled, every position still repairs exactly: the weights come from
     u alone.  The Lagrange repair raised DegenerateSet here."""
-    pointless = dataclasses.replace(inst32.eval_set, points=(0,) * inst32.n)
-    blind = dataclasses.replace(inst32, eval_set=pointless)
+    pointless = inst32.eval_set._replace(points=(0,) * inst32.n)
+    blind = inst32._replace(eval_set=pointless)
 
     def boom(*args, **kwargs):
         raise AssertionError("repair must not reach this")
@@ -1184,8 +1183,8 @@ def test_g_must_be_monic():
     sub = subgroup_from_MB(f9, 1, {f9.one()}, {f9.zero(), f9.one(), f9.from_value(2)})
     es = build_evaluation_set(sub)
     two = f9.from_value(2)
-    scaled = dataclasses.replace(es.good, g=es.good.g * two)
-    bad = dataclasses.replace(es, good=scaled)
+    scaled = es.good._replace(g=es.good.g * two)
+    bad = es._replace(good=scaled)
     assert construct._fibre_problem(es) is construct._orbit_problem(es) is None
     assert construct._fibre_problem(bad) is None
     assert "not the monic annihilator" in construct._orbit_problem(bad)

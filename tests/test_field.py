@@ -57,6 +57,22 @@ def test_modulus_is_verified_irreducible():
     Field(2, 5, [1, 0, 0, 1, 0, 1])  # x^5 + x^3 + 1: a valid alternative
 
 
+def test_ben_or_runs_once_per_modulus(monkeypatch):
+    """A process checks each modulus once, the default search's included; a
+    reducible one still raises on every construction, named as a list."""
+    f = Field(2, 16)
+    calls = []
+    real = field_mod._is_irreducible
+    monkeypatch.setattr(field_mod, "_is_irreducible", lambda mod, p: calls.append(mod) or real(mod, p))
+    assert Field(2, 16).modulus == Field(2, 16, list(f.modulus)).modulus == f.modulus
+    assert calls == []
+    square = [1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1]  # (x^8 + x^4 + x^3 + 1)^2
+    for _ in range(2):
+        with pytest.raises(ReducibleModulus, match=r"^\[1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0"):
+            Field(2, 16, square)
+    assert len(calls) <= 1
+
+
 def _monic(v, p, m):
     """The monic polynomial of degree m whose lower digits encode v."""
     return [v // p**i % p for i in range(m)] + [1]
