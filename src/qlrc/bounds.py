@@ -514,11 +514,18 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     are one Field.combiner combination each, and the maps with a zero
     difference form the exact stabilizer Theta.  Check the weight against
     the bound at the order of Theta (weight_bound, once per order), then
-    divide each other difference by t(x) - x, multiply the quotients into
-    the quotient-product polynomial, and confirm its degree cap and that its
-    root count in the evaluation set dominates the count of same-orbit zero
-    pairs.  A root a is found by evaluating at a (Horner), and its
-    multiplicity by dividing by x - a while the value at a stays zero.
+    divide each other difference by t(x) - x and confirm the degree cap of
+    the quotient product and that its root count in the evaluation set
+    dominates the count of same-orbit zero pairs.  The product is never
+    formed: over a field its degree is the sum of the quotients' degrees
+    and a root's multiplicity the sum of its multiplicities in them, and it
+    is zero (degree -1, no root) exactly when one of them is.  For
+    t(x) = a*x + b with a != 1, t(x) - x is (a - 1)(x - c), c = b/(1 - a)
+    the fixed point of t, so one Field.synthetic_division by x - c gives
+    the quotient up to a scalar and the remainder to check; for a = 1 it is
+    the nonzero constant b.  One combination of the rows a^i over the
+    points a evaluates a quotient everywhere, and at each zero a it is
+    divided by x - a while the remainder stays zero.
     Raises InputError when trials < 1, since an audit of no sample would
     pass, and VerificationError, through dual_positions, when the instance
     fails structure_problem.
@@ -542,6 +549,8 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
     gamma_of = fld.combiner(
         [list(term.coeffs) + [0] * (gamma_size - len(term.coeffs)) for term in terms], gamma_size
     )
+    vandermonde = [[fld.power(a, i) for a in es.points] for i in range(gamma_size)]
+    values_of = fld.combiner(vandermonde, n)  # a quotient's values at every point
     split = stabilizer_splitter(sub, terms)
     outside = [i for i in range(inst.k) if i not in in_d]
 
@@ -567,17 +576,19 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
                 f"trial {trial}: weight {weight} below bound {bv.ceiling} at stabilizer {t_ord}"
             )
 
-        bigg = Polynomial.one(fld)
+        quotients = []
         for t, num in moved:
-            den = Polynomial._from_ints(fld, [t.b, fld.sub(t.a, 1)])  # t(x) - x
-            quo, rem = divmod(num, den)
-            if not rem.is_zero():
+            quo, rem = num.coeffs, 0
+            if t.a != 1:  # t(x) - x = (a - 1)(x - c), c the fixed point
+                c = fld.mul(t.b, fld.inv(fld.sub(1, t.a)))
+                quo, rem = fld.synthetic_division(quo, c)
+            if rem:
                 failures.append(f"trial {trial}: difference quotient is not a polynomial")
-                quo = num  # keep going with something sane
-            bigg = bigg * quo
+                quo = num.coeffs  # keep going with something sane
+            quotients.append(quo)
         cap = mu * (ell - 1)
-        gdeg = int(bigg.degree) if not bigg.is_zero() else -1
-        if bigg.is_zero() or gdeg > min(mu * (int(gamma.degree) - 1), cap):
+        gdeg = sum(len(quo) - 1 for quo in quotients) if all(quotients) else -1
+        if gdeg < 0 or gdeg > min(mu * (int(gamma.degree) - 1), cap):
             failures.append(f"trial {trial}: quotient product degree {gdeg} exceeds its cap")
 
         zero_idx = [i for i, w in enumerate(word) if not w]
@@ -589,12 +600,13 @@ def weight_bound_audit(inst: CodeInstance, trials: int = 200, seed: int | None =
                 if sub.apply(t, x) in zero_set:
                     pair_count += 1
         root_count = 0
-        gg = bigg
-        for a in es.points:
-            # gg(a) is the remainder by x - a: divide by it while that is zero
-            while gg and not fld.horner(gg.coeffs, a):
-                gg = gg // Polynomial._from_ints(fld, [fld.neg(a), 1])
-                root_count += 1
+        for quo in quotients if gdeg >= 0 else ():
+            for a, value in zip(es.points, values_of(quo)):
+                if not value:
+                    rest, rem = fld.synthetic_division(quo, a)
+                    while not rem:
+                        root_count += 1
+                        rest, rem = fld.synthetic_division(rest, a)
         if not pair_count <= root_count <= max(gdeg, 0):
             failures.append(
                 f"trial {trial}: zero pairs {pair_count} vs roots {root_count} vs degree {gdeg}"

@@ -820,7 +820,9 @@ def _structure_checks(inst: CodeInstance) -> list:
         pair of the C row it equals; C row (i1, j1) times D row (i2, j2) is
         u^2 * x^I g^J on the points, I = i1 + i2, J = j1 + j2.  g takes v
         values there, so x^I g^J agrees with a polynomial of degree at most
-        I + min(J, v - 1)*deg g, and the power sums vanish up to n - 2."""
+        I + min(J, v - 1)*deg g, and the power sums vanish up to n - 2.  That
+        degree grows with i1 and i2, so it is tested at the largest i per j
+        on each side, and the pairs are walked only to name a failing one."""
         problem = unmet("power-sums", "g", "rows")
         if problem:
             return f"D inside C-perp not certified: {problem}"
@@ -828,7 +830,13 @@ def _structure_checks(inst: CodeInstance) -> list:
         pair_of = dict(zip(inst.matrix_c, exps.s_pairs))
         if not set(inst.matrix_d) <= pair_of.keys():
             return "D inside C-perp not certified: a dual row is not a row of the big generator"
-        for (i1, j1), (i2, j2) in itertools.product(exps.s_pairs, map(pair_of.get, inst.matrix_d)):
+        d_pairs = [pair_of[row] for row in inst.matrix_d]
+        # the largest i of each j on each side: the last of its j in (j, i) order
+        c_top, d_top = (dict(sorted((j, i) for i, j in ps)) for ps in (exps.s_pairs, d_pairs))
+        maxima = itertools.product(c_top.items(), d_top.items())
+        if all(i1 + i2 + min(j1 + j2, v - 1) * d <= n - 2 for (j1, i1), (j2, i2) in maxima):
+            return None
+        for (i1, j1), (i2, j2) in itertools.product(exps.s_pairs, d_pairs):
             top = i1 + i2 + min(j1 + j2, v - 1) * d
             if top > n - 2:
                 return f"D inside C-perp not certified: x^{i1 + i2} g^{j1 + j2} has degree {top}"

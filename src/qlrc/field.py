@@ -451,12 +451,12 @@ class Field:
 
     Besides the FieldElement API, a Field offers arithmetic directly on
     integer encodings (add, sub, neg, mul, inv, sqrt, subfield_elements and
-    the list kernels axpy, dot, horner and combiner) for loops that would
-    otherwise allocate an element per operation.  combiner fixes its rows
-    and returns a function of the coefficients; it combines whole rows as
-    packed integers, by XOR in characteristic 2 and by adding byte digits
-    for odd p in fields of at most 256 elements, p >= 131 and GF(243)
-    aside.
+    the list kernels axpy, dot, horner, synthetic_division and combiner) for
+    loops that would otherwise allocate an element per operation.  combiner
+    fixes its rows and returns a function of the coefficients; it combines
+    whole rows as packed integers, by XOR in characteristic 2 and by adding
+    byte digits for odd p in fields of at most 256 elements, p >= 131 and
+    GF(243) aside.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -657,6 +657,21 @@ class Field:
         for c in reversed(coeffs):
             acc = add(exp[log[acc] + lx], c)
         return acc
+
+    def synthetic_division(self, coeffs: list[int], c: int) -> tuple[list[int], int]:
+        """(quotient, remainder) of the polynomial with ascending coefficients
+        coeffs by x - c: horner's partial sums, the last one the remainder."""
+        exp, log = self._exp, self._log
+        lc = log[c]
+        acc = 0
+        if self.p == 2:
+            sums = [acc := exp[log[acc] + lc] ^ a for a in reversed(coeffs)]
+        else:
+            add = self.add
+            sums = [acc := add(exp[log[acc] + lc], a) for a in reversed(coeffs)]
+        rem = sums.pop() if sums else 0
+        sums.reverse()
+        return sums, rem
 
     def combiner(self, rows, n: int):
         """The map coeffs -> sum_i coeffs[i] * rows[i] over rows of n

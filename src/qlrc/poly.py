@@ -198,12 +198,6 @@ class Polynomial:
         quo = f.axpy([0] * (na - d), inv_lead, ws[d:])
         return Polynomial._from_ints(f, quo), Polynomial._from_ints(f, ws[:d])
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     # -- evaluation and composition -----------------------------------------
 
     def __call__(self, point: FieldElement) -> FieldElement:

@@ -384,13 +384,13 @@ def test_criterion_8_ring_closure(inst32, inst8, inst7, inst4, inst9x):
         basis = [Polynomial.one(fld)]
         for _ in range(u_count - 1):
             basis.append(basis[-1] * es.good.g)
-        basis = [bp % h for bp in basis]
+        basis = [divmod(bp, h)[1] for bp in basis]
         vecs = [[bp.coefficient(i) for i in range(inst.n)] for bp in basis]
         if rank(vecs) != u_count:
             failures.append(f"{label}: power basis rank {rank(vecs)} != {u_count}")
         for i in range(u_count):
             for j in range(i, u_count):
-                prod = (basis[i] * basis[j]) % h
+                prod = divmod(basis[i] * basis[j], h)[1]
                 target = [prod.coefficient(t) for t in range(inst.n)]
                 if solve_in_span(vecs, target) is None:
                     failures.append(f"{label}: g^{i} * g^{j} escapes the span")

@@ -1,5 +1,6 @@
 """Distance bounds: closed forms, exact ceilings, enumeration, spectra, audits."""
 
+import functools
 import itertools
 import json
 import math
@@ -15,9 +16,12 @@ import qlrc.field
 from qlrc import (
     AffineMap,
     AglSubgroup,
+    Field,
     Polynomial,
     Xorshift64Star,
     agl_bound,
+    build_code,
+    build_evaluation_set,
     css_params,
     degree_bound,
     distance_bruteforce,
@@ -30,6 +34,7 @@ from qlrc import (
     second_eigenvalue,
     singleton_optimal,
     smallest_prime_factor,
+    subgroup_from_MB,
     sweep_rows,
     theta_subgroup,
     weight_bound,
@@ -39,6 +44,7 @@ from qlrc import agl, bounds
 from qlrc.bounds import (
     AuditReport,
     AuditTrial,
+    BoundValue,
     NotRegular,
     SchreierGraph,
     TooLarge,
@@ -721,6 +727,7 @@ def _split_problems(inst, combination_messages):
     return problems
 
 
+@functools.cache
 def _spec_instance(name):
     return instance_from_spec(json.loads((SPECS / f"{name}.json").read_text()))
 
@@ -749,3 +756,133 @@ def test_stabilizer_splitter_differential_catches_a_dropped_term(
 
     monkeypatch.setattr(agl, "_term_differences", drop_last)
     assert _split_problems(inst8, combination_messages)
+
+
+# --- the audit's failure paths -----------------------------------------------------
+
+
+def _patch_split(monkeypatch, change):
+    """Make the audit's stabilizer split hand change(field, moved) on as moved."""
+    splitter = bounds.stabilizer_splitter
+
+    def patched(subgroup, terms):
+        split = splitter(subgroup, terms)
+
+        def changed(coeffs):
+            theta, moved = split(coeffs)
+            return theta, change(subgroup.field, moved)
+
+        return changed
+
+    monkeypatch.setattr(bounds, "stabilizer_splitter", patched)
+
+
+def test_audit_fails_on_a_difference_that_t_x_minus_x_does_not_divide(inst9x, monkeypatch):
+    """inst9x's maps are x -> a*x with a != 1; a difference plus 1 is 1, not
+    0, at the fixed point 0, so the division by x - 0 leaves a remainder."""
+    _patch_split(
+        monkeypatch, lambda f, moved: [(t, num + Polynomial.one(f)) for t, num in moved]
+    )
+    rep = weight_bound_audit(inst9x, trials=3, seed=3)
+    assert rep.ok is False
+    assert "trial 0: difference quotient is not a polynomial" in rep.failures
+
+
+def test_audit_fails_on_a_zero_quotient(inst8, monkeypatch):
+    """A zero quotient makes the product zero: degree -1 and no root."""
+    _patch_split(
+        monkeypatch, lambda f, moved: [(t, Polynomial.zero(f)) for t, _ in moved[:1]] + moved[1:]
+    )
+    rep = weight_bound_audit(inst8, trials=3, seed=5)
+    assert rep.ok is False
+    assert "trial 0: quotient product degree -1 exceeds its cap" in rep.failures
+    assert [(t.g_degree, t.root_count) for t in rep.trials] == [(-1, 0)] * 3
+
+
+def test_audit_fails_on_fewer_roots_than_zero_pairs(inst32, monkeypatch):
+    """Zeroing the block of the first point adds its 4 * 3 same-orbit pairs
+    to the word's and none to the quotients' roots: trial 0 of seed 1 has 8."""
+    sub, points = inst32.eval_set.good.subgroup, inst32.eval_set.points
+    block = {sub.apply(t, points[0]) for t in sub}
+    encoder = inst32._encoder
+
+    def zero_block(coeffs):
+        return [0 if x in block else w for x, w in zip(points, encoder(coeffs))]
+
+    monkeypatch.setattr(inst32, "_encoder", zero_block)
+    rep = weight_bound_audit(inst32, trials=3, seed=1)
+    assert rep.ok is False
+    assert rep.failures[0] == "trial 0: zero pairs 12 vs roots 8 vs degree 60"
+
+
+def test_audit_fails_on_a_weight_below_the_bound(inst32, monkeypatch):
+    def above_n(n, r, theta_order, ell):
+        return BoundValue(n + 1.0, n + 1, False)
+
+    monkeypatch.setattr(bounds, "weight_bound", above_n)
+    rep = weight_bound_audit(inst32, trials=3, seed=1)
+    assert rep.ok is False
+    assert rep.failures[0] == "trial 0: weight 30 below bound 33 at stabilizer 1"
+
+
+# --- the audit's quotients and roots against Polynomial division and product -------
+
+
+@functools.cache
+def _mixed_instance():
+    """[12, 9] over GF(16) under H = {a*x + b : a in GF(4)*, b in GF(4)}: the
+    only case whose maps have a != 1 and b != 0, so a fixed point c != 0."""
+    f = Field(2, 4)
+    k4 = f.subfield_elements(2)
+    sub = subgroup_from_MB(f, 2, {f.from_int(v) for v in k4 if v}, set(f.from_ints(k4)))
+    return build_code(build_evaluation_set(sub, domain="orbits", n=12), 9)
+
+
+def _reference_tail(f, points, moved):
+    """(g_degree, root_count) as the audit once found them: each difference
+    divided by t(x) - x with divmod, the quotients multiplied by *, and each
+    point's multiplicity in the product by dividing by x - a while Horner's
+    value there is zero."""
+    product = Polynomial.one(f)
+    for t, num in moved:
+        quo, rem = divmod(num, Polynomial._from_ints(f, [t.b, f.sub(t.a, 1)]))
+        product = product * (quo if rem.is_zero() else num)
+    degree, roots = (int(product.degree) if product else -1), 0
+    for a in points:
+        while product and not f.horner(product.coeffs, a):
+            product = divmod(product, Polynomial._from_ints(f, [f.neg(a), 1]))[0]
+            roots += 1
+    return degree, roots
+
+
+def _tail_mismatches(monkeypatch, inst, seed, trials=40):
+    """The trials whose g_degree or root_count differ from _reference_tail."""
+    moves = []
+
+    def record(f, moved):
+        moves.append(moved)
+        return moved
+
+    _patch_split(monkeypatch, record)
+    rep = weight_bound_audit(inst, trials=trials, seed=seed)
+    assert len(moves) == len(rep.trials) == trials
+    got = [(t.g_degree, t.root_count) for t in rep.trials]
+    want = [_reference_tail(inst.field, inst.eval_set.points, moved) for moved in moves]
+    return [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+
+
+DIVISION_CASES = SPLIT_CASES + ["q64_n64_k40", "q65536_n32_k19", "mixed"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", DIVISION_CASES)
+def test_audit_quotients_match_polynomial_division(request, monkeypatch, name, seed):
+    """Synthetic division by the fixed point's x - c and the Vandermonde
+    evaluation give the product's degree and root count: over GF(2^m) with
+    m <= 8 and m = 16 (the set-bit combiner), odd p, GF(q^2) and a map with
+    a != 1 and b != 0."""
+    if name == "mixed":
+        inst = _mixed_instance()
+    else:
+        inst = _spec_instance(name) if name.startswith("q") else request.getfixturevalue(name)
+    assert _tail_mismatches(monkeypatch, inst, seed) == []

@@ -2,6 +2,7 @@
 dumps, and the named verification checks (including mutation failures)."""
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -346,6 +347,32 @@ def test_build_runs_the_block_check(monkeypatch):
         checks = {c.name: c for c in verify_instance(unchecked, trials=1)}
         block = checks["block-polynomial-constancy"]
         assert not block.ok and block.detail.endswith("several values of g")
+
+
+def test_containment_matches_the_pair_walk(inst32):
+    """dual-containment tests only the largest i of each j on each side; on
+    dual row sets drawn from the rows of G_C it returns what a walk over
+    every pair of an S row and a D row returns, the first failing pair."""
+    es, n = inst32.eval_set, inst32.n
+    d, v = es.good.g.degree, len(set(es._g_values))
+    pair_of = dict(zip(inst32.matrix_c, inst32.exps.s_pairs))
+    rng = Xorshift64Star(3)
+    verdicts = set()
+    for keep in [1] * 5 + [2] * 10 + [3] * 15:
+        rows = tuple(row for row in inst32.matrix_c if not rng.below(keep))
+        walk = itertools.product(inst32.exps.s_pairs, map(pair_of.get, rows))
+        want = next(
+            (
+                f"D inside C-perp not certified: x^{i1 + i2} g^{j1 + j2} has degree {top}"
+                for (i1, j1), (i2, j2) in walk
+                if (top := i1 + i2 + min(j1 + j2, v - 1) * d) > n - 2
+            ),
+            None,
+        )
+        verdicts.add(want is None)
+        check = dict(construct._structure_checks(inst32._replace(matrix_d=rows)))
+        assert check["dual-containment"]() == want
+    assert verdicts == {True, False}
 
 
 def test_build_runs_the_power_sum_check(monkeypatch, tmp_path, capsys):
@@ -1203,13 +1230,13 @@ def _old_ring_closure_ok(inst) -> bool:
     basis = [Polynomial.one(fld)]
     for _ in range(u_count - 1):
         basis.append(basis[-1] * es.good.g)
-    basis = [b % h for b in basis]
+    basis = [divmod(b, h)[1] for b in basis]
     vecs = [[b.coefficient(i) for i in range(inst.n)] for b in basis]
     if linalg.rank(vecs) != u_count:
         return False
     for i in range(u_count):
         for j in range(i, u_count):
-            prod = (basis[i] * basis[j]) % h
+            prod = divmod(basis[i] * basis[j], h)[1]
             if linalg.solve_in_span(vecs, [prod.coefficient(t) for t in range(inst.n)]) is None:
                 return False
     return True

