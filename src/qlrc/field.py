@@ -6,15 +6,19 @@ modulus.  Multiplication, inversion and powers go through exp/log tables of
 a primitive element; addition is XOR in characteristic 2 and goes through a
 Zech logarithm table (log(1 + g^i)) for odd p.  The tables are built on the
 first arithmetic use of a field and shared by every Field with the same
-(p, m, modulus).  In characteristic 2 the powers of the primitive element
-are built a block at a time, as big-int words: a vector of encodings is one
-int with symbol j in a byte-aligned slot (8, 16 or 32 bits), and the same
-packed layout and times-x kernel serve Field.combiner, which for m <= 8
-keeps each row's products with every constant; for odd p it keeps them
-too, in most fields of at most 256 elements, with one byte per digit.  Odd
-p walks cosets of x digit by digit.  Field orders are capped at 2**20
-because everything downstream (orbit enumeration, codeword scans, root
-counting) iterates over field elements.
+(p, m, modulus).  Fields of at least 2^14 elements keep them as memoryview
+casts over one bytearray each, in 8-, 16- or 32-bit slots; smaller fields
+keep lists of ints, which read faster while their ints stay in cache
+(_PACKED_TABLES has the crossover).  In characteristic 2 the powers of the
+primitive element are built a block at a time, as big-int words: a vector
+of encodings is one int with symbol j in a byte-aligned slot (8, 16 or 32
+bits), the slot layout of the packed tables, and the same layout and
+times-x kernel serve Field.combiner, which for m <= 8 keeps each row's
+products with every constant; for odd p it keeps them too, in most fields
+of at most 256 elements, with one byte per digit.  Odd p walks cosets of x
+digit by digit.  Field orders are capped at 2**20 because everything
+downstream (orbit enumeration, codeword scans, root counting) iterates over
+field elements.
 
 Code instances and affine-map subgroups store their elements as these
 integers and work on them through the Field's integer operations (add, mul,
@@ -218,12 +222,18 @@ def _checked_modulus(p: int, m: int, modulus: tuple[int, ...] | None) -> tuple[i
 
 def _slot_width(m: int) -> int:
     """Bits per symbol in a packed vector of GF(2^m) encodings: the
-    smallest of 8, 16 and 32 that holds m bits (m <= 20 by the cap)."""
+    smallest of 8, 16 and 32 that holds m bits (m <= 21: the cap bounds
+    encodings by 2^20 and logs by 2^21)."""
     return 8 if m <= 8 else 16 if m <= 16 else 32
 
 
 _SLOT_FORMAT = {8: "B", 16: "H", 32: "I"}
 _LITTLE = sys.byteorder == "little"
+
+
+def _slots(s: int, count: int) -> memoryview:
+    """count zero s-bit slots: a memoryview cast over one bytearray."""
+    return memoryview(bytearray(count * s // 8)).cast(_SLOT_FORMAT[s])
 
 
 def _pack(values, s: int) -> int:
@@ -240,10 +250,17 @@ def _pack(values, s: int) -> int:
     return int.from_bytes(buf, sys.byteorder)
 
 
+def _slot_bytes(v: int, s: int, count: int) -> bytes:
+    """Slots 0 .. count - 1 of v, s bits each, as the bytes of a memoryview
+    cast to s-bit slots in native byte order; v must be below 2**(s*count)."""
+    data = v.to_bytes(count * s // 8, sys.byteorder)
+    # a big-endian int puts its low bits last, so the slots come reversed
+    return data if _LITTLE else memoryview(data).cast(_SLOT_FORMAT[s])[::-1].tobytes()
+
+
 def _unpack(v: int, s: int, count: int) -> list[int]:
     """Slots 0 .. count - 1 of v, s bits each; v must be below 2**(s*count)."""
-    slots = memoryview(v.to_bytes(count * s // 8, sys.byteorder)).cast(_SLOT_FORMAT[s])
-    return (slots if _LITTLE else slots[::-1]).tolist()
+    return memoryview(_slot_bytes(v, s, count)).cast(_SLOT_FORMAT[s]).tolist()
 
 
 def _slot_tops(s: int, m: int, count: int) -> int:
@@ -338,9 +355,10 @@ def _times_constant(multiples: list[int], c: int) -> int:
 _TILE = 4096
 
 
-def _gf2_powers(m: int, modulus: tuple[int, ...], g: int) -> list[int]:
-    """g^0 .. g^(q-2) in GF(2^m), in packed tiles of B = min(q - 1, _TILE)
-    powers.
+def _gf2_powers(m: int, modulus: tuple[int, ...], g: int) -> bytearray:
+    """g^0 .. g^(q-2) in GF(2^m), built in packed tiles of B = min(q - 1,
+    _TILE) powers, as the bytes of their _slot_width(m)-bit slots
+    (_slot_bytes): no Python int is made per power.
 
     The first tile is built by doubling: with g^0 .. g^(size-1) in, the
     next size powers are those times g^size.  Each later tile is the first
@@ -358,26 +376,49 @@ def _gf2_powers(m: int, modulus: tuple[int, ...], g: int) -> list[int]:
         tile |= _times_constant(new, g_size) << s * size
         size += count
         g_size = mul(g_size, g_size)
-    powers, multiples, c = _unpack(tile, s, width), _x_multiples(tile, top, m, red), g_size
-    while len(powers) < n:  # width is _TILE here, a power of two, so g_size = g^width
-        powers += _unpack(_times_constant(multiples, c), s, width)
+    powers = bytearray(_slot_bytes(tile, s, width))
+    multiples, c = _x_multiples(tile, top, m, red), g_size
+    while len(powers) < n * s // 8:  # width is _TILE here, a power of two, so g_size = g^width
+        powers += _slot_bytes(_times_constant(multiples, c), s, width)
         c = mul(c, g_size)
-    del powers[n:]
+    del powers[n * s // 8 :]
     return powers
 
 
-def _times_x_walk(p: int, m: int, modulus: tuple[int, ...], start: int, count: int) -> list[int]:
+def _times_x_walk(p: int, m: int, modulus: tuple[int, ...], start: int, count: int):
     """Encodings of start * x^j for 0 <= j < count in GF(p^m), p odd, by
-    shifting the digits up and folding the top one back through the modulus."""
-    out = [start]
+    shifting the digits up and folding the top one back through the modulus;
+    a generator, so that a packed table takes them without a list."""
+    yield start
     negmod = [(-a) % p for a in modulus[:-1]]
     place = [p**j for j in range(m)]
     digits = _digits(start, p, m)
     for _ in range(count - 1):
         top = digits[-1]
         digits = [(s + top * r) % p for s, r in zip([0] + digits[:-1], negmod)]
-        out.append(sum(map(operator.mul, digits, place)))
-    return out
+        yield sum(map(operator.mul, digits, place))
+
+
+# Fields of at least this many elements keep exp, log and Zech as memoryview
+# casts over one bytearray each, in 8-, 16- or 32-bit slots (_slots), where a
+# list holds an 8-byte pointer per entry and a 28-byte int per value above
+# 256; smaller fields keep lists.  exp[log[a] + log[b]] on 200k random pairs
+# (2 vCPUs, Python 3.11) took 56, 61, 120 and 315 ns from lists at q = 2^8,
+# 2^12, 2^14 and 2^16, and 90, 125, 130 and 159 ns from memoryviews: lists
+# win while their ints stay in cache, are about even at 2^14 and fall
+# behind above it, where the memoryviews also take a tenth of the memory.
+_PACKED_TABLES = 1 << 14
+
+
+def _twice(values, s: int, packed: bool, zeros: int = 0):
+    """values twice over, then zeros zeros: a list, or when packed s-bit
+    _slots into which values, a buffer of that format, is copied twice."""
+    if not packed:
+        return [*values, *values, *itertools.repeat(0, zeros)]
+    n = len(values)
+    table = _slots(s, 2 * n + zeros)
+    table[:n] = table[n : 2 * n] = values
+    return table
 
 
 def _build_tables(p: int, m: int, modulus: tuple[int, ...]):
@@ -389,50 +430,72 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]):
     included.  For odd p, zech[i] = log(1 + g^i) (log[0] where that sum is
     zero), stored twice over so that any index in (-2n, 2n) reads it mod n.
 
-    For p = 2 the powers come from _gf2_powers.  For odd p and m > 1 they
-    come from shift-and-reduce walks: x generates the subgroup of order
-    d = ord(x) and index e = n / d, which also contains g^e = x^j0.  The
-    coset g^r <x> (r < e) is walked from g^r by multiplying by x, and
-    g^(r + e*k) = g^r * x^(j0*k mod d).  Only the e coset leaders and the
-    search for g use full multiplication.
+    Below _PACKED_TABLES elements the tables are lists of ints; from there
+    on each is a memoryview cast over one bytearray, exp in the smallest
+    _slots that hold q - 1 and log and zech in those that hold 2n: 0.75 MB
+    at GF(2^16), where lists took about 7 MB.  Both read alike.
+
+    For p = 2 the powers come from _gf2_powers as packed slots, which a
+    packed exp copies twice over and a small field reads out as a list.
+    For odd p and m > 1 they come from shift-and-reduce walks: x generates
+    the subgroup of order d = ord(x) and index e = n / d, which also
+    contains g^e = x^j0.  The coset g^r <x> (r < e) is walked from g^r by
+    multiplying by x, and g^(r + e*k) = g^r * x^(j0*k mod d).  Only the e
+    coset leaders and the search for g use full multiplication.  Odd p
+    collects the walks in a list, or when packed in an array of exp's slots.
     """
     q = p**m
     n = q - 1
+    packed = q >= _PACKED_TABLES
+    es, ls = _slot_width(n.bit_length()), _slot_width((2 * n).bit_length())
     mul = _int_mul(p, m, modulus)
     factors = _prime_factors(n)
     g = next(
         v for v in range(1, q) if all(_int_pow(mul, v, n // f) != 1 for f in factors)
     )
+
+    def seq(values, s: int = es):
+        """values collected for _twice: a list, or when packed an array of s-bit slots."""
+        if not packed:
+            return list(values)
+        # imported here: no other field loads array, and every process pays for its imports
+        from array import array
+
+        return array(_SLOT_FORMAT[s], values)
+
     if p == 2:
-        powers = _gf2_powers(m, modulus, g)
+        powers = memoryview(_gf2_powers(m, modulus, g)).cast(_SLOT_FORMAT[es])
+        if not packed:
+            powers = powers.tolist()
     elif m == 1:
-        powers = [1] * n
-        for i in range(1, n):
-            powers[i] = powers[i - 1] * g % p
+        powers = seq(
+            itertools.accumulate(itertools.repeat(g, n - 1), lambda v, x: v * x % p, initial=1)
+        )
     else:
         d = n  # the order of x
         for f in factors:
             while d % f == 0 and _int_pow(mul, p, d // f) == 1:
                 d //= f
         e = n // d
-        subgroup = _times_x_walk(p, m, modulus, 1, d)
+        subgroup = seq(_times_x_walk(p, m, modulus, 1, d))
         j0 = subgroup.index(_int_pow(mul, g, e))
-        powers = [0] * n
+        powers = seq(itertools.repeat(0, n))
         leader = 1
         for r in range(e):
-            walk = subgroup if r == 0 else _times_x_walk(p, m, modulus, leader, d)
-            powers[r::e] = walk if j0 == 1 else [walk[j0 * k % d] for k in range(d)]
+            walk = subgroup if r == 0 else seq(_times_x_walk(p, m, modulus, leader, d))
+            powers[r::e] = walk if j0 == 1 else seq(walk[j0 * k % d] for k in range(d))
             leader = mul(leader, g)
-    log = [2 * n] * q
+    exp = _twice(powers, es, packed, 2 * n + 1)
+    log = _slots(ls, q) if packed else [0] * q
+    log[0] = 2 * n
     for i, v in enumerate(powers):
         log[v] = i
-    exp = powers + powers
-    exp.extend(itertools.repeat(0, 2 * n + 1))
     zech = None
     if p != 2:
         # 1 + g^i only changes the lowest digit of g^i
-        zech = [log[v + 1 if v % p != p - 1 else v - (p - 1)] for v in powers]
-        zech += zech
+        zech = _twice(
+            seq((log[v + 1 if v % p != p - 1 else v - (p - 1)] for v in powers), ls), ls, packed
+        )
     return exp, log, zech, g
 
 

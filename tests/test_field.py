@@ -574,8 +574,9 @@ def _embedding_and_oracle(p, m):
     return phi, _CoefficientOracle(p, 2 * m, big.modulus)
 
 
-# GF(2^16) is left out: its quadratic extension exceeds the 2^20 cap.
-@pytest.mark.parametrize("p,m", DIFFERENTIAL_FIELDS[:3])
+# GF(2^16) is left out: its quadratic extension exceeds the 2^20 cap.  GF(2^7)
+# keeps lists and its extension GF(2^14) packed tables, as GF(3^5)'s GF(3^10) does.
+@pytest.mark.parametrize("p,m", [*DIFFERENTIAL_FIELDS[:3], (2, 7)])
 @ORACLE_SETTINGS
 @given(a=values, b=values)
 def test_embedding_matches_coefficient_oracle(p, m, a, b):
@@ -616,7 +617,8 @@ def test_exp_log_tables_consistent_at_the_cap():
             i = rng.below(n)
             assert ref.mul(ref.vec(exp[i]), g) == ref.vec(exp[i + 1])
     finally:
-        field_mod._TABLES.pop((f.p, f.m, f.modulus), None)  # about 100 MB
+        # 21 MB of exp and log (their nbytes); building them raised peak RSS by 24 MB
+        field_mod._TABLES.pop((f.p, f.m, f.modulus), None)
 
 
 def _primes_dividing(n):
@@ -656,10 +658,110 @@ def test_gf2_tables_match_a_walk_by_g(m, modulus):
     for i, v in enumerate(walk):
         want_log[v] = i
     exp, log, zech, g = field_mod._build_tables(2, m, f.modulus)
+    if m >= 14:  # packed: memoryview casts over a bytearray each
+        exp, log = exp.tolist(), log.tolist()
     assert g == want_g
     assert exp == walk + walk + [0] * (2 * n + 1)
     assert log == want_log
     assert zech is None
+
+
+# --- the two table layouts: lists below 2^14 elements, machine words from there --
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 13), (2, 14), (3, 8), (3, 9), (16381, 1), (16411, 1)]
+)
+def test_tables_are_packed_from_2_to_the_14(p, m):
+    """Fields of at least 2^14 elements keep exp, log and Zech as memoryview
+    casts over a bytearray each; smaller ones keep lists of ints."""
+    f = Field(p, m)
+    kind = memoryview if f.q >= 1 << 14 else list
+    tables = [f._exp, f._log] + ([f._zech] if p != 2 else [])
+    assert all(type(t) is kind for t in tables)
+    assert all(t.obj.__class__ is bytearray and t.contiguous for t in tables if kind is memoryview)
+
+
+@pytest.mark.parametrize("p,m", [(2, 13), (2, 14), (2, 16), (3, 9), (16411, 1)])
+def test_packed_and_list_tables_agree(p, m, monkeypatch):
+    """With the layout threshold moved, the packed build (every field packed)
+    and the list build (none packed) of one field agree entry for entry in
+    exp, log and Zech, and pick the same primitive element."""
+    modulus = Field(p, m).modulus
+    builds = []
+    for threshold in (2, field_mod.MAX_FIELD_ORDER + 1):
+        monkeypatch.setattr(field_mod, "_PACKED_TABLES", threshold)
+        builds.append(field_mod._build_tables(p, m, modulus))
+    (exp, log, zech, g), (want_exp, want_log, want_zech, want_g) = builds
+    assert type(exp) is type(log) is memoryview and type(want_exp) is type(want_log) is list
+    assert exp.tolist() == want_exp and log.tolist() == want_log and g == want_g
+    if p == 2:
+        assert zech is want_zech is None
+    else:
+        assert type(zech) is memoryview and zech.tolist() == want_zech
+
+
+def test_packed_table_sizes():
+    """memoryview.nbytes of the packed tables, from the layout: with n = q - 1,
+    exp holds 4n + 1 slots of the encodings' width (16 bits here), log q and
+    Zech 2n slots of 32 bits, wide enough for log[0] = 2n."""
+    f = Field(2, 16)
+    n = f.q - 1
+    assert f._exp.nbytes + f._log.nbytes == (4 * n + 1) * 2 + f.q * 4 == 786426
+    f = Field(3, 10)
+    n = f.q - 1
+    assert f._exp.nbytes + f._log.nbytes + f._zech.nbytes == (
+        (4 * n + 1) * 2 + f.q * 4 + 2 * n * 4
+    ) == 1180966
+
+
+@pytest.mark.parametrize("p,m", [(2, 14), (3, 9)])
+def test_packed_field_kernels_match_coefficient_oracle(p, m):
+    """On packed tables, mul, add, inv, sqrt and the list kernels axpy, dot,
+    horner and synthetic_division agree with coefficient-vector arithmetic
+    on seeded operands, zero and q - 1 among them."""
+    f, ref = _field_and_oracle(p, m)
+    assert type(f._exp) is memoryview
+    q, rng = f.q, Xorshift64Star(31 * p + m)
+
+    def add(a, b):
+        return ref.value(ref.add(ref.vec(a), ref.vec(b)))
+
+    def mul(a, b):
+        return ref.value(ref.mul(ref.vec(a), ref.vec(b)))
+
+    specials = [0, 1, q - 1]
+    pairs = [(a, b) for a in specials for b in specials]
+    pairs += [(rng.below(q), rng.below(q)) for _ in range(300)]
+    for a, b in pairs:
+        assert f.mul(a, b) == mul(a, b)
+        assert f.add(a, b) == add(a, b)
+        if a:
+            assert mul(f.inv(a), a) == 1
+        root = f.sqrt(a)
+        if root is None:
+            assert ref.pow(ref.vec(a), (q - 1) // 2) != ref.one
+        else:
+            assert mul(root, root) == a
+    for length in (0, 1, 2, 9, 40):
+        xs = [rng.below(q) for _ in range(length)]
+        ys = [rng.below(q) for _ in range(length)]
+        if length > 1:
+            xs[0], ys[-1] = 0, q - 1
+        for c in (0, q - 1, rng.below(q)):
+            assert f.axpy(ys, c, xs) == [add(y, mul(c, x)) for y, x in zip(ys, xs)]
+            assert f.dot(xs, ys) == functools.reduce(add, map(mul, xs, ys), 0)
+            at_c = 0
+            for coeff in reversed(xs):
+                at_c = add(mul(at_c, c), coeff)
+            assert f.horner(xs, c) == at_c
+            # (x - c) * quo + rem gives back xs, coefficient by coefficient
+            quo, rem = f.synthetic_division(xs, c)
+            assert len(quo) == max(length - 1, 0) and rem == at_c
+            minus_c = ref.value(ref.neg(ref.vec(c)))
+            padded = [rem] + quo + [0]
+            for i, coeff in enumerate(xs):
+                assert add(padded[i], mul(minus_c, padded[i + 1])) == coeff
 
 
 # --- Field.combiner against the axpy loop it replaces in encode ----------------
@@ -713,7 +815,7 @@ def test_combiner_matches_the_axpy_loop(p, m, axpy_combination, combination_mess
                 assert f.combiner(full, n)(coeffs) == axpy_combination(f, full, n, coeffs)
         assert f.combiner([], 3)([]) == [0, 0, 0]
     finally:
-        if m > 16:  # about 25 MB of tables at m = 17, 100 MB at m = 20
+        if m > 16:  # exp and log take 2.6 MB at m = 17 and 21 MB at m = 20 (their nbytes)
             field_mod._TABLES.pop((f.p, f.m, f.modulus), None)
 
 
