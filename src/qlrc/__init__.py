@@ -17,24 +17,6 @@ from .agl import (
     subgroup_from_descriptor,
     theta_subgroup,
 )
-from .bounds import (
-    QlrcParams,
-    SchreierGraph,
-    agl_bound,
-    css_params,
-    degree_bound,
-    distance_bruteforce,
-    exact_distance,
-    low_weight_witness,
-    quantum_singleton_rhs,
-    schreier_graph,
-    second_eigenvalue,
-    singleton_optimal,
-    smallest_prime_factor,
-    sweep_rows,
-    weight_bound,
-    weight_bound_audit,
-)
 from .construct import (
     CodeInstance,
     EvaluationSet,
@@ -51,11 +33,46 @@ from .construct import (
     verify_instance,
 )
 from .errors import ConstructionError, InputError, QlrcError, ResourceError, VerificationError
-from .field import Field, FieldElement, field_from_descriptor
+from .field import Field, FieldElement, field_from_descriptor, smallest_prime_factor
 from .poly import Polynomial, annihilator, interpolate
 from .rng import Xorshift64Star
 
 __version__ = "0.1.0"
+
+# Names of the bounds layer, imported with qlrc.bounds (and qlrc.linalg) on
+# first use, so that a process that only constructs, verifies, encodes or
+# repairs never compiles them.
+_BOUNDS_NAMES = frozenset(
+    {
+        "QlrcParams",
+        "SchreierGraph",
+        "agl_bound",
+        "css_params",
+        "degree_bound",
+        "distance_bruteforce",
+        "exact_distance",
+        "low_weight_witness",
+        "quantum_singleton_rhs",
+        "schreier_graph",
+        "second_eigenvalue",
+        "singleton_optimal",
+        "sweep_rows",
+        "weight_bound",
+        "weight_bound_audit",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _BOUNDS_NAMES:
+        from . import bounds
+
+        return getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _BOUNDS_NAMES)
 
 __all__ = [
     "AffineMap",

@@ -14,7 +14,6 @@ import json
 import re
 import sys
 
-from . import bounds as bounds_mod
 from . import construct as construct_mod
 from .agl import _k_span
 from .errors import ConstructionError, InputError, ResourceError, VerificationError
@@ -102,6 +101,9 @@ def _read_gg_file(path: str) -> dict[int, str]:
 
 
 def _cmd_bounds(args) -> int:
+    # the only subcommand that reads the bounds layer, so the only one that compiles it
+    from . import bounds as bounds_mod
+
     if args.sweep_kappa:
         if args.n is None or args.r is None or args.q is None:
             raise InputError("--sweep-kappa needs --n, --r, and --q")

@@ -486,6 +486,8 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]):
             powers[r::e] = walk if j0 == 1 else seq(walk[j0 * k % d] for k in range(d))
             leader = mul(leader, g)
     exp = _twice(powers, es, packed, 2 * n + 1)
+    if packed:  # log and zech read the powers from exp, so their copy is freed before log is made
+        powers = exp[:n]
     log = _slots(ls, q) if packed else [0] * q
     log[0] = 2 * n
     for i, v in enumerate(powers):
