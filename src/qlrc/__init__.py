@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 # Names of the bounds layer, imported with qlrc.bounds (and qlrc.linalg) on
 # first use, so that a process that only constructs, verifies, encodes or
-# repairs never compiles them.
+# repairs never compiles them.  __all__ adds them to the names imported above.
 _BOUNDS_NAMES = frozenset(
     {
         "QlrcParams",
@@ -74,54 +74,43 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | _BOUNDS_NAMES)
 
-__all__ = [
-    "AffineMap",
-    "AglSubgroup",
-    "CodeInstance",
-    "ConstructionError",
-    "EvaluationSet",
-    "ExponentSets",
-    "Field",
-    "FieldElement",
-    "GoodPolynomial",
-    "InputError",
-    "Polynomial",
-    "QlrcError",
-    "QlrcParams",
-    "ResourceError",
-    "SchreierGraph",
-    "VerificationError",
-    "Xorshift64Star",
-    "agl_bound",
-    "annihilator",
-    "build_code",
-    "build_evaluation_set",
-    "css_params",
-    "degree_bound",
-    "distance_bruteforce",
-    "encode",
-    "exact_distance",
-    "exponent_sets",
-    "field_from_descriptor",
-    "good_polynomial",
-    "instance_from_dump",
-    "instance_from_spec",
-    "instance_to_dump",
-    "interpolate",
-    "low_weight_witness",
-    "orbits",
-    "quantum_singleton_rhs",
-    "repair",
-    "schreier_graph",
-    "second_eigenvalue",
-    "singleton_optimal",
-    "smallest_prime_factor",
-    "solve_multipliers",
-    "subgroup_from_MB",
-    "subgroup_from_descriptor",
-    "sweep_rows",
-    "theta_subgroup",
-    "verify_instance",
-    "weight_bound",
-    "weight_bound_audit",
-]
+
+__all__ = sorted(
+    [
+        "AffineMap",
+        "AglSubgroup",
+        "CodeInstance",
+        "ConstructionError",
+        "EvaluationSet",
+        "ExponentSets",
+        "Field",
+        "FieldElement",
+        "GoodPolynomial",
+        "InputError",
+        "Polynomial",
+        "QlrcError",
+        "ResourceError",
+        "VerificationError",
+        "Xorshift64Star",
+        "annihilator",
+        "build_code",
+        "build_evaluation_set",
+        "encode",
+        "exponent_sets",
+        "field_from_descriptor",
+        "good_polynomial",
+        "instance_from_dump",
+        "instance_from_spec",
+        "instance_to_dump",
+        "interpolate",
+        "orbits",
+        "repair",
+        "smallest_prime_factor",
+        "solve_multipliers",
+        "subgroup_from_MB",
+        "subgroup_from_descriptor",
+        "theta_subgroup",
+        "verify_instance",
+        *_BOUNDS_NAMES,
+    ]
+)

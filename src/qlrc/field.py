@@ -600,6 +600,8 @@ class Field:
         return FieldElement(self, json_element(self)(v))
 
     def from_value(self, v: int) -> FieldElement:
+        if v.__class__ is bool:
+            raise InputError(f"value {v!r} is a bool, not an integer encoding")
         if not 0 <= v < self.q:
             raise InputError(f"value {v} outside [0, {self.q})")
         return FieldElement(self, v)
@@ -613,11 +615,6 @@ class Field:
     def gen(self) -> FieldElement:
         """The polynomial generator x (equals 1 when m == 1)."""
         return FieldElement(self, 1 if self.m == 1 else self.p)
-
-    def elements(self):
-        """All field elements in canonical ascending order."""
-        for v in range(self.q):
-            yield FieldElement(self, v)
 
     def ints(self, els) -> list[int]:
         """Integer encodings of the given values, each coerced as element() does."""

@@ -14,9 +14,9 @@ operations, with no call per coefficient along the longer operand:
 - f.compose(h) runs Horner's rule on lists, acc <- acc * h + c for the
   coefficients c of f from the top, with one axpy along acc per
   coefficient of h;
-- divmod(a, b) with d = deg b takes the quotient from the top down by
-  q_s = (a_(s+d) - sum_(j<d) b_j q_(s+d-j)) / b_d, on the field's log/exp
-  tables, in one loop whatever d is.  A value at a point comes from
+- divmod(a, b) is schoolbook long division: each quotient coefficient,
+  from the top, is the running remainder's leading coefficient over b's,
+  and one axpy subtracts it times b.  A value at a point comes from
   Field.horner, not from a division by x - c.
 
 coefficient(), evaluation, repr() and to_lists() wrap integers into
@@ -25,8 +25,6 @@ its coefficients the way Field.element does.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .errors import InputError
 from .field import Field, FieldElement
@@ -71,10 +69,6 @@ class Polynomial:
     @classmethod
     def one(cls, field: Field) -> Polynomial:
         return cls(field, (field.one(),))
-
-    @classmethod
-    def x(cls, field: Field) -> Polynomial:
-        return cls(field, (field.zero(), field.one()))
 
     @classmethod
     def constant(cls, c: FieldElement) -> Polynomial:
@@ -174,29 +168,15 @@ class Polynomial:
         other = self._check(other)
         if other.is_zero():
             raise DivisionByZeroPoly("division by the zero polynomial")
-        if self.degree < other.degree:
-            return Polynomial.zero(self.field), self
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        na, d = len(a), len(b) - 1
-        exp, log, zero_log = f._exp, f._log, f._log[0]
-        add = operator.xor if f.p == 2 else f.add
+        f, b = self.field, other.coeffs
+        d = len(b) - 1
+        rem = list(self.coeffs)
+        quo = [0] * max(len(rem) - d, 0)
         inv_lead = f.inv(b[-1])
-        # w_i = a_i + sum_j c_j w_(i+d-j) from the top, c_j = -b_j / b_d; then
-        # q_(i-d) = w_i / b_d, the w_i below x^d are the remainder, and they
-        # count as zero in the sums
-        lcs = [log[f.neg(f.mul(x, inv_lead))] for x in b[:-1]]
-        ws = [0] * na
-        lws = [zero_log] * (na + d)  # log w_i for i >= d
-        for i in range(na - 1, -1, -1):
-            t = a[i]
-            for j, lc in enumerate(lcs):
-                t = add(t, exp[lc + lws[i + d - j]])
-            ws[i] = t
-            if i >= d:
-                lws[i] = log[t]
-        quo = f.axpy([0] * (na - d), inv_lead, ws[d:])
-        return Polynomial._from_ints(f, quo), Polynomial._from_ints(f, ws[:d])
+        for s in reversed(range(len(quo))):
+            quo[s] = c = f.mul(rem[s + d], inv_lead)
+            rem[s : s + d + 1] = f.axpy(rem[s : s + d + 1], f.neg(c), b)
+        return Polynomial._from_ints(f, quo), Polynomial._from_ints(f, rem[:d])
 
     # -- evaluation and composition -----------------------------------------
 
@@ -255,7 +235,8 @@ class Polynomial:
 def interpolate(points: list[tuple[FieldElement, FieldElement]]) -> Polynomial:
     """The unique polynomial of degree < len(points) through the points.
 
-    Plain Lagrange; raises DuplicateNode on repeated x-coordinates.
+    Lagrange's sum of y_i * B_i / B_i(x_i), where B_i = A / (x - x_i) and A
+    is the nodes' annihilator; raises DuplicateNode on repeated x-coordinates.
     """
     if not points:
         raise InputError("need at least one interpolation point")
@@ -263,19 +244,11 @@ def interpolate(points: list[tuple[FieldElement, FieldElement]]) -> Polynomial:
     xs = [field.element(x) for x, _ in points]
     if len({x.v for x in xs}) != len(xs):
         raise DuplicateNode("repeated interpolation node")
+    ann = annihilator(field, xs)
     total = Polynomial.zero(field)
-    for i, (xi, yi) in enumerate(points):
-        yi = field.element(yi)
-        if yi.is_zero():
-            continue
-        num = Polynomial.constant(yi)
-        den = field.one()
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Polynomial(field, (-xj, field.one()))
-            den = den * (xi - xj)
-        total = total + num * Polynomial.constant(den.inv())
+    for xi, (_, yi) in zip(xs, points):
+        basis = divmod(ann, Polynomial(field, (-xi, field.one())))[0]
+        total = total + basis * (field.element(yi) / basis(xi))
     return total
 
 

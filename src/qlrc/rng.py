@@ -12,10 +12,6 @@ Seed 0 is remapped to a fixed odd constant because the all-zero state is a
 fixed point of the update.
 """
 
-from __future__ import annotations
-
-from .field import Field, FieldElement
-
 _MASK = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
 _ZERO_SEED = 0x9E3779B97F4A7C15
@@ -36,6 +32,3 @@ class Xorshift64Star:
     def below(self, n: int) -> int:
         """Uniform-ish integer in [0, n); n must be positive."""
         return self.next_u64() % n
-
-    def element(self, field: Field) -> FieldElement:
-        return field.from_value(self.below(field.q))

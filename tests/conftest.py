@@ -52,7 +52,7 @@ def inst8():
 def inst7():
     """[7, 4] locality-6 multiplicative instance over GF(8)."""
     f8 = Field(2, 3)
-    m_all = {x for x in f8.elements() if not x.is_zero()}
+    m_all = set(f8.from_ints(range(1, f8.q)))
     sub = subgroup_from_MB(f8, 3, m_all, {f8.zero()})
     return build_code(build_evaluation_set(sub, domain="orbits", n=7), 4)
 
@@ -61,7 +61,7 @@ def inst7():
 def inst4():
     """[4, 3] locality-3 additive instance over GF(4); the whole field."""
     f4 = Field(2, 2)
-    sub = subgroup_from_MB(f4, 1, {f4.one()}, set(f4.elements()))
+    sub = subgroup_from_MB(f4, 1, {f4.one()}, set(f4.from_ints(range(f4.q))))
     return build_code(build_evaluation_set(sub), 3)
 
 

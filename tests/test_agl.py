@@ -106,7 +106,7 @@ def test_int_map_kernels_match_element_arithmetic(p, m):
         assert ambient.compose(s, t) == tuple(c.value() for c in ref_st)
 
     prime = f.subfield_elements(1)
-    x = Polynomial.x(f)
+    x = Polynomial(f, [0, 1])
     for _ in range(4):
         m_gen = prime[1 + rng.below(p - 1)]
         basis = [rng.below(f.q) for _ in range(rng.below(m))]
@@ -429,7 +429,7 @@ def test_orbits_partition_the_domain():
     f = Field(2, 4)
     k4 = f.subfield_elements(2)
     sub = subgroup_from_MB(f, 2, {x for x in k4 if x}, set(k4))
-    part = orbits(sub, f.elements())
+    part = orbits(sub, f.from_ints(range(f.q)))
     covered = [x for orb in part for x in orb]
     assert sorted(covered) == list(range(f.q))
     for orb in part:
@@ -483,10 +483,10 @@ def test_good_polynomial_constant_on_every_block():
     cases.append(subgroup_from_MB(f9, 1, {f9.one(), -f9.one()}, set(f9.subfield_elements(1))))
     for sub in cases:
         alpha = next(
-            x for x in sub.field.elements() if len(sub.orbit(x)) == len(sub)
+            x for x in sub.field.from_ints(range(sub.field.q)) if len(sub.orbit(x)) == len(sub)
         )
         gp = good_polynomial(sub, alpha)
-        for block in orbits(sub, sub.field.elements()):
+        for block in orbits(sub, sub.field.from_ints(range(sub.field.q))):
             assert len({gp.g(x) for x in block}) == 1
 
 
@@ -503,7 +503,7 @@ def test_theta_subgroup_cases():
     sub = _additive32(f)
     one = f.one()
     # gamma = x: only the identity fixes it
-    assert len(theta_subgroup(sub, Polynomial.x(f))) == 1
+    assert len(theta_subgroup(sub, Polynomial(f, [0, 1]))) == 1
     # gamma = x^2 + x: fixed exactly by {x, x + 1}
     gamma = Polynomial(f, [f.zero(), one, one])
     th = theta_subgroup(sub, gamma)
@@ -521,12 +521,12 @@ def test_theta_proper_for_low_degree_part():
     sub = _additive32(f)
     gp = good_polynomial(sub, f.zero())
     rng = Xorshift64Star(43)
-    x = Polynomial.x(f)
+    x = Polynomial(f, [0, 1])
     for _ in range(100):
         gamma = Polynomial.zero(f)
         for i in (1, 2):
             for j in range(3):
-                c = rng.element(f)
+                c = f.from_value(rng.below(f.q))
                 if not c.is_zero():
                     gamma = gamma + Polynomial.constant(c) * x**i * gp.g**j
         if gamma.is_zero():
@@ -540,7 +540,7 @@ def _oracle_groups():
     f16 = Field(2, 4)
     one, a = f16.one(), f16.gen()
     additive = subgroup_from_MB(f16, 1, {one}, {f16.zero(), one, a, a + one})
-    units = {x for x in f16.elements() if not x.is_zero()}
+    units = set(f16.from_ints(range(1, f16.q)))
     multiplicative = subgroup_from_MB(f16, 4, units, {f16.zero()})
     f27 = Field(3, 3)
     gf3 = f27.subfield_elements(1)
@@ -574,9 +574,9 @@ def test_theta_subgroup_is_the_pointwise_stabilizer(case):
         orbit_poly = annihilator(f, {sub.apply(t, alpha) for t in group})
         gamma = Polynomial.zero(f)
         for e in range(1, (q - 1) // orbit_poly.degree + 1):
-            gamma = gamma + orbit_poly**e * Polynomial.constant(rng.element(f))
+            gamma = gamma + orbit_poly**e * Polynomial.constant(f.from_value(rng.below(f.q)))
         if trial % 3 == 0:
-            gamma = gamma + Polynomial.monomial(f, rng.element(f), 1 + rng.below(q - 2))
+            gamma = gamma + Polynomial.monomial(f, f.from_value(rng.below(f.q)), 1 + rng.below(q - 2))
         if gamma.is_zero():
             continue
         assert gamma.degree < q
@@ -760,7 +760,7 @@ def test_stabilizers_are_closed(monkeypatch):
     closed; none of them is proven when it is built."""
     orders = []
     for f, sub in _oracle_groups().values():
-        x = Polynomial.x(f)
+        x = Polynomial(f, [0, 1])
         theta = theta_subgroup(sub, x**f.p - x)
         _assert_closed(theta)
         prime = set(f.subfield_elements(1))

@@ -447,7 +447,7 @@ def test_exact_distance_recounts_the_witness(monkeypatch, translation_instance):
     that its message does not encode may set the distance."""
     inst = translation_instance(3, 2, 5)
     f, in_d = inst.field, sorted(dual_positions(inst))
-    for values in itertools.product(f.elements(), repeat=len(in_d)):
+    for values in itertools.product(f.from_ints(range(f.q)), repeat=len(in_d)):
         message = [f.zero()] * inst.k
         for i, v in zip(in_d, values):
             message[i] = v

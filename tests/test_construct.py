@@ -62,7 +62,7 @@ def _power_sums_vanish(fld, points, u):
 def test_multipliers_char2_full_field_all_one():
     for m in (3, 5):
         f = Field(2, m)
-        sol = solve_multipliers(f, list(f.elements()))
+        sol = solve_multipliers(f, f.from_ints(range(f.q)))
         assert not sol.extended
         assert all(u == 1 for u in sol.u)
         assert _power_sums_vanish(sol.field, sol.points, sol.u)
@@ -71,7 +71,7 @@ def test_multipliers_char2_full_field_all_one():
 def test_multipliers_odd_full_field_all_equal():
     for p, m in [(5, 1), (3, 2), (7, 1)]:
         f = Field(p, m)
-        sol = solve_multipliers(f, list(f.elements()))
+        sol = solve_multipliers(f, f.from_ints(range(f.q)))
         assert not sol.extended
         assert len(set(sol.u)) == 1
         assert _power_sums_vanish(sol.field, sol.points, sol.u)
@@ -102,7 +102,7 @@ def test_multipliers_random_subsets_always_satisfy_power_sums():
     rng = Xorshift64Star(77)
     for p, m in [(2, 4), (3, 2), (5, 1)]:
         f = Field(p, m)
-        elems = list(f.elements())
+        elems = f.from_ints(range(f.q))
         for n in (2, 3, 5):
             chosen = []
             used = set()
@@ -257,7 +257,7 @@ def test_lazy_block_selection_matches_eager_orbits(sub):
     """build_evaluation_set picks the same points and blocks as a selection
     from the eagerly enumerated orbits of the whole field."""
     f, size = sub.field, len(sub)
-    every = orbits(sub, f.elements())
+    every = orbits(sub, f.from_ints(range(f.q)))
     full = [orb for orb in every if len(orb) == size]
     assert full
 
@@ -293,11 +293,11 @@ def test_full_field_rejects_a_fixed_point():
     """x -> c*x fixes 0, so the multiplicative orbits do not cover GF(8), and
     an explicit domain holding 0 is not a union of full-size orbits."""
     f = Field(2, 3)
-    sub = subgroup_from_MB(f, 3, set(f.elements()) - {f.zero()}, {f.zero()})
+    sub = subgroup_from_MB(f, 3, set(f.from_ints(range(1, f.q))), {f.zero()})
     with pytest.raises(InputError, match="do not cover the field"):
         build_evaluation_set(sub)
     with pytest.raises(InputError, match="not a union of full-size orbits"):
-        build_evaluation_set(sub, domain=list(f.elements()))
+        build_evaluation_set(sub, domain=f.from_ints(range(f.q)))
     assert build_evaluation_set(sub, domain="orbits").n == 7
 
 
@@ -333,7 +333,7 @@ def test_build_runs_the_block_check(monkeypatch):
     assert build_evaluation_set(mult, domain="orbits").extended
 
     def x4_plus_x(sub, alpha):
-        x = Polynomial.x(sub.field)
+        x = Polynomial(sub.field, [0, 1])
         return GoodPolynomial(x**4 + x, sub, alpha)
 
     monkeypatch.setattr(construct, "good_polynomial", x4_plus_x)
@@ -607,9 +607,9 @@ def _rref_elementwise(rows):
 def _random_matrix(rng, f, rows, cols):
     """Random rows, then a few combinations of them and a zero column, so
     that eliminations also meet dependent rows and missing pivots."""
-    mat = [[rng.element(f) for _ in range(cols)] for _ in range(rows)]
+    mat = [[f.from_value(rng.below(f.q)) for _ in range(cols)] for _ in range(rows)]
     for _ in range(2):
-        a, b = rng.element(f), rng.element(f)
+        a, b = f.from_value(rng.below(f.q)), f.from_value(rng.below(f.q))
         i, j = rng.below(rows), rng.below(rows)
         mat.append([a * x + b * y for x, y in zip(mat[i], mat[j])])
     zero_col = rng.below(cols)
@@ -640,7 +640,7 @@ def test_int_kernels_match_elementwise_reference(inst32):
         gen = _random_matrix(rng, f, inst.k - 2, inst.n)
         other = inst._replace(matrix_c=tuple(tuple(f.ints(row)) for row in gen))
         for _ in range(10):
-            msg = [rng.element(f) for _ in range(inst.k)]
+            msg = [f.from_value(rng.below(f.q)) for _ in range(inst.k)]
             word = [f.zero()] * inst.n
             for c, row in zip(msg, gen):
                 word = [w + c * x for w, x in zip(word, row)]
@@ -661,8 +661,8 @@ def test_encode_linear_and_weight(inst8):
     zero_msg = [f.zero()] * inst8.k
     assert all(c.is_zero() for c in encode(inst8, zero_msg))
     for _ in range(50):
-        m1 = [rng.element(f) for _ in range(inst8.k)]
-        m2 = [rng.element(f) for _ in range(inst8.k)]
+        m1 = [f.from_value(rng.below(f.q)) for _ in range(inst8.k)]
+        m2 = [f.from_value(rng.below(f.q)) for _ in range(inst8.k)]
         w1, w2 = encode(inst8, m1), encode(inst8, m2)
         ws = encode(inst8, [a + b for a, b in zip(m1, m2)])
         assert ws == [a + b for a, b in zip(w1, w2)]
@@ -736,7 +736,7 @@ def test_nonzero_codewords_respect_degree_bound(inst8):
     rng = Xorshift64Star(59)
     floor = inst8.n - max(inst8.ell, inst8.n - (inst8.r + 1))
     for _ in range(200):
-        msg = [rng.element(f) for _ in range(inst8.k)]
+        msg = [f.from_value(rng.below(f.q)) for _ in range(inst8.k)]
         word = encode(inst8, msg)
         if all(c.is_zero() for c in word):
             continue
@@ -756,7 +756,7 @@ def test_repair_reads_only_the_block(inst32):
             return v
 
     for _ in range(50):
-        msg = [rng.element(f) for _ in range(inst32.k)]
+        msg = [f.from_value(rng.below(f.q)) for _ in range(inst32.k)]
         word = encode(inst32, msg)
         z = rng.below(inst32.n)
         rec = Logger(word)
@@ -796,7 +796,7 @@ def test_repair_on_extended_instance(inst9x):
     f = inst9x.field
     rng = Xorshift64Star(67)
     for _ in range(100):
-        msg = [rng.element(f) for _ in range(inst9x.k)]
+        msg = [f.from_value(rng.below(f.q)) for _ in range(inst9x.k)]
         word = encode(inst9x, msg)
         z = rng.below(inst9x.n)
         rec = list(word)
@@ -819,7 +819,7 @@ def test_repair_matches_interpolation_at_every_position(inst32, inst8, inst7, in
     for inst in (inst32, inst8, inst7, inst4, inst9x):
         f = inst.field
         for z in range(inst.n):
-            word = encode(inst, [rng.element(f) for _ in range(inst.k)])
+            word = encode(inst, [f.from_value(rng.below(f.q)) for _ in range(inst.k)])
             rec = list(word)
             rec[z] = None
             got = repair(inst, rec, z)
@@ -839,7 +839,7 @@ def test_repair_needs_no_polynomial_arithmetic(inst32, monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", boom)
     f = fresh.field
     rng = Xorshift64Star(73)
-    words = [encode(fresh, [rng.element(f) for _ in range(fresh.k)]) for _ in range(2)]
+    words = [encode(fresh, [f.from_value(rng.below(f.q)) for _ in range(fresh.k)]) for _ in range(2)]
     for word in words:
         for z in range(fresh.n):
             rec = list(word)
@@ -1017,7 +1017,7 @@ def test_instances_hold_integer_encodings(inst32, inst9x):
     would never equal the int tuples that generator-row-consistency and
     dual_positions compare."""
     f8, f3 = Field(2, 3), Field(3, 1)
-    solutions = [solve_multipliers(f8, list(f8.elements())), solve_multipliers(f3, [f3.zero(), f3.one()])]
+    solutions = [solve_multipliers(f8, f8.from_ints(range(f8.q))), solve_multipliers(f3, [f3.zero(), f3.one()])]
     assert solutions[1].extended
     for sol in solutions:
         assert {type(x) for x in (*sol.points, *sol.u)} == {int}

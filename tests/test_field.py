@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlrc import Field, Xorshift64Star, field_from_descriptor
+from qlrc import Field, Polynomial, Xorshift64Star, field_from_descriptor
 from qlrc import field as field_mod
 from qlrc.errors import InputError
 from qlrc.field import (
@@ -184,6 +184,18 @@ def test_element_reads_digit_lists_strictly(digits):
     assert Field(2, 3).element([1, 0, 1]).value() == 5
 
 
+def test_bools_are_not_field_elements():
+    """True == 1, but a bool is not an integer encoding: element, from_value
+    and the Polynomial constructor reject it, as json_int does, so no bool
+    reaches an element's value or a dump, where json_text would write true."""
+    f = Field(2, 3)
+    for make in (f.element, f.from_value, lambda v: Polynomial(f, [v, 1])):
+        for v in (True, False):
+            with pytest.raises(InputError, match="is a bool"):
+                make(v)
+    assert f.element(1).value() == 1 and Polynomial(f, [1, 1]).coeffs == (1, 1)
+
+
 JSON_TREES = [
     [],
     {},
@@ -234,7 +246,7 @@ def test_every_nonzero_element_has_inverse():
     for p, m in [(2, 4), (3, 2), (5, 2)]:
         f = Field(p, m)
         one = f.one()
-        for e in f.elements():
+        for e in f.from_ints(range(f.q)):
             if e.is_zero():
                 with pytest.raises(ZeroInverse):
                     e.inv()
@@ -248,10 +260,10 @@ def test_fermat_and_frobenius():
     for p, m in [(2, 4), (3, 3)]:
         f = Field(p, m)
         q = p**m
-        for a in f.elements():
+        for a in f.from_ints(range(f.q)):
             assert a**q == a
-        for a in f.elements():
-            for b in f.elements():
+        for a in f.from_ints(range(f.q)):
+            for b in f.from_ints(range(f.q)):
                 assert (a + b) ** p == a**p + b**p
 
 
@@ -310,7 +322,7 @@ def test_sqrt_odd_field_consistency():
 
 def _sqrt_exhaustive(f, a):
     """Reference root: scan the field for x with x * x == a."""
-    for x in f.elements():
+    for x in f.from_ints(range(f.q)):
         if x * x == a:
             return x
     return None
@@ -319,7 +331,7 @@ def _sqrt_exhaustive(f, a):
 def test_sqrt_tonelli_agrees_with_exhaustive():
     for p, m in [(5, 2), (3, 3), (13, 1)]:
         f = Field(p, m)
-        for e in f.elements():
+        for e in f.from_ints(range(f.q)):
             ref = _sqrt_exhaustive(f, e)
             if ref is None:
                 assert f.sqrt(e.value()) is None
@@ -372,8 +384,8 @@ def test_field_mismatch_guard():
 
 def test_element_roundtrips_and_order():
     f = Field(3, 2)
-    vals = [e.value() for e in f.elements()]
-    assert vals == list(range(9))  # ascending canonical order
+    vals = [e.value() for e in f.from_ints(range(f.q))]
+    assert vals == list(range(9))  # the shared elements, one per encoding
     for v in range(9):
         e = f.from_value(v)
         assert f.element(e.to_list()) == e
@@ -426,7 +438,7 @@ def test_rng_below_and_elements():
     f = Field(2, 4)
     for _ in range(300):
         assert 0 <= rng.below(7) < 7
-    seen = {rng.element(f).value() for _ in range(300)}
+    seen = {f.from_value(rng.below(f.q)).value() for _ in range(300)}
     assert seen == set(range(16))  # small field gets fully covered
 
 
@@ -664,6 +676,46 @@ def test_gf2_tables_match_a_walk_by_g(m, modulus):
     assert exp == walk + walk + [0] * (2 * n + 1)
     assert log == want_log
     assert zech is None
+
+
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("p,m,cosets,j0", [(7, 1, None, None), (3, 2, 2, 3), (5, 2, 3, 1), (5, 3, 2, 47), (7, 3, 19, 5)])
+def test_odd_tables_match_a_walk_by_g(p, m, cosets, j0, packed, monkeypatch):
+    """_build_tables for odd p entry for entry against the coefficient
+    oracle, in both layouts: g and the walk by g as in the characteristic-2
+    test, exp the walk twice then 2n + 1 zeros, log its inverse with
+    log[0] = 2n, and zech[i] = log(1 + g^i) twice over.  With m > 1 the
+    default modulus makes x of index cosets in the units, with
+    g^cosets = x^j0, so the coset walks and their placement by j0 are what
+    is checked; GF(7) is the m = 1 walk."""
+    monkeypatch.setattr(field_mod, "_PACKED_TABLES", 2 if packed else field_mod.MAX_FIELD_ORDER + 1)
+    f = Field(p, m)
+    ref, n = _CoefficientOracle(p, m, f.modulus), f.q - 1
+    primes = _primes_dividing(n)
+    want_g = next(
+        v for v in range(1, f.q) if all(ref.pow(ref.vec(v), n // d) != ref.one for d in primes)
+    )
+    walk, x, step = [], ref.one, ref.vec(want_g)
+    for _ in range(n):
+        walk.append(ref.value(x))
+        x = ref.mul(x, step)
+    assert x == ref.one and len(set(walk)) == n
+    if m > 1:
+        gen = ref.vec(p)
+        order = next(d for d in range(1, n + 1) if ref.pow(gen, d) == ref.one)
+        assert n // order == cosets and ref.pow(step, cosets) == ref.pow(gen, j0)
+    want_log = [2 * n] * f.q
+    for i, v in enumerate(walk):
+        want_log[v] = i
+    want_zech = [want_log[ref.value(ref.add(ref.vec(v), ref.one))] for v in walk]
+    exp, log, zech, g = field_mod._build_tables(p, m, f.modulus)
+    assert all(type(t) is (memoryview if packed else list) for t in (exp, log, zech))
+    if packed:
+        exp, log, zech = exp.tolist(), log.tolist(), zech.tolist()
+    assert g == want_g
+    assert exp == walk + walk + [0] * (2 * n + 1)
+    assert log == want_log
+    assert zech == want_zech + want_zech
 
 
 # --- the two table layouts: lists below 2^14 elements, machine words from there --
