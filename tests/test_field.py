@@ -644,6 +644,25 @@ def _primes_dividing(n):
     return primes + ([n] if n > 1 else [])
 
 
+def _walk_by_g(ref):
+    """(g, [g^i for i < q - 1], log) from the coefficient oracle alone: g is
+    the smallest element none of whose powers (q - 1)/f, f a prime factor of
+    q - 1, is one; g^i comes from g^(i - 1) by one oracle multiplication, and
+    log inverts the walk, with log[0] = 2(q - 1)."""
+    n = ref.q - 1
+    primes = _primes_dividing(n)
+    g = next(v for v in range(1, ref.q) if all(ref.pow(ref.vec(v), n // d) != ref.one for d in primes))
+    walk, x, step = [], ref.one, ref.vec(g)
+    for _ in range(n):
+        walk.append(ref.value(x))
+        x = ref.mul(x, step)
+    assert x == ref.one and len(set(walk)) == n
+    log = [2 * n] * ref.q
+    for i, v in enumerate(walk):
+        log[v] = i
+    return g, walk, log
+
+
 @pytest.mark.parametrize(
     "m,modulus",
     [(m, None) for m in range(1, 17)]
@@ -651,24 +670,11 @@ def _primes_dividing(n):
 )
 def test_gf2_tables_match_a_walk_by_g(m, modulus):
     """_build_tables in characteristic 2 entry for entry against a slow
-    reference: g is the smallest element none of whose powers (q - 1)/f,
-    f a prime factor of q - 1, is one in the coefficient oracle; g^i comes
-    from g^(i - 1) by one oracle multiplication, and log inverts the walk.
-    The non-default moduli make x non-primitive: of order 5, 51 and 45."""
+    reference, _walk_by_g.  The non-default moduli make x non-primitive: of
+    order 5, 51 and 45."""
     f = Field(2, m, modulus)
     ref, n = _CoefficientOracle(2, m, f.modulus), f.q - 1
-    primes = _primes_dividing(n)
-    want_g = next(
-        v for v in range(1, f.q) if all(ref.pow(ref.vec(v), n // d) != ref.one for d in primes)
-    )
-    walk, x, step = [], ref.one, ref.vec(want_g)
-    for _ in range(n):
-        walk.append(ref.value(x))
-        x = ref.mul(x, step)
-    assert x == ref.one and len(set(walk)) == n
-    want_log = [2 * n] * f.q
-    for i, v in enumerate(walk):
-        want_log[v] = i
+    want_g, walk, want_log = _walk_by_g(ref)
     exp, log, zech, g = field_mod._build_tables(2, m, f.modulus)
     if m >= 14:  # packed: memoryview casts over a bytearray each
         exp, log = exp.tolist(), log.tolist()
@@ -681,32 +687,20 @@ def test_gf2_tables_match_a_walk_by_g(m, modulus):
 @pytest.mark.parametrize("packed", [False, True])
 @pytest.mark.parametrize("p,m,cosets,j0", [(7, 1, None, None), (3, 2, 2, 3), (5, 2, 3, 1), (5, 3, 2, 47), (7, 3, 19, 5)])
 def test_odd_tables_match_a_walk_by_g(p, m, cosets, j0, packed, monkeypatch):
-    """_build_tables for odd p entry for entry against the coefficient
-    oracle, in both layouts: g and the walk by g as in the characteristic-2
-    test, exp the walk twice then 2n + 1 zeros, log its inverse with
-    log[0] = 2n, and zech[i] = log(1 + g^i) twice over.  With m > 1 the
-    default modulus makes x of index cosets in the units, with
-    g^cosets = x^j0, so the coset walks and their placement by j0 are what
-    is checked; GF(7) is the m = 1 walk."""
+    """_build_tables for odd p entry for entry against _walk_by_g, in both
+    layouts: exp the walk twice then 2n + 1 zeros, log its inverse, and
+    zech[i] = log(1 + g^i) twice over.  With m > 1 the default modulus
+    makes x of index cosets in the units, with g^cosets = x^j0, so the coset
+    walks and their placement by j0 are what is checked; GF(7) is the
+    m = 1 walk."""
     monkeypatch.setattr(field_mod, "_PACKED_TABLES", 2 if packed else field_mod.MAX_FIELD_ORDER + 1)
     f = Field(p, m)
     ref, n = _CoefficientOracle(p, m, f.modulus), f.q - 1
-    primes = _primes_dividing(n)
-    want_g = next(
-        v for v in range(1, f.q) if all(ref.pow(ref.vec(v), n // d) != ref.one for d in primes)
-    )
-    walk, x, step = [], ref.one, ref.vec(want_g)
-    for _ in range(n):
-        walk.append(ref.value(x))
-        x = ref.mul(x, step)
-    assert x == ref.one and len(set(walk)) == n
+    want_g, walk, want_log = _walk_by_g(ref)
     if m > 1:
-        gen = ref.vec(p)
-        order = next(d for d in range(1, n + 1) if ref.pow(gen, d) == ref.one)
-        assert n // order == cosets and ref.pow(step, cosets) == ref.pow(gen, j0)
-    want_log = [2 * n] * f.q
-    for i, v in enumerate(walk):
-        want_log[v] = i
+        x = ref.vec(p)
+        order = next(d for d in range(1, n + 1) if ref.pow(x, d) == ref.one)
+        assert n // order == cosets and ref.pow(ref.vec(want_g), cosets) == ref.pow(x, j0)
     want_zech = [want_log[ref.value(ref.add(ref.vec(v), ref.one))] for v in walk]
     exp, log, zech, g = field_mod._build_tables(p, m, f.modulus)
     assert all(type(t) is (memoryview if packed else list) for t in (exp, log, zech))
