@@ -24,6 +24,7 @@ a field of at most 256 elements they are the field's shared elements.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -96,16 +97,36 @@ def _lagrange_denominators(fld: Field, xs: list[int]) -> list[int]:
     sum_i w_i f(x_i) is the x^(N-1) coefficient of the interpolant of f on
     the N nodes, so it vanishes when deg f <= N - 2, and w spans the kernel
     of the (N - 1) x N Vandermonde.  The multiplier solve takes square roots
-    of w over all points and the gate compares u^2 with it.  Each w_i is one
-    exp lookup of a sum of logs of x_i - x_j over every j: j = i adds
-    log[0] = 2(q - 1), which vanishes mod q - 1.
+    of w over all points and the gate compares u^2 with it.
+
+    Two node sets have closed forms, read off w_i = 1 / A'(x_i) for the
+    nodes' annihilator A.  N distinct nodes in a field of N elements are the
+    whole field: x_i - x_j runs over F* as j does, and the product of F* is
+    -1 (each unit pairs with its inverse, leaving the roots 1 and -1 of
+    x^2 = 1), so every w_i = -1.  N = q - 1 distinct nonzero nodes are F*,
+    whose annihilator is A = x^(q-1) - 1, so A'(a) = (q - 1) a^(q-2) =
+    -1/a and w_a = -a.
+
+    Any other node set takes O(N^2) table reads: each w_i is one exp lookup
+    of a sum of logs of x_i - x_j over every j, where j = i adds log[0] =
+    2(q - 1), which vanishes mod q - 1.  The differences come from a map:
+    XOR in characteristic 2, with no Python call per pair, and Field.add
+    of -x_j for odd p.
     Raises DegenerateSet when nodes repeat.
     """
     if len(set(xs)) != len(xs):
         raise DegenerateSet("evaluation points repeat")
-    add, log, exp, order = fld.add, fld._log, fld._exp, fld.q - 1
-    negs = [fld.neg(x) for x in xs]
-    return [exp[-sum(log[add(x, y)] for y in negs) % order] for x in xs]
+    order = fld.q - 1
+    if len(xs) == fld.q:
+        return [fld.neg(1)] * len(xs)
+    if len(xs) == order and 0 not in xs:
+        return [fld.neg(x) for x in xs]
+    if fld.p == 2:  # x_i - x_j = x_i ^ x_j
+        diff, others = operator.xor, xs
+    else:
+        diff, others = fld.add, [fld.neg(x) for x in xs]
+    exp, logs = fld._exp, fld._log.__getitem__
+    return [exp[-sum(map(logs, map(diff, itertools.repeat(x), others))) % order] for x in xs]
 
 
 def solve_multipliers(fld: Field, points) -> MultiplierSolution:
@@ -550,14 +571,25 @@ def _s_rows(es: EvaluationSet, exps: ExponentSets) -> dict[tuple[int, int], tupl
     once per point, in EvaluationSet._g_values, and every other entry costs
     one multiplication.  Pairs are walked in (j, i) order, and exponent_sets
     lists the pair each one is built from.
+
+    A row's products are taken in the log domain, exp[log[y] + log[a]], as
+    C-level maps over the logs of the points or of the g values, read once:
+    no Python call per entry.  Zeros need no branch.  log[0] = 2(q - 1),
+    and a nonzero log is below q - 1, so a sum with a zero factor lies in
+    [2(q - 1), 4(q - 1)], where exp holds zeros, and every other sum lies
+    below 2(q - 1), where exp holds the powers twice over.
     """
-    mul, gs = es.field.mul, es._g_values
+    exp, log, add = es.field._exp, es.field._log, operator.add
+    logs_x, logs_g = (list(map(log.__getitem__, vs)) for vs in (es.points, es._g_values))
     rows: dict[tuple[int, int], tuple] = {(0, 0): es.u}
     for i, j in sorted(exps.s_pairs, key=lambda p: p[::-1]):
         if i:
-            rows[i, j] = tuple(map(mul, rows[i - 1, j], es.points))
+            prev, logs = rows[i - 1, j], logs_x
         elif j:
-            rows[i, j] = tuple(map(mul, rows[0, j - 1], gs))
+            prev, logs = rows[0, j - 1], logs_g
+        else:
+            continue
+        rows[i, j] = tuple(map(exp.__getitem__, map(add, map(log.__getitem__, prev), logs)))
     return rows
 
 

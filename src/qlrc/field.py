@@ -600,8 +600,8 @@ class Field:
         return FieldElement(self, json_element(self)(v))
 
     def from_value(self, v: int) -> FieldElement:
-        if v.__class__ is bool:
-            raise InputError(f"value {v!r} is a bool, not an integer encoding")
+        if v.__class__ is not int:  # a bool or a float in range would pass the bounds check
+            raise InputError(f"value {v!r} is a {type(v).__name__}, not an integer encoding")
         if not 0 <= v < self.q:
             raise InputError(f"value {v} outside [0, {self.q})")
         return FieldElement(self, v)

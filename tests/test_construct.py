@@ -465,19 +465,35 @@ def _horner_rows(es, exps):
 
 
 def test_pointwise_rows_match_horner_rows(inst32, inst8, inst7, inst4, inst9x):
-    """_s_rows agrees with the Horner reference on the fixtures, on three
-    perfbench specs (GF(64), GF(9) -> GF(81), GF(2^16)) and on a dump whose
-    g is the zero polynomial."""
+    """_s_rows agrees with the Horner reference on the fixtures, on four
+    perfbench specs (GF(64), GF(27), GF(9) -> GF(81), GF(2^16)), on a dump
+    whose u[3] is zero and on one whose g is the zero polynomial.
+
+    Rows are products in the log domain, where log[0] = 2(q - 1) must land
+    on exp's zeros: the zero multiplier's column, point 0's column on the
+    seven full-field instances and every g^j row of the zero g hold them."""
     insts = [inst32, inst8, inst7, inst4, inst9x]
-    for stem in ("q64_n64_k40", "q9x81_n8_k5", "q65536_n32_k19"):
+    for stem in ("q64_n64_k40", "q27_n27_k18", "q9x81_n8_k5", "q65536_n32_k19"):
         spec = json.loads((PERFBENCH / "specs" / f"{stem}.json").read_text())
         insts.append(instance_from_spec(spec))
+    zero_u = instance_to_dump(inst32)
+    zero_u["u"][3] = [0] * len(zero_u["u"][3])
+    insts.append(instance_from_dump(zero_u))
+    assert insts[-1].eval_set.u[3] == 0
     zero_g = dict(instance_to_dump(inst8), g=[])
     insts.append(instance_from_dump(zero_g))
     assert insts[-1].eval_set.good.g.is_zero()
+    full = 0
     for inst in insts:
         want = _horner_rows(inst.eval_set, inst.exps)
         assert construct._s_rows(inst.eval_set, inst.exps) == want
+        if 0 in inst.eval_set.u:
+            assert not any(row[3] for row in want.values())
+        if inst.n == inst.field.q:
+            z = inst.eval_set.points.index(0)
+            assert not any(row[z] for (i, _), row in want.items() if i)
+            full += 1
+    assert full == 7  # inst32, inst8, inst4, GF(64), GF(27) and both copies
     assert [p for p, row in want.items() if any(row)] == [(i, 0) for i in range(3)]
 
 
@@ -926,22 +942,42 @@ def _distinct_values(rng, q, size):
     return out
 
 
+def _shuffled(rng, values):
+    """values in an order rng draws (Fisher-Yates)."""
+    out = list(values)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 def test_lagrange_denominators_serve_the_multiplier_solve():
-    """One path for every characteristic, against FieldElement products."""
+    """Every path against FieldElement products: the whole field and F*, in
+    any order, take closed forms; q - 1 nodes that hold 0, and smaller sets,
+    take the general path.  GF(3^9) has packed tables, and its closed forms
+    are checked at three drawn nodes each, where a product runs over q - 1
+    differences; its general path would take O(q^2) additions."""
     rng = Xorshift64Star(83)
-    for p, m in [(2, 3), (2, 6), (3, 2), (3, 3), (5, 2)]:
+    for p, m in [(2, 1), (2, 3), (2, 6), (7, 1), (3, 2), (5, 2), (3, 3), (3, 9)]:
         f = Field(p, m)
-        for size in (1, 2, 5, f.q):
-            pts = f.from_ints(_distinct_values(rng, f.q, size))
-            dens = construct._lagrange_denominators(f, f.ints(pts))
-            for x, w in zip(pts, dens):
+        big = f.q > 1000
+        units = _shuffled(rng, range(1, f.q))
+        node_sets = [_shuffled(rng, range(f.q)), units]
+        if not big:
+            node_sets.append(_shuffled(rng, [0, *units[1:]]))
+            node_sets += [_distinct_values(rng, f.q, size) for size in (1, 2, 5) if size < f.q]
+        for xs in node_sets:
+            dens = construct._lagrange_denominators(f, xs)
+            assert len(dens) == len(xs)
+            pts = f.from_ints(xs)
+            for i in [rng.below(len(xs)) for _ in range(3)] if big else range(len(xs)):
                 prod = f.one()
                 for y in pts:
-                    if y != x:
-                        prod = prod * (x - y)
-                assert f.from_value(w) * prod == f.one()
+                    if y != pts[i]:
+                        prod = prod * (pts[i] - y)
+                assert f.from_value(dens[i]) * prod == f.one(), (f, len(xs), xs[i])
         with pytest.raises(DegenerateSet):
-            construct._lagrange_denominators(f, [1, 2, 1])
+            construct._lagrange_denominators(f, [1, 2, 1] if f.q > 2 else [1, 1])
 
 
 def _survivor_weights(es, z):

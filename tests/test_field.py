@@ -10,6 +10,7 @@ the modulus) that shares nothing with the exp/log/Zech tables.
 import functools
 import json
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,17 @@ def test_bools_are_not_field_elements():
             with pytest.raises(InputError, match="is a bool"):
                 make(v)
     assert f.element(1).value() == 1 and Polynomial(f, [1, 1]).coeffs == (1, 1)
+
+
+def test_from_value_takes_only_ints():
+    """A float in range is no encoding either: from_value raises InputError
+    for anything whose class is not int, so no element holds a value that
+    the table lookups of its first product cannot index by."""
+    f = Field(2, 3)
+    for v in (1.0, 0.0, 7.0, Fraction(1), "1", None):
+        with pytest.raises(InputError, match=f"is a {type(v).__name__}, not an integer"):
+            f.from_value(v)
+    assert f.from_value(7).value() == 7
 
 
 JSON_TREES = [
